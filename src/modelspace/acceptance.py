@@ -28,13 +28,13 @@ def _result(name, passed, detail, t0):
         "name": name,
         "passed": bool(passed),
         "detail": detail,
-        "seconds": time.time() - t0,
+        "seconds": time.perf_counter() - t0,
     }
 
 
 def criterion_1_distance_consistency(seed=0):
     """Cross-ratio distance equals the arccos/arccosh inversion, 1e-9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     counts = []
@@ -47,7 +47,7 @@ def criterion_1_distance_consistency(seed=0):
         mask = ~np.isnan(d_closed)
         counts.append(int(mask.sum()))
         worst = max(worst, float(np.max(np.abs(d_cross[mask] - d_closed[mask]))))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     passed = worst < 1e-9 and elapsed < 5.0
     return _result(
         "1 cross-ratio distance vs closed forms",
@@ -60,7 +60,7 @@ def criterion_1_distance_consistency(seed=0):
 def criterion_2_duality_round_trips(seed=0):
     """(K*)* = K at grid 64; ball and hyperboloid duals and the
     truncation apex exact to 1e-9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     grid_e = du.sphere_grid(64)
     grid_m = du.hyperboloid_grid(64)
@@ -113,7 +113,7 @@ def criterion_2_duality_round_trips(seed=0):
 
 def criterion_3_one_d_transition(seed=0):
     """g_k R_{a/k} g_k^{-1} -> T_a and the same for boosts, 1e-6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for a in (-2.0, 0.5, 3.0):
         for kind in ("rotation", "boost"):
@@ -143,7 +143,7 @@ def criterion_4_three_d_transition(seed=0):
     """Conjugated isometry paths land in the limit block patterns
     (1e-6, 1000 paths); the duality/transition diagrams commute (1e-7,
     100 paths)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = 0
     per = 125  # 8 transitions x 125 paths
@@ -196,7 +196,7 @@ def _fixed_locus_point(space, fam, rng):
 def criterion_5_co_connection(seed=0):
     """Characterizing residuals of the co-space connections < 1e-6;
     lines geodesic < 1e-6, non-geodesic control > 1e-2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name in ("coEuc3", "coMin3"):
@@ -266,7 +266,7 @@ def _field_family(rng, axis, dim=4):
 def criterion_6_connection_transition(seed=0):
     """Rescaled connections and volumes of Ell3/dS3/Hyp3/AdS3 converge to
     the co-space ones, extrapolated gap < 1e-6 on 20 families each."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_c, worst_v = 0.0, 0.0
     pairs = [("Ell3", "coEuc3"), ("dS3", "coEuc3"), ("Hyp3", "coMin3"), ("AdS3", "coMin3")]
@@ -293,7 +293,7 @@ def criterion_6_connection_transition(seed=0):
 def criterion_7_pogorelov(seed=0):
     """Killing transport, the (rho^2, rho^4) eigenvalue dictionary, and
     the Weyl/contraction identities."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     cloud = pg.halton_cloud(512, seed=seed)
     worst_img, worst_src = 0.0, 0.0
@@ -353,7 +353,7 @@ def criterion_8_surfaces(seed=0):
     """Canonical data exact; grid-h^2 residual scaling; support-function
     shape operators; dual involution and curvature dictionary; surface
     transition limits."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     # canonical data exact to 1e-9
     d_s = sf.embedding_data(sf.sphere_patch(), m=33)
@@ -450,7 +450,7 @@ def criterion_8_surfaces(seed=0):
 def criterion_9_rigidity(seed=0):
     """Isometric deformations transport to isometric deformations;
     trivial ones stay trivial, for 10 ambient Killing restrictions."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     surf = pg.sphere_surface_samples()
     worst_src, worst_dst, worst_triv = 0.0, 0.0, 0.0

@@ -302,7 +302,7 @@ def cmd_pogorelov(args):
         record = _load_record(args.killing, "generator")
         gen = np.asarray(record["generator"], dtype=float)
         form = m_src.base
-        amb = np.diag(np.append(np.diag(form.matrix), -1.0 if args.pair == "hyp-euc" else -1.0))
+        amb = np.diag(np.append(np.diag(form.matrix), -1.0))
         if gen.shape != (4, 4):
             raise ValidationError("generator must be a 4x4 matrix")
         anti = amb @ gen + gen.T @ amb

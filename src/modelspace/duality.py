@@ -20,7 +20,7 @@ revolution about grid points.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial import QhullError
 
 from . import forms
@@ -85,23 +85,15 @@ def cone_facet_normals(rays):
     if 0 not in hull.vertices:
         raise ValueError("cone contains a line (not pointed)")
     eqs = hull.equations  # n . x + c <= 0 inside
-    normals = []
-    for n_and_c in eqs:
-        n, c = n_and_c[:-1], n_and_c[-1]
-        if abs(c) <= 1e-9:
-            normals.append(n / np.linalg.norm(n))
-    normals = np.array(normals)
-    return _dedupe_rays(normals)
+    return _dedupe_rays(_unit_rows(eqs[np.abs(eqs[:, -1]) <= 1e-9, :-1]))
 
 
 def _dedupe_rays(rows, tol=1e-9):
-    if len(rows) == 0:
-        return rows
-    kept = []
-    for r in rows:
-        if not any(np.dot(r, k) > 1.0 - tol for k in kept):
-            kept.append(r)
-    return np.array(kept)
+    """Drop each unit row within distance ``tol`` of an earlier one."""
+    pairs = cKDTree(rows).query_pairs(tol, output_type="ndarray")
+    keep = np.ones(len(rows), dtype=bool)
+    keep[pairs[:, 1]] = False
+    return rows[keep]
 
 
 def same_ray_set(a, b, tol=1e-8):
@@ -110,10 +102,8 @@ def same_ray_set(a, b, tol=1e-8):
     b = _dedupe_rays(_unit_rows(b))
     if len(a) != len(b):
         return False
-    for r in a:
-        if not any(np.dot(r, s) > 1.0 - tol for s in b):
-            return False
-    return True
+    dist, _ = cKDTree(b).query(a)
+    return bool(np.all(dist < tol))
 
 
 class PolyCone:

@@ -131,14 +131,24 @@ class ModelSpace:
         return x
 
     def random_points(self, rng, count):
-        """Random points of the space, uniform-ish on the pseudo-sphere."""
-        pts = []
-        while len(pts) < count:
-            v = rng.standard_normal(self.dim)
-            q = float(self.form(v, v))
-            if self.sign * q > 1e-6 * float(np.dot(v, v)):
-                pts.append(v / np.sqrt(abs(q)))
-        return np.array(pts)
+        """Random points of the space, uniform-ish on the pseudo-sphere.
+
+        Gaussian candidates are drawn in blocks; the block that completes
+        the request is redrawn up to its last kept row, so ``rng`` advances
+        exactly as if candidates were drawn one at a time.
+        """
+        blocks, need = [np.empty((0, self.dim))], count
+        while need > 0:
+            state = rng.bit_generator.state
+            v = rng.standard_normal((2 * need + 16, self.dim))
+            q = self.form.quad(v)
+            kept = np.flatnonzero(self.sign * q > 1e-6 * np.einsum("ij,ij->i", v, v))[:need]
+            if len(kept) == need:
+                rng.bit_generator.state = state
+                rng.standard_normal((kept[-1] + 1, self.dim))
+            blocks.append(v[kept] / np.sqrt(np.abs(q[kept]))[:, None])
+            need -= len(kept)
+        return np.concatenate(blocks)
 
     def sample_points(self, rng, count, radius=1.2):
         """Well-conditioned pseudo-sphere points with bounded coordinates.

@@ -44,6 +44,42 @@ def test_cone_errors():
         du.PolyCone()
 
 
+def test_near_parallel_facet_normals_are_kept():
+    # pushing the fifth generator 3e-6 past the face through the first two
+    # splits it into two facets whose normals are ~1e-5 rad apart
+    gens = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1], [0.5 + 3e-6, 0.5 + 3e-6, 1]]
+    normals = du.cone_facet_normals(gens)
+    assert len(normals) == 5
+    assert np.max(normals @ np.array(gens).T) < 1e-12
+    gram = normals @ normals.T
+    np.fill_diagonal(gram, -1.0)
+    assert 5e-6 < np.arccos(np.max(gram)) < 2e-5
+
+
+def test_coplanar_triangles_collapse_to_one_normal():
+    # Qhull triangulates each square face of the cone over the cube
+    cube = [[sx, sy, sz, 1] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+    normals = du.cone_facet_normals(cube)
+    expected = np.hstack([np.vstack([np.eye(3), -np.eye(3)]), -np.ones((6, 1))])
+    assert len(normals) == 6
+    assert du.same_ray_set(normals, expected)
+
+
+def test_same_ray_set_separates_nearby_rays():
+    rays = np.array([[1.0, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
+    assert du.same_ray_set(2.0 * rays[::-1], rays)
+    c, s = np.cos(1e-5), np.sin(1e-5)
+    turned = rays.copy()
+    turned[0] = [c * rays[0, 0] - s * rays[0, 1], s * rays[0, 0] + c * rays[0, 1], 1.0]
+    assert not du.same_ray_set(turned, rays)
+
+
+def test_duality_criterion_passes_at_seed_16():
+    # seed 16 draws polytopes with facet normals ~1e-5 rad apart
+    from modelspace import acceptance
+    assert acceptance.criterion_2_duality_round_trips(seed=16)["passed"]
+
+
 def test_euclidean_cube_cross_polytope():
     cube = du.EuclideanBody(
         [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]

@@ -230,3 +230,28 @@ def test_quadrature_agrees_with_inversion():
             d1 = pj.pseudo_distance_lift(space, x, y)
             d2 = pj.pseudo_distance_quadrature(space, x, y)
             assert abs(d1 - d2) < 1e-8
+
+
+def _one_by_one_sampler(space, rng, count):
+    pts = []
+    while len(pts) < count:
+        v = rng.standard_normal(space.dim)
+        q = float(space.form(v, v))
+        if space.sign * q > 1e-6 * float(np.dot(v, v)):
+            pts.append(v / np.sqrt(abs(q)))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name", ["Ell2", "Hyp2", "dS2", "AdS3"])
+@pytest.mark.parametrize("seed", [0, 16])
+@pytest.mark.parametrize("count", [1, 500])
+def test_random_points_match_one_by_one_sampler(name, seed, count):
+    # the block sampler must return the same bytes and leave the
+    # generator in the same state as drawing one candidate at a time
+    space = pj.model_space(name)
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _one_by_one_sampler(space, rng_ref, count)
+    got = space.random_points(rng, count)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
