@@ -127,18 +127,6 @@ def criterion_3_one_d_transition(seed=0):
     )
 
 
-_TRANSITIONS = [
-    ("Ell3", "point", "IsomEuc"),
-    ("Hyp3", "point", "IsomEuc"),
-    ("dS3", "point", "IsomMin"),
-    ("AdS3", "point", "IsomMin"),
-    ("Ell3", "plane", "IsomCoEuc"),
-    ("dS3", "plane", "IsomCoEuc"),
-    ("Hyp3", "plane", "IsomCoMin"),
-    ("AdS3", "plane", "IsomCoMin"),
-]
-
-
 def criterion_4_three_d_transition(seed=0):
     """Conjugated isometry paths land in the limit block patterns
     (1e-6, 1000 paths); the duality/transition diagrams commute (1e-7,
@@ -147,14 +135,15 @@ def criterion_4_three_d_transition(seed=0):
     rng = np.random.default_rng(seed)
     failures = 0
     per = 125  # 8 transitions x 125 paths
-    for name, kind, target in _TRANSITIONS:
-        space = pj.model_space(name)
-        fam = tr.transition_family(name, kind)
-        for _ in range(per):
-            h = tr.random_isometry_path(space, fam, rng)
-            lim, _ = tr.conjugate_limit(h, fam)
-            if not tr.limit_group_membership(lim, target, tol=1e-6):
-                failures += 1
+    for kind in ("point", "plane"):
+        for name, target in pj.transitions(kind, 3):
+            space = pj.model_space(name)
+            fam = tr.transition_family(name, kind)
+            for _ in range(per):
+                h = tr.random_isometry_path(space, fam, rng)
+                lim, _ = tr.conjugate_limit(h, fam)
+                if not tr.limit_group_membership(lim, target, tol=1e-6):
+                    failures += 1
     worst_gap = 0.0
     cases = [("Ell3", "point"), ("Ell3", "plane"), ("dS3", "point"), ("Hyp3", "plane")]
     for name, kind in cases:
@@ -269,8 +258,7 @@ def criterion_6_connection_transition(seed=0):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_c, worst_v = 0.0, 0.0
-    pairs = [("Ell3", "coEuc3"), ("dS3", "coEuc3"), ("Hyp3", "coMin3"), ("AdS3", "coMin3")]
-    for src_name, co_name in pairs:
+    for src_name, co_name in pj.transitions("plane", 3):
         src = pj.model_space(src_name)
         cosp = pj.model_space(co_name)
         fam = tr.transition_family(src_name, "plane")
@@ -410,18 +398,10 @@ def criterion_8_surfaces(seed=0):
     # surface transition
     w = rng.standard_normal(3) * 0.05
 
-    def fam_ell(t, U, V):
-        m_ = sf.sphere_chart(U, V)
-        h = t * ufn(m_) + t * t * (0.3 + m_ @ w)
-        vec = np.concatenate([m_, h[..., None]], axis=-1)
-        return vec / np.sqrt(1 + h**2)[..., None]
-
-    def fam_hyp(t, U, V):
-        m_ = sf.hyperboloid_chart(U, V)
-        h = t * (-1.0 + 0.05 * m_[..., 0]) + t * t * (0.2 + 0.05 * m_[..., 1])
-        vec = np.stack([m_[..., 0], m_[..., 1], h, m_[..., 2]], axis=-1)
-        return vec / np.sqrt(1 - h**2)[..., None]
-
+    fam_ell = sf.transition_surface_family(
+        "Ell3", lambda t, m_, U, V: t * ufn(m_) + t * t * (0.3 + m_ @ w))
+    fam_hyp = sf.transition_surface_family(
+        "Hyp3", lambda t, m_, U, V: t * (-1.0 + 0.05 * m_[..., 0]) + t * t * (0.2 + 0.05 * m_[..., 1]))
     out_e = sf.surface_transition(fam_ell, "Ell3", m=17, ts=0.5 ** np.arange(3, 10))
     out_h = sf.surface_transition(fam_hyp, "Hyp3", m=17, ts=0.5 ** np.arange(3, 10))
     trans_gap = max(max(out_e["gaps"].values()), max(out_h["gaps"].values()))

@@ -50,9 +50,16 @@ def _parse_vector(text):
         vec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed vector {text!r}: {exc.msg}") from exc
-    arr = np.asarray(vec, dtype=float)
+    arr = _finite(vec, "vector")
     if arr.ndim != 1:
         raise ValidationError("vector must be a flat JSON list")
+    return arr
+
+
+def _finite(value, what):
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} must hold finite numbers")
     return arr
 
 
@@ -80,11 +87,16 @@ def _load_record(path, tag):
     are rejected.
     """
     record = _load_json(path)
+    if not isinstance(record, dict):
+        raise ValidationError(f"{path} must hold a JSON object, not {type(record).__name__}")
     if "entities" not in record:
         return record
+    if not isinstance(record["entities"], list):
+        raise ValidationError("scene 'entities' must be a list")
     for entity in record["entities"]:
-        if entity.get("tag") not in SCENE_TAGS:
-            raise ValidationError(f"unknown scene entity tag {entity.get('tag')!r}")
+        etag = entity.get("tag") if isinstance(entity, dict) else None
+        if etag not in SCENE_TAGS:
+            raise ValidationError(f"unknown scene entity tag {etag!r}")
     for entity in record["entities"]:
         if entity["tag"] == tag:
             return entity
@@ -96,6 +108,14 @@ def _grid_size(args):
         return args.grid
     env = os.environ.get("MODELSPACE_GRID")
     return int(env) if env else 64
+
+
+def _surface_grid(args):
+    # the surface residuals drop two boundary cells on each side
+    grid = min(_grid_size(args), 65)
+    if grid < 5:
+        raise ValidationError(f"surface grid must be at least 5, got {grid}")
+    return grid
 
 
 def _emit(args, text_lines, record, csv_rows=None, csv_header=None):
@@ -162,6 +182,8 @@ def _body_from_record(record, flavor):
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     if record.get("kind") in ("ball", "hyperboloid"):
+        if "radius" not in record:
+            raise ValidationError(f"{record['kind']} body record needs a 'radius'")
         return float(record["radius"])
     raise ValidationError("body record needs 'vertices' or kind ball/hyperboloid")
 
@@ -205,15 +227,17 @@ def cmd_dualize(args):
 
 
 def _path_from_record(space, record):
-    base = np.asarray(record["base"], dtype=float)
-    vel = np.asarray(record.get("velocity", np.zeros_like(base)), dtype=float)
-    acc = np.asarray(record.get("acceleration", np.zeros_like(base)), dtype=float)
+    if "base" not in record:
+        raise ValidationError("path record needs a 'base' point")
+    base = _finite(record["base"], "path base")
+    vel = _finite(record.get("velocity", np.zeros_like(base)), "path velocity")
+    acc = _finite(record.get("acceleration", np.zeros_like(base)), "path acceleration")
 
     def x(t):
         y = base + t * vel + 0.5 * t * t * acc
         q = float(space.form.quad(y))
-        if space.sign * q <= 0:
-            raise ValidationError("path leaves the model space")
+        if not np.isfinite(q) or space.sign * q <= 0:
+            raise ValidationError("path leaves the model space or overflows")
         return y / np.sqrt(abs(q))
 
     return tr.PointPath(x)
@@ -283,7 +307,7 @@ def cmd_check_connection(args):
         "nabla_T": cn.t_parallel_residual(conn, pts),
         "nabla_omega": cn.parallel_volume_residual(conn, omega, Z, [X, Y, Z], pts),
     }
-    if space.name == "coEuc3":
+    if pj.space_family(space.name).chart == "S2":
         line = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])
     else:
         line = lambda t: np.array([np.sinh(t), 0.0, np.cosh(t), 0.0])
@@ -347,16 +371,20 @@ def _patch_from_record(space, record):
     if kind == "hyperboloid":
         return sf.hyperboloid_patch(radius=float(record.get("radius", 1.0)))
     if kind == "graph":
+        spec = pj.space_family(space.name)
+        if spec.chart is None and spec.chart_form is None:
+            raise ValidationError(f"graph patches live in a flat chart or a co-space, not {space.name}")
+        spherical = spec.chart == "S2"
         height = record.get("height", {})
-        const = float(height.get("constant", 1.0 if space.name != "coMin3" else -1.0))
+        const = float(height.get("constant", space.sign))
         lin = np.asarray(height.get("linear", [0.0, 0.0, 0.0]), dtype=float)
         amp, freq = height.get("wave", [0.0, 1.0])
 
         def f(U, V):
-            base = sf.sphere_chart(U, V) if space.name == "coEuc3" else sf.hyperboloid_chart(U, V)
+            base = sf.sphere_chart(U, V) if spherical else sf.hyperboloid_chart(U, V)
             return const + base @ lin + amp * np.sin(freq * U) * np.cos(V)
 
-        domain = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3)) if space.name == "coEuc3" \
+        domain = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3)) if spherical \
             else ((0.1, 1.1), (0.3, 2 * np.pi - 0.3))
         return sf.graph_patch(space, f, domain)
     raise ValidationError(f"unknown patch kind {kind!r}")
@@ -366,10 +394,9 @@ def cmd_check_surface(args):
     space = pj.model_space(args.space)
     record = _load_record(args.patch, "patch") if args.patch else {"kind": "graph"}
     patch = _patch_from_record(space, record)
-    grid = min(_grid_size(args), 65)
+    grid = _surface_grid(args)
     try:
-        data = sf.embedding_data(patch, m=grid) if not space.degenerate \
-            else sf.embedding_data_co(patch, m=grid)
+        data = sf.embedding_data(patch, m=grid)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     gauss, codazzi = sf.gauss_codazzi_residual(data)
@@ -401,9 +428,8 @@ def cmd_dual_surface(args):
     space = pj.model_space(args.space)
     record = _load_record(args.patch, "patch") if args.patch else {"kind": "graph"}
     patch = _patch_from_record(space, record)
-    grid = min(_grid_size(args), 65)
-    data = sf.embedding_data(patch, m=grid) if not space.degenerate \
-        else sf.embedding_data_co(patch, m=grid)
+    grid = _surface_grid(args)
+    data = sf.embedding_data(patch, m=grid)
     try:
         dual = sf.dual_embedding_data(data)
     except ValueError as exc:
@@ -433,23 +459,14 @@ def cmd_transition_surface(args):
     height = record.get("height", {})
     amp = float(height.get("amp", 0.05))
     src = args.space
-    if src in ("Ell3", "dS3"):
-        def family(t, U, V):
-            m_ = sf.sphere_chart(U, V)
-            h = t * (1.0 + amp * np.sin(2 * U) * np.cos(V)) + t * t * 0.3
-            vec = np.concatenate([m_, h[..., None]], axis=-1)
-            return vec / np.sqrt(1 + h**2)[..., None]
-    elif src in ("Hyp3", "AdS3"):
-        def family(t, U, V):
-            m_ = sf.hyperboloid_chart(U, V)
-            h = t * (-1.0 + amp * m_[..., 0]) + t * t * 0.2
-            if src == "Hyp3":
-                vec = np.stack([m_[..., 0], m_[..., 1], h, m_[..., 2]], axis=-1)
-            else:
-                vec = np.concatenate([m_, h[..., None]], axis=-1)
-            return vec / np.sqrt(1 - h**2)[..., None]
-    else:
-        raise ValidationError("transition-surface expects Ell3, dS3, Hyp3 or AdS3")
+    spherical = pj.space_family(pj.related(src, "plane_limit")).chart == "S2"
+
+    def height(t, m_, U, V):
+        if spherical:
+            return t * (1.0 + amp * np.sin(2 * U) * np.cos(V)) + t * t * 0.3
+        return t * (-1.0 + amp * m_[..., 0]) + t * t * 0.2
+
+    family = sf.transition_surface_family(src, height)
     out = sf.surface_transition(family, src, m=17)
     lines = [f"limit lives in {out['limit'].space_name}"] + [
         f"gap {k}: {_fmt(v)}" for k, v in out["gaps"].items()

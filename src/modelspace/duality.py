@@ -170,7 +170,10 @@ class EuclideanBody:
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         self.n = self.vertices.shape[1]
         if check:
-            hull = ConvexHull(self.vertices)
+            try:
+                hull = ConvexHull(self.vertices)
+            except QhullError as exc:
+                raise ValueError("body is not full-dimensional (hull enumeration failed)") from exc
             offsets = hull.equations[:, -1]
             if np.any(offsets >= -1e-12):
                 raise ValueError("body is not admissible: origin not interior")
@@ -487,17 +490,14 @@ def dual_support(sf, block=512):
     hyperboloids give B_r -> B_{1/r} and H_r -> H_{1/r} exactly).
     """
     dirs = sf.dirs
-    out = np.empty(len(dirs))
+    # scale the grid by 1/h(v) once, so each block is one product and a max
     if isinstance(sf, SupportFunctionE):
-        for i in range(0, len(dirs), block):
-            chunk = dirs[i:i + block] @ dirs.T
-            out[i:i + block] = np.max(chunk / sf.values[None, :], axis=1)
-        return SupportFunctionE(dirs, out, grid_shape=sf.grid_shape)
-    g = bpq(sf.n - 1, 1).matrix
-    for i in range(0, len(dirs), block):
-        chunk = dirs[i:i + block] @ g @ dirs.T
-        out[i:i + block] = np.max(chunk / (-sf.values[None, :]), axis=1)
-    return SupportFunctionMin(dirs, out, grid_shape=sf.grid_shape)
+        cls, right = SupportFunctionE, dirs.T / sf.values
+    else:
+        cls, right = SupportFunctionMin, bpq(sf.n - 1, 1).matrix @ dirs.T / -sf.values
+    out = np.concatenate([np.max(dirs[i:i + block] @ right, axis=1)
+                          for i in range(0, len(dirs), block)])
+    return cls(dirs, out, grid_shape=sf.grid_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ Both are exposed; they must agree and the tests hold them to that.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import forms
@@ -20,6 +22,11 @@ __all__ = [
     "ModelSpace",
     "ProjLine",
     "AbsolutePair",
+    "SPACES",
+    "SpaceFamily",
+    "space_family",
+    "related",
+    "transitions",
     "model_space",
     "line_through",
     "classify_line",
@@ -187,33 +194,83 @@ class ModelSpace:
         return pts
 
 
+class SpaceFamily(NamedTuple):
+    """A model space in every dimension n, and its relations to the others.
+
+    ``form(n)`` and ``sign`` give the pseudo-sphere b^{-1}(sign) in R^{n+1};
+    ``curvature`` is +1, -1 or 0 (a co-space's is that of its base).  ``dual``
+    is the space of the dual hyperplanes; a point (plane) blow-up along
+    ``point_axis`` (``plane_axis``) lands in ``point_limit`` (``plane_limit``).
+    Co-spaces name their base ``chart`` (S2/H2); flat spaces carry the
+    metric ``chart_form(n)`` of their affine chart.
+    """
+
+    form: Callable[[int], BilinearForm]
+    sign: int
+    curvature: int
+    dual: str
+    point_limit: str | None = None
+    plane_limit: str | None = None
+    point_axis: int = -1
+    plane_axis: int = -1
+    chart: str | None = None
+    chart_form: Callable[[int], BilinearForm] | None = None
+
+
+SPACES = {
+    "Ell": SpaceFamily(lambda n: bpq(n + 1, 0), +1, +1, "Ell", "Euc", "coEuc"),
+    # the blown-up plane must meet Hyp: transverse to a space-like axis
+    "Hyp": SpaceFamily(lambda n: bpq(n, 1), -1, -1, "dS", "Euc", "coMin", plane_axis=-2),
+    # the blown-up point must lie in dS: a space-like axis
+    "dS": SpaceFamily(lambda n: bpq(n, 1), +1, +1, "Hyp", "Min", "coEuc", point_axis=0),
+    "AdS": SpaceFamily(lambda n: bpq(n - 1, 2), -1, -1, "AdS", "Min", "coMin"),
+    "Euc": SpaceFamily(affine_chart_form, +1, 0, "coEuc", chart_form=lambda n: bpq(n, 0)),
+    "Min": SpaceFamily(affine_chart_form, +1, 0, "coMin", chart_form=lambda n: bpq(n - 1, 1)),
+    "coEuc": SpaceFamily(co_euclidean_form, +1, +1, "Euc", chart="S2"),
+    "coMin": SpaceFamily(co_minkowski_form, -1, -1, "Min", chart="H2"),
+}
+
+
+def _split(name):
+    base = name.rstrip("0123456789")
+    if base not in SPACES:
+        raise ValueError(f"unknown model space '{base}'")
+    return base, name[len(base):]
+
+
+def space_family(name):
+    """The registry entry of a space name: space_family('Hyp3') is SPACES['Hyp']."""
+    return SPACES[_split(name)[0]]
+
+
+def related(name, relation):
+    """The space a relation of the registry leads to, in the same
+    dimension: related('Hyp3', 'dual') == 'dS3'."""
+    base, digits = _split(name)
+    target = getattr(SPACES[base], relation)
+    if target is None:
+        raise ValueError(f"{name} has no {relation.replace('_', ' ')}")
+    return target + digits
+
+
+def transitions(kind, n):
+    """(source, target) names of every canonical ``kind`` blow-up ('point'
+    or 'plane') in dimension n, grouped by target in registry order."""
+    return [(f"{b}{n}", f"{t}{n}") for t in SPACES for b, spec in SPACES.items()
+            if getattr(spec, f"{kind}_limit") == t]
+
+
 def model_space(name, n=None):
     """Named model spaces.  ``name`` like 'Ell2', 'Hyp3', 'dS2', 'AdS3',
     'coEuc3', 'coMin3', 'Euc3', 'Min3'; or pass the base name plus ``n``."""
-    base = name
-    digits = ""
-    while base and base[-1].isdigit():
-        digits = base[-1] + digits
-        base = base[:-1]
-    if digits:
-        n = int(digits)
+    base, digits = _split(name)
+    n = int(digits) if digits else n
     if n is None:
         raise ValueError("dimension missing: use e.g. 'Ell2' or model_space('Ell', n=2)")
-    table = {
-        "Ell": lambda: ModelSpace("Ell%d" % n, bpq(n + 1, 0), +1),
-        "Hyp": lambda: ModelSpace("Hyp%d" % n, bpq(n, 1), -1),
-        "dS": lambda: ModelSpace("dS%d" % n, bpq(n, 1), +1),
-        "AdS": lambda: ModelSpace("AdS%d" % n, bpq(n - 1, 2), -1),
-        "coEuc": lambda: ModelSpace("coEuc%d" % n, co_euclidean_form(n), +1),
-        "coMin": lambda: ModelSpace("coMin%d" % n, co_minkowski_form(n), -1),
-        "Euc": lambda: ModelSpace("Euc%d" % n, affine_chart_form(n), +1,
-                                  degenerate=False, chart_form=bpq(n, 0)),
-        "Min": lambda: ModelSpace("Min%d" % n, affine_chart_form(n), +1,
-                                  degenerate=False, chart_form=bpq(n - 1, 1)),
-    }
-    if base not in table:
-        raise ValueError(f"unknown model space '{base}'")
-    return table[base]()
+    spec = SPACES[base]
+    chart_form = spec.chart_form and spec.chart_form(n)
+    return ModelSpace(f"{base}{n}", spec.form(n), spec.sign,
+                      degenerate=False if chart_form else None, chart_form=chart_form)
 
 
 class ProjLine:

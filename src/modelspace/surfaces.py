@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._numerics import richardson
+from .projective import model_space, related, space_family
+from .transition import transition_family
 
 __all__ = [
     "SurfacePatch",
@@ -37,20 +39,24 @@ __all__ = [
     "surface_transition",
     "sphere_chart",
     "hyperboloid_chart",
-    "GAUSS_RELATION",
+    "transition_surface_family",
 ]
 
-# K_I = offset + factor * det B, per ambient space
-GAUSS_RELATION = {
-    "Euc3": (0.0, 1.0),
-    "Min3": (0.0, -1.0),
-    "Ell3": (1.0, 1.0),
-    "Hyp3": (-1.0, 1.0),
-    "dS3": (1.0, -1.0),
-    "AdS3": (-1.0, -1.0),
-    "coEuc3": (1.0, 0.0),
-    "coMin3": (-1.0, 0.0),
-}
+
+def _gauss_relation(name):
+    """(offset, factor) of K_I = offset + factor * det B in a space.
+
+    The offset is the curvature; the factor is b(N, N) of a unit normal to
+    a space-like surface: +1 in a Riemannian space, -1 in a Lorentzian one
+    (one time-like tangent direction) and 0 in a co-space.
+    """
+    space = model_space(name)
+    curvature = float(space_family(name).curvature)
+    if space.degenerate:
+        return curvature, 0.0
+    form = space.chart_form or space.form
+    timelike = form.signature[1] - (space.chart_form is None and space.sign < 0)
+    return curvature, 1.0 - 2.0 * timelike
 
 
 def sphere_chart(theta, phi):
@@ -63,6 +69,9 @@ def hyperboloid_chart(rho, phi):
     sr, cr = np.sinh(rho), np.cosh(rho)
     sp, cp = np.sin(phi), np.cos(phi)
     return np.stack([sr * cp, sr * sp, cr], axis=-1)
+
+
+_CHARTS = {"S2": sphere_chart, "H2": hyperboloid_chart}
 
 
 class SurfacePatch:
@@ -106,9 +115,8 @@ class SurfacePatch:
             hess = np.asarray(self.hessian(U, V), dtype=float)
         else:
             f = self.immersion
-            s = np.asarray(f(U, V), dtype=float)
-            duu = (np.asarray(f(U + h, V)) - 2 * s + np.asarray(f(U - h, V))) / h**2
-            dvv = (np.asarray(f(U, V + h)) - 2 * s + np.asarray(f(U, V - h))) / h**2
+            duu = (np.asarray(f(U + h, V)) - 2 * sigma + np.asarray(f(U - h, V))) / h**2
+            dvv = (np.asarray(f(U, V + h)) - 2 * sigma + np.asarray(f(U, V - h))) / h**2
             duv = (
                 np.asarray(f(U + h, V + h))
                 - np.asarray(f(U + h, V - h))
@@ -119,87 +127,60 @@ class SurfacePatch:
                 [np.stack([duu, duv], axis=-1), np.stack([duv, dvv], axis=-1)],
                 axis=-1,
             )
-            hess = np.moveaxis(hess, [-2, -1], [-2, -1])
         return sigma, jac, hess
 
 
 def sphere_patch(space_name="Euc3", radius=1.0,
                  domain=((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2))):
     """Round sphere in the Euclidean chart, with analytic derivatives."""
-
-    def immersion(U, V):
-        return radius * sphere_chart(U, V)
-
-    def jacobian(U, V):
-        st, ct = np.sin(U), np.cos(U)
-        sp, cp = np.sin(V), np.cos(V)
-        du = radius * np.stack([ct * cp, ct * sp, -st], axis=-1)
-        dv = radius * np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
-        return np.stack([du, dv], axis=-1)
-
-    def hessian(U, V):
-        st, ct = np.sin(U), np.cos(U)
-        sp, cp = np.sin(V), np.cos(V)
-        duu = -radius * np.stack([st * cp, st * sp, ct], axis=-1)
-        duv = radius * np.stack([-ct * sp, ct * cp, np.zeros_like(st)], axis=-1)
-        dvv = radius * np.stack([-st * cp, -st * sp, np.zeros_like(st)], axis=-1)
-        h = np.empty(duu.shape + (2, 2))
-        h[..., 0, 0], h[..., 0, 1] = duu, duv
-        h[..., 1, 0], h[..., 1, 1] = duv, dvv
-        return h
-
-    from .projective import model_space
-
-    return SurfacePatch(model_space(space_name), immersion, domain,
-                        jacobian=jacobian, hessian=hessian)
+    return _chart_patch(model_space(space_name), "S2", radius, domain)
 
 
 def hyperboloid_patch(radius=1.0, domain=((0.1, 1.2), (0.2, 2 * np.pi - 0.2))):
     """Future unit hyperboloid (times ``radius``) in the Minkowski chart."""
-
-    def immersion(U, V):
-        return radius * hyperboloid_chart(U, V)
-
-    def jacobian(U, V):
-        sr, cr = np.sinh(U), np.cosh(U)
-        sp, cp = np.sin(V), np.cos(V)
-        du = radius * np.stack([cr * cp, cr * sp, sr], axis=-1)
-        dv = radius * np.stack([-sr * sp, sr * cp, np.zeros_like(sr)], axis=-1)
-        return np.stack([du, dv], axis=-1)
-
-    def hessian(U, V):
-        sr, cr = np.sinh(U), np.cosh(U)
-        sp, cp = np.sin(V), np.cos(V)
-        duu = radius * np.stack([sr * cp, sr * sp, cr], axis=-1)
-        duv = radius * np.stack([-cr * sp, cr * cp, np.zeros_like(sr)], axis=-1)
-        dvv = radius * np.stack([-sr * cp, -sr * sp, np.zeros_like(sr)], axis=-1)
-        h = np.empty(duu.shape + (2, 2))
-        h[..., 0, 0], h[..., 0, 1] = duu, duv
-        h[..., 1, 0], h[..., 1, 1] = duv, dvv
-        return h
-
-    from .projective import model_space
-
-    return SurfacePatch(model_space("Min3"), immersion, domain,
-                        jacobian=jacobian, hessian=hessian)
+    return _chart_patch(model_space("Min3"), "H2", radius, domain)
 
 
-def _chart_second_derivatives(base, U, V):
+def _chart_patch(space, base, radius, domain):
+    chart = _CHARTS[base]
+    return SurfacePatch(space, lambda U, V: radius * chart(U, V), domain,
+                        jacobian=lambda U, V: radius * _chart_jacobian(base, U, V),
+                        hessian=lambda U, V: radius * _chart_hessian(base, U, V))
+
+
+def _chart_jacobian(base, U, V):
+    """Parameter derivatives of the S2/H2 chart, shape (..., 3, 2)."""
     if base == "S2":
         st, ct = np.sin(U), np.cos(U)
         sp, cp = np.sin(V), np.cos(V)
-        m = np.stack([st * cp, st * sp, ct], axis=-1)
-        m_uu = -m
+        du = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        dv = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+    else:
+        sr, cr = np.sinh(U), np.cosh(U)
+        sp, cp = np.sin(V), np.cos(V)
+        du = np.stack([cr * cp, cr * sp, sr], axis=-1)
+        dv = np.stack([-sr * sp, sr * cp, np.zeros_like(sr)], axis=-1)
+    return np.stack([du, dv], axis=-1)
+
+
+def _chart_hessian(base, U, V):
+    """Second parameter derivatives of the S2/H2 chart, shape (..., 3, 2, 2)."""
+    if base == "S2":
+        st, ct = np.sin(U), np.cos(U)
+        sp, cp = np.sin(V), np.cos(V)
+        m_uu = -np.stack([st * cp, st * sp, ct], axis=-1)
         m_uv = np.stack([-ct * sp, ct * cp, np.zeros_like(st)], axis=-1)
         m_vv = np.stack([-st * cp, -st * sp, np.zeros_like(st)], axis=-1)
     else:
         sr, cr = np.sinh(U), np.cosh(U)
         sp, cp = np.sin(V), np.cos(V)
-        m = np.stack([sr * cp, sr * sp, cr], axis=-1)
-        m_uu = m
+        m_uu = np.stack([sr * cp, sr * sp, cr], axis=-1)
         m_uv = np.stack([-cr * sp, cr * cp, np.zeros_like(sr)], axis=-1)
         m_vv = np.stack([-sr * cp, -sr * sp, np.zeros_like(sr)], axis=-1)
-    return m_uu, m_uv, m_vv
+    h = np.empty(m_uu.shape + (2, 2))
+    h[..., 0, 0], h[..., 0, 1] = m_uu, m_uv
+    h[..., 1, 0], h[..., 1, 1] = m_uv, m_vv
+    return h
 
 
 def graph_patch(space, f, domain, base="auto", df=None, d2f=None):
@@ -211,16 +192,15 @@ def graph_patch(space, f, domain, base="auto", df=None, d2f=None):
     whole patch carries exact derivative evaluators (the chart factors
     are closed-form).
     """
-    name = space.name
     if base == "auto":
-        base = {"coEuc3": "S2", "coMin3": "H2"}.get(name, "flat")
+        base = space_family(space.name).chart or "flat"
     if base == "flat":
         def immersion(U, V):
             return np.stack([U, V, np.asarray(f(U, V), dtype=float)], axis=-1)
 
         return SurfacePatch(space, immersion, domain)
 
-    chart = sphere_chart if base == "S2" else hyperboloid_chart
+    chart = _CHARTS[base]
 
     def immersion(U, V):
         m = chart(U, V)
@@ -234,14 +214,9 @@ def graph_patch(space, f, domain, base="auto", df=None, d2f=None):
             return np.concatenate([jm, g[..., None, :]], axis=-2)
 
         def hessian(U, V):
-            m_uu, m_uv, m_vv = _chart_second_derivatives(base, U, V)
+            hm = _chart_hessian(base, U, V)
             h2 = np.asarray(d2f(U, V), dtype=float)
-            out = np.empty(m_uu.shape[:-1] + (4, 2, 2))
-            out[..., :3, 0, 0] = m_uu
-            out[..., :3, 0, 1] = out[..., :3, 1, 0] = m_uv
-            out[..., :3, 1, 1] = m_vv
-            out[..., 3, :, :] = h2
-            return out
+            return np.concatenate([hm, h2[..., None, :, :]], axis=-3)
 
     return SurfacePatch(space, immersion, domain, jacobian=jacobian, hessian=hessian)
 
@@ -386,7 +361,6 @@ def _batched_solve(basis, nabla):
     d = basis.shape[-2]
     bas = basis.reshape(-1, d, 3)
     nab = nabla.reshape(-1, d, 2, 2)
-    out = np.empty(bas.shape[0] * 4)
     rhs = nab.transpose(0, 2, 3, 1).reshape(-1, d)
     bas_rep = np.repeat(bas, 4, axis=0)
     # least squares via normal equations (basis is full rank: surface
@@ -474,8 +448,7 @@ def gauss_codazzi_residual(data, space_name=None, trim=0.12):
     codazzi: |d^{nabla_I} B|.  A boundary fraction ``trim`` is dropped,
     where one-sided grid differences lose an order.
     """
-    name = space_name or data.space_name
-    offset, factor = GAUSS_RELATION[name]
+    offset, factor = _gauss_relation(space_name or data.space_name)
     K = gauss_curvature(data.I, data.du, data.dv)
     gauss = np.abs(K - (offset + factor * np.linalg.det(data.B)))
     cod = np.abs(codazzi_residual_field(data))
@@ -494,8 +467,7 @@ def gauss_codazzi_residual_refined(build_data, m=33, trim=0.12):
     """
     coarse = build_data(m)
     fine = build_data(2 * m - 1)
-    name = coarse.space_name
-    offset, factor = GAUSS_RELATION[name]
+    offset, factor = _gauss_relation(coarse.space_name)
     kc = gauss_curvature(coarse.I, coarse.du, coarse.dv)
     kf = gauss_curvature(fine.I, fine.du, fine.dv)[::2, ::2]
     k_ref = (4.0 * kf - kc) / 3.0
@@ -522,12 +494,7 @@ def dual_embedding_data(data):
     I2 = data.III
     II2 = I2 @ Binv
     III2 = np.swapaxes(Binv, -1, -2) @ I2 @ Binv
-    dual_name = {
-        "Euc3": "coEuc3", "coEuc3": "Euc3",
-        "Min3": "coMin3", "coMin3": "Min3",
-        "Ell3": "Ell3", "Hyp3": "dS3", "dS3": "Hyp3", "AdS3": "AdS3",
-    }.get(data.space_name, data.space_name)
-    return EmbeddingData(dual_name, data.U, data.V, data.du, data.dv,
+    return EmbeddingData(related(data.space_name, "dual"), data.U, data.V, data.du, data.dv,
                          I2, II2, Binv, III2,
                          meta={"dual_of": data.space_name})
 
@@ -536,14 +503,13 @@ def dual_embedding_data(data):
 # support functions and shape operators on the co-space side
 
 
-def _ambient_extension_hessian(u_fn, points, base, h=2e-4):
+def _ambient_extension_hessian(u_fn, points, g, h=2e-4):
     """Hessian of the one-homogeneous extension of u at base points.
 
-    base 'S2': U(y) = |y| u(y/|y|); base 'H2': U(y) = |y|_- u(y/|y|_-).
-    Central differences with one Richardson level; points shape (..., 3).
+    U(y) = |y|_g u(y/|y|_g), with g the base form: Euclidean for S^2,
+    Lorentzian for H^2.  Central differences with one Richardson level;
+    points shape (..., 3).
     """
-    g = np.eye(3) if base == "S2" else np.diag([1.0, 1.0, -1.0])
-
     def U(y):
         q = np.einsum("...i,ij,...j->...", y, g, y)
         s = np.sqrt(np.abs(q))
@@ -591,30 +557,15 @@ def shape_from_support(u_fn, base="S2", domain=None, m=64, points=None, jac=None
                 else ((0.1, 1.2), (0.2, 2 * np.pi - 0.2))
         (u0, u1), (v0, v1) = domain
         Ug, Vg = np.meshgrid(np.linspace(u0, u1, m), np.linspace(v0, v1, m), indexing="ij")
-        chart = sphere_chart if base == "S2" else hyperboloid_chart
-        points = chart(Ug, Vg)
+        points = _CHARTS[base](Ug, Vg)
         jac = _chart_jacobian(base, Ug, Vg)
     g = np.eye(3) if base == "S2" else np.diag([1.0, 1.0, -1.0])
-    H = _ambient_extension_hessian(u_fn, points, base)
+    H = _ambient_extension_hessian(u_fn, points, g)
     hform = np.einsum("...ai,...ab,...bj->...ij", jac, H, jac)
     gj = np.einsum("ab,...bi->...ai", g, jac)
     I = np.einsum("...ai,...aj->...ij", jac, gj)
     B = np.linalg.solve(I, hform)
     return B, I
-
-
-def _chart_jacobian(base, U, V):
-    if base == "S2":
-        st, ct = np.sin(U), np.cos(U)
-        sp, cp = np.sin(V), np.cos(V)
-        du = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        dv = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
-    else:
-        sr, cr = np.sinh(U), np.cosh(U)
-        sp, cp = np.sin(V), np.cos(V)
-        du = np.stack([cr * cp, cr * sp, sr], axis=-1)
-        dv = np.stack([-sr * sp, sr * cp, np.zeros_like(sr)], axis=-1)
-    return np.stack([du, dv], axis=-1)
 
 
 def recover_support_from_shape(B, I, du, dv, points, codazzi_tol=1e-5):
@@ -786,8 +737,6 @@ def immersion_from_data_co_euclidean(dev, u_fn, domain, m=33, tol=1e-6):
     immersions built from u and u + <dev, p0> have identical data: they
     differ by the vertical shear isometry.
     """
-    from .projective import model_space
-
     (u0, u1), (v0, v1) = domain
     Ug, Vg = np.meshgrid(np.linspace(u0, u1, 7), np.linspace(v0, v1, 7), indexing="ij")
     pts = np.asarray(dev(Ug, Vg), dtype=float)
@@ -810,6 +759,28 @@ def immersion_from_data_co_euclidean(dev, u_fn, domain, m=33, tol=1e-6):
 # geometric transition of surfaces
 
 
+def transition_surface_family(src_name, height):
+    """Surfaces in a 3-space that flatten into its plane-limit co-space.
+
+    ``height(t, m, U, V)`` is the coordinate across the blown-up plane above
+    the point m = chart(U, V) of the co-space's base (S^2 or H^2) and must
+    vanish at t = 0.  Returns ``family(t, U, V)``: m with the height
+    inserted in the blown-up slot, scaled onto b(x, x) = sign.
+    """
+    space = model_space(src_name)
+    axis = transition_family(src_name, "plane").axis
+    chart = _CHARTS[space_family(related(src_name, "plane_limit")).chart]
+    g = space.form.matrix[axis, axis]
+
+    def family(t, U, V):
+        m = chart(U, V)
+        h = height(t, m, U, V)
+        vec = np.insert(m, axis, h, axis=-1)
+        return vec / np.sqrt(np.abs(space.sign + g * h**2))[..., None]
+
+    return family
+
+
 def surface_transition(family, src_name, m=17, ts=None, domain=None):
     """Rescaled limit of the embedding data of a degenerating family.
 
@@ -820,18 +791,15 @@ def surface_transition(family, src_name, m=17, ts=None, domain=None):
     independently in the co-space, their sup gaps, and the linearity
     diagnostics of the convergence rate.
     """
-    from .projective import model_space
-    from .transition import transition_family
-
-    co_name = {"Ell3": "coEuc3", "dS3": "coEuc3", "Hyp3": "coMin3", "AdS3": "coMin3"}[src_name]
+    co_name = related(src_name, "plane_limit")
     src = model_space(src_name)
     cosp = model_space(co_name)
     fam = transition_family(src_name, "plane")
     if ts is None:
         ts = 0.5 ** np.arange(3, 10)
     if domain is None:
-        domain = ((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2)) if co_name == "coEuc3" \
-            else ((0.1, 1.0), (0.2, 2 * np.pi - 0.2))
+        domain = ((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2)) \
+            if space_family(co_name).chart == "S2" else ((0.1, 1.0), (0.2, 2 * np.pi - 0.2))
 
     # t = 0 check: the base surface must be planar (in the blown-up plane)
     (u0, u1), (v0, v1) = domain

@@ -5,10 +5,11 @@ point (or fixed hyperplane) by 1/t.  As t -> 0 the images g_t M of a model
 space converge to a degenerate model space, and conjugates g_t h g_t^{-1}
 of isometries converge to isometries of the limit geometry.
 
-The built-in families land each limit in the canonical coordinates of the
-target space.  Where that needs a slot permutation (the blown-up point of
-dS^3 must be space-like, the blown-up plane of Hyp^3 sits transverse to a
-space-like axis) the permutation is part of the family's matrix.
+The built-in families, read from the registry of model spaces, land each
+limit in the canonical coordinates of the target space in every dimension.
+Where that needs a slot permutation (the blown-up point of dS^n must be
+space-like, the blown-up plane of Hyp^n sits transverse to a space-like
+axis) the permutation is part of the family's matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import forms
 from ._numerics import DEFAULT_SCHEDULE, central_difference, richardson
-from .projective import ProjPoint
+from .projective import SPACES, ProjPoint, model_space, space_family
 
 __all__ = [
     "RescalingFamily",
@@ -107,43 +108,26 @@ def blow_up_hyperplane(dim, axis=None, perm=None):
     return RescalingFamily("blow_up_hyperplane", dim, axis=axis, perm=perm)
 
 
-def _perm_matrix(order):
-    d = len(order)
-    p = np.zeros((d, d))
-    for new, old in enumerate(order):
-        p[new, old] = 1.0
-    return p
-
-
 def transition_family(space_name, kind):
-    """Canonical family degenerating a 3-dimensional model space.
+    """Canonical family degenerating a model space of any dimension n >= 2.
 
-    kind='point' lands Ell3/Hyp3 in Euc3 and dS3/AdS3 in Min3;
-    kind='plane' lands Ell3/dS3 in coEuc3 and Hyp3/AdS3 in coMin3.
+    kind='point' lands a space in its registry point limit (Euc or Min),
+    kind='plane' in its plane limit (coEuc or coMin).  The family blows up
+    the registry's axis for that kind; when it is not the last one, the
+    slot permutation moves it last, so the limit lands in the target's
+    canonical coordinates.
     """
-    if kind == "point":
-        table = {
-            "Ell3": blow_up_point(4),
-            "Hyp3": blow_up_point(4),
-            "AdS3": blow_up_point(4),
-            # the blown-up point of dS3 must be space-like: fix e1 and
-            # cycle slots so the Min3 chart comes out in slots (1,2,3)
-            "dS3": blow_up_point(4, axis=0, perm=_perm_matrix([1, 2, 3, 0])),
-        }
-    elif kind == "plane":
-        table = {
-            "Ell3": blow_up_hyperplane(4),
-            "dS3": blow_up_hyperplane(4),
-            "AdS3": blow_up_hyperplane(4),
-            # the blown-up plane of Hyp3 is {x3 = 0}; swap slots 3, 4 so
-            # the coMin3 fiber is the last coordinate
-            "Hyp3": blow_up_hyperplane(4, axis=2, perm=_perm_matrix([0, 1, 3, 2])),
-        }
-    else:
+    kinds = {"point": "blow_up_point", "plane": "blow_up_hyperplane"}
+    if kind not in kinds:
         raise ValueError("kind must be 'point' or 'plane'")
-    if space_name not in table:
+    spec = space_family(space_name)
+    if getattr(spec, f"{kind}_limit") is None:
         raise ValueError(f"no canonical {kind} transition from {space_name}")
-    return table[space_name]
+    d = model_space(space_name).dim
+    axis = getattr(spec, f"{kind}_axis") % d
+    order = [i for i in range(d) if i != axis] + [axis]
+    perm = None if axis == d - 1 else np.eye(d)[order]
+    return RescalingFamily(kinds[kind], d, axis=axis, perm=perm)
 
 
 def dual_family(fam, form):
@@ -245,38 +229,31 @@ def conjugate_limit(h_path, fam, schedule=DEFAULT_SCHEDULE):
     return richardson(seq, return_error=True)
 
 
-_GROUP_FORMS = {
-    "IsomEuc": ("affine", lambda n: forms.bpq(n, 0)),
-    "IsomMin": ("affine", lambda n: forms.bpq(n - 1, 1)),
-    "IsomCoEuc": ("co", lambda n: forms.bpq(n, 0)),
-    "IsomCoMin": ("co", lambda n: forms.bpq(n - 1, 1)),
-}
-
-
 def limit_group_membership(m, target, tol=1e-8):
     """Block-pattern test for the limit isometry groups.
 
-    Affine targets look like [[A, t], [0, 1]] with A in O(n) or O(n-1,1);
-    co-space targets look like [[A, 0], [t, 1]].  The representative is
-    normalized by its corner entry first (so homotheties fail).
+    ``target`` names a flat limit space or its group: 'Euc3' or 'IsomEuc',
+    'coMin' or 'IsomCoMin'.  Affine targets look like [[A, t], [0, 1]]
+    with A in O(n) or O(n-1,1); co-space targets look like [[A, 0], [t, 1]].
+    The representative is normalized by its corner entry first (so
+    homotheties fail).
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0] - 1
-    if target not in _GROUP_FORMS:
+    base = target.removeprefix("Isom").rstrip("0123456789").lower()
+    spec = next((s for b, s in SPACES.items() if b.lower() == base), None)
+    if spec is None or (spec.chart_form is None and spec.chart is None):
         raise ValueError(f"unknown target group {target}")
-    layout, formof = _GROUP_FORMS[target]
     corner = m[n, n]
     if abs(corner) < tol * np.max(np.abs(m)):
         return False
     m = m / corner
     a = m[:n, :n]
-    g = formof(n).matrix
+    # the block form: the flat chart's metric, or the co-space's base form
+    g = spec.chart_form(n).matrix if spec.chart_form else spec.form(n).matrix[:n, :n]
     if np.max(np.abs(a.T @ g @ a - g)) > tol:
         return False
-    if layout == "affine":
-        zero_block = m[n, :n]
-    else:
-        zero_block = m[:n, n]
+    zero_block = m[n, :n] if spec.chart_form else m[:n, n]
     return bool(np.max(np.abs(zero_block)) <= tol)
 
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from modelspace import cli
 
@@ -162,3 +163,51 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "acceptance" in proc.stdout
+
+
+def _write(tmp_path, name, record):
+    path = tmp_path / name
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["nan-vector", "ball-no-radius", "top-level-list",
+                                  "coplanar-body", "nan-path", "overflowing-path",
+                                  "entities-not-a-list", "surface-grid-2"])
+def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
+    body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
+    argv = {
+        "nan-vector": ["distance", "--space", "Ell2", "--x", "[NaN,0,0]", "--y", "[0,1,0]"],
+        "ball-no-radius": body + [_write(tmp_path, "b.json", {"kind": "ball"})],
+        "top-level-list": body + [_write(tmp_path, "b.json", [[1, 0, 0]])],
+        "coplanar-body": body + [_write(tmp_path, "b.json", {"vertices": [
+            [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0.5, 0.5, 0]]})],
+        "nan-path": ["transition", "--family", "point", "--space", "Ell3", "--path",
+                     _write(tmp_path, "p.json", {"base": [0, 0, 0, 1],
+                                                 "velocity": [float("nan"), 0, 0, 0]})],
+        "overflowing-path": ["transition", "--family", "point", "--space", "Ell3", "--path",
+                             _write(tmp_path, "p.json", {"base": [0, 0, 0, 1],
+                                                         "velocity": [1e308, 0, 0, 0]})],
+        "entities-not-a-list": body + [_write(tmp_path, "s.json", {"entities": 5})],
+        "surface-grid-2": ["check-surface", "--space", "coEuc3", "--grid", "2"],
+    }[case]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("validation error:") and "Traceback" not in err
+    if case == "surface-grid-2":
+        assert "at least" in err
+
+
+@pytest.mark.parametrize("space", ["Ell3", "dS3", "Hyp3", "AdS3"])
+def test_transition_surface_families_on_the_pseudo_sphere(space, capsys):
+    from modelspace import surfaces as sf
+    from modelspace.projective import model_space
+
+    src = model_space(space)
+    family = sf.transition_surface_family(space, lambda t, m, U, V: t * (1.0 + 0.1 * U) + 0.3 * t * t)
+    U, V = np.meshgrid(np.linspace(0.3, 1.0, 5), np.linspace(0.2, 6.0, 5), indexing="ij")
+    for t in (0.5, 0.1, 0.01):
+        x = family(t, U, V)
+        assert np.max(np.abs(src.form.quad(x) - src.sign)) < 1e-12
+    code, out, _ = run_cli(["transition-surface", "--space", space], capsys)
+    assert code == 0 and "R^2" in out
