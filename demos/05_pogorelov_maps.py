@@ -71,6 +71,6 @@ print(f"  Killing restriction: source deformation residual "
 print(f"  transported residual {res:.2e}, "
       f"triviality fit {pg.fit_flat_killing(euc, PZ, surf.points[::4]):.2e}")
 try:
-    pg.rigidity_transport(lambda q: np.array([q[0] ** 2, 0, 0]), hyp, euc, surf)
+    pg.rigidity_transport(lambda q: q**2 * [1.0, 0.0, 0.0], hyp, euc, surf)
 except ValueError as exc:
     print(f"  a non-isometric field is rejected: {exc}")

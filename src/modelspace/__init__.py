@@ -51,7 +51,7 @@ from .transition import (
     limit_group_membership,
 )
 from .connections import levi_civita, co_connection, volume_form, VectorField
-from .pogorelov import chart_metric, chart_pair, infinitesimal_pogorelov
+from .pogorelov import chart_pair, infinitesimal_pogorelov
 from .surfaces import (
     SurfacePatch,
     embedding_data,

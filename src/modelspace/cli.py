@@ -364,12 +364,20 @@ def cmd_pogorelov(args):
         raise ToleranceError(f"target residual {_fmt(res_dst)} exceeds {args.tol}")
 
 
+# patch kinds with a fixed home space: kind -> (space name, constructor)
+_CHART_PATCHES = {"sphere": ("Euc3", sf.sphere_patch),
+                  "hyperboloid": ("Min3", sf.hyperboloid_patch)}
+
+
 def _patch_from_record(space, record):
-    kind = record.get("kind", "graph")
-    if kind == "sphere":
-        return sf.sphere_patch(radius=float(record.get("radius", 1.0)))
-    if kind == "hyperboloid":
-        return sf.hyperboloid_patch(radius=float(record.get("radius", 1.0)))
+    if "kind" not in record:
+        raise ValidationError("patch record needs a 'kind': sphere, hyperboloid or graph")
+    kind = record["kind"]
+    if kind in _CHART_PATCHES:
+        home, make = _CHART_PATCHES[kind]
+        if space.name != home:
+            raise ValidationError(f"{kind} patches live in {home}, not {space.name}")
+        return make(radius=float(record.get("radius", 1.0)))
     if kind == "graph":
         spec = pj.space_family(space.name)
         if spec.chart is None and spec.chart_form is None:

@@ -15,18 +15,20 @@ The infinitesimal Pogorelov map P(X) = lambda^{2/(n+1)} L(X), with L the
 metric-comparison operator g(X, Y) = g_flat(L X, Y), carries Killing
 fields of the curved metric to flat Killing fields, and infinitesimal
 isometric deformations of a surface to deformations in the flat metric.
+
+Every pointwise quantity takes a stack of points of shape (..., n) and
+returns one value per point (a single point is a stack of one).  A chart
+field likewise maps a (..., n) stack to a (..., n) stack of vectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from .forms import bpq, random_antisymmetric
 
 __all__ = [
     "ChartMetric",
-    "chart_metric",
     "chart_pair",
     "halton_cloud",
     "operator_l",
@@ -61,91 +63,82 @@ class ChartMetric:
         self.flat = _FLAT[kind]
 
     def in_domain(self, x):
+        x = np.asarray(x, dtype=float)
         if self.flat:
-            return True
-        return float(self.base.quad(x)) < 1.0
+            return np.full(x.shape[:-1], True)
+        return self.base.quad(x) < 1.0
 
     def rho(self, x):
-        q = float(self.base.quad(x))
-        if q >= 1.0:
+        q = self.base.quad(x)
+        if np.any(q >= 1.0):
             raise ValueError("point outside the chart domain")
         return 1.0 / np.sqrt(1.0 - q)
 
     def metric(self, x):
+        x = np.asarray(x, dtype=float)
         g0 = self.base.matrix
         if self.flat:
-            return g0.copy()
-        x = np.asarray(x, dtype=float)
-        r = self.rho(x)
-        gx = g0 @ x
-        return r**2 * g0 + r**4 * np.outer(gx, gx)
+            return np.broadcast_to(g0, x.shape[:-1] + g0.shape).copy()
+        r = self.rho(x)[..., None, None]
+        gx = x @ g0
+        return r**2 * g0 + r**4 * (gx[..., :, None] * gx[..., None, :])
 
     def __call__(self, x, X, Y):
-        return float(np.asarray(X) @ self.metric(x) @ np.asarray(Y))
+        return np.einsum("...i,...ij,...j->...", np.asarray(X, dtype=float),
+                         self.metric(x), np.asarray(Y, dtype=float))
 
     def christoffel(self, x):
-        """Closed-form symbols: zero for the flat charts; for the curved
-        ones Gamma^k_ij = psi_i delta^k_j + psi_j delta^k_i with
-        psi = d(ln rho), the Weyl shift from the flat connection."""
-        n = self.n
-        gamma = np.zeros((n, n, n))
-        if self.flat:
-            return gamma
+        """Closed-form symbols Gamma[..., k, i, j]: zero for the flat charts;
+        for the curved ones Gamma^k_ij = psi_i delta^k_j + psi_j delta^k_i
+        with psi = d(ln rho), the Weyl shift from the flat connection."""
         x = np.asarray(x, dtype=float)
-        psi = self.rho(x) ** 2 * (self.base.matrix @ x)
+        n = self.n
+        if self.flat:
+            return np.zeros(x.shape[:-1] + (n, n, n))
+        psi = self.rho(x)[..., None] ** 2 * (x @ self.base.matrix)
         eye = np.eye(n)
-        gamma = np.einsum("i,kj->kij", psi, eye) + np.einsum("j,ki->kij", psi, eye)
-        return gamma
+        return np.einsum("...i,kj->...kij", psi, eye) + np.einsum("...j,ki->...kij", psi, eye)
 
     def christoffel_fd(self, x, h=2e-4):
         """Symbols from finite differences of the metric (independent
         route, used to keep the Weyl-formula check honest)."""
-        n = self.n
         x = np.asarray(x, dtype=float)
-        dg = np.zeros((n, n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
+        dg = []
+        for e in np.eye(self.n):
             coarse = (self.metric(x + h * e) - self.metric(x - h * e)) / (2 * h)
             fine = (self.metric(x + h / 2 * e) - self.metric(x - h / 2 * e)) / h
-            dg[i] = (4.0 * fine - coarse) / 3.0
+            dg.append((4.0 * fine - coarse) / 3.0)
+        dg = np.stack(dg, axis=-3)
         ginv = np.linalg.inv(self.metric(x))
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        gamma = 0.5 * (
-            np.einsum("kl,ijl->kij", ginv, dg)
-            + np.einsum("kl,jil->kij", ginv, dg)
-            - np.einsum("kl,lij->kij", ginv, dg)
+        return 0.5 * (
+            np.einsum("...kl,...ijl->...kij", ginv, dg)
+            + np.einsum("...kl,...jil->...kij", ginv, dg)
+            - np.einsum("...kl,...lij->...kij", ginv, dg)
         )
-        return gamma
 
-    def covariant(self, field, x, X, use_fd=False, h=1e-6):
-        """(nabla_X K)(x) for an ambient-chart field K."""
-        x = np.asarray(x, dtype=float)
-        X = np.asarray(X, dtype=float)
-        jac = _jacobian(field, x, h)
-        gamma = self.christoffel_fd(x) if use_fd else self.christoffel(x)
-        return jac @ X + np.einsum("kij,i,j->k", gamma, X, field(x))
-
-    def field_gradient(self, field, x, use_fd=False, h=1e-6):
+    def field_gradient(self, field, x, h=1e-6):
         """The (1,1)-tensor (nabla K)^k_j = d_j K^k + Gamma^k_{jl} K^l."""
         x = np.asarray(x, dtype=float)
-        jac = _jacobian(field, x, h)
-        gamma = self.christoffel_fd(x) if use_fd else self.christoffel(x)
-        return jac + np.einsum("kjl,l->kj", gamma, field(x))
+        return _jacobian(field, x, h) + np.einsum(
+            "...kjl,...l->...kj", self.christoffel(x), _evaluate(field, x))
+
+
+def _evaluate(field, x):
+    """K(x) for a chart field, which must map (..., n) stacks to (..., n)."""
+    out = np.asarray(field(x), dtype=float)
+    if out.shape != x.shape:
+        raise ValueError(
+            f"chart field returned shape {out.shape} for points of shape {x.shape}")
+    return out
 
 
 def _jacobian(field, x, h=1e-6):
-    n = len(x)
-    jac = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        jac[:, j] = (np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2 * h)
-    return jac
-
-
-def chart_metric(kind, n=3):
-    return ChartMetric(kind, n)
+    """Central differences jac[..., k, j] = d_j K^k, one field call on the
+    stencil x[..., None, :] +- h I."""
+    step = np.array([1.0, -1.0])[:, None, None] * (h * np.eye(x.shape[-1]))
+    values = _evaluate(field, x[..., None, None, :] + step)
+    return np.swapaxes(values[..., 0, :, :] - values[..., 1, :, :], -1, -2) / (2 * h)
 
 
 def chart_pair(name, n=3):
@@ -159,6 +152,8 @@ def chart_pair(name, n=3):
 
 def halton_cloud(n_points=512, n=3, radius=0.9, seed=0):
     """Deterministic quasi-random cloud in the ball of the given radius."""
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=n, scramble=True, seed=seed)
     pts = []
     while len(pts) < n_points:
@@ -171,16 +166,16 @@ def halton_cloud(n_points=512, n=3, radius=0.9, seed=0):
 def operator_l(m_src, m_dst, x, X=None):
     """The comparison operator: g_src(X, Y) = g_dst(L X, Y) for all Y.
 
-    Returns the matrix L_x (or L_x @ X when X is given), from a linear
-    solve against the target metric.  Raises if the target metric is
-    singular at x.
+    Returns the matrices L_x, shape (..., n, n) (or L_x X, shape (..., n),
+    when X is given), from a stacked linear solve against the target
+    metric.  Raises if the target metric is singular at any point.
     """
     g_src = m_src.metric(x)
     g_dst = m_dst.metric(x)
-    if abs(np.linalg.det(g_dst)) < 1e-14:
+    if np.any(np.abs(np.linalg.det(g_dst)) < 1e-14):
         raise ValueError("target metric degenerate at the sample point")
     L = np.linalg.solve(g_dst, g_src)
-    return L if X is None else L @ np.asarray(X, dtype=float)
+    return L if X is None else (L @ np.asarray(X, dtype=float)[..., None])[..., 0]
 
 
 def lambda_closed_form(m_src, m_dst, x):
@@ -193,9 +188,9 @@ def lambda_closed_form(m_src, m_dst, x):
 
 def lambda_from_volumes(m_src, m_dst, x):
     """The same ratio recomputed from metric determinants (cross-check)."""
-    det_src = abs(np.linalg.det(m_src.metric(x)))
-    det_dst = abs(np.linalg.det(m_dst.metric(x)))
-    return float(np.sqrt(det_dst / det_src))
+    det_src = np.abs(np.linalg.det(m_src.metric(x)))
+    det_dst = np.abs(np.linalg.det(m_dst.metric(x)))
+    return np.sqrt(det_dst / det_src)
 
 
 def infinitesimal_pogorelov(K, m_src, m_dst):
@@ -208,10 +203,11 @@ def infinitesimal_pogorelov(K, m_src, m_dst):
     n = m_src.n
 
     def mapped(x):
+        x = np.asarray(x, dtype=float)
         lam = lambda_closed_form(m_src, m_dst, x)
-        if lam <= 0:
+        if np.any(lam <= 0):
             raise ValueError("volume ratio must be positive")
-        return lam ** (2.0 / (n + 1)) * operator_l(m_src, m_dst, x, K(x))
+        return lam[..., None] ** (2.0 / (n + 1)) * operator_l(m_src, m_dst, x, _evaluate(K, x))
 
     return mapped
 
@@ -230,26 +226,28 @@ def chart_killing_field(generator):
 
     def K(x):
         x = np.asarray(x, dtype=float)
-        v = a @ np.append(x, 1.0)
-        return v[:n] - x * v[n]
+        v = x @ a[:, :n].T + a[:, n]
+        return v[..., :n] - x * v[..., n:]
 
     return K
 
 
-def killing_residual(metric, K, points, use_fd=False):
+def _killing_form(metric, K, x):
+    """G (nabla K) + (nabla K)^T G at each point of x, shape (..., n, n);
+    it vanishes exactly for Killing fields."""
+    lowered = metric.metric(x) @ metric.field_gradient(K, x)
+    return lowered + np.swapaxes(lowered, -1, -2)
+
+
+def killing_residual(metric, K, points):
     """sup |g(nabla_X K, Y) + g(X, nabla_Y K)| over a point cloud.
 
     Measured as the sup-norm of the symmetrized lowered gradient
     G (nabla K) + (nabla K)^T G, which vanishes exactly for Killing
     fields.
     """
-    worst = 0.0
-    for x in points:
-        grad = metric.field_gradient(K, x, use_fd=use_fd)
-        g = metric.metric(x)
-        sym = g @ grad + grad.T @ g
-        worst = max(worst, float(np.max(np.abs(sym))))
-    return worst
+    sym = _killing_form(metric, K, np.asarray(points, dtype=float))
+    return float(np.max(np.abs(sym), initial=0.0))
 
 
 def weyl_gap(m_a, m_b, x, X, Y):
@@ -257,41 +255,33 @@ def weyl_gap(m_a, m_b, x, X, Y):
 
     Both connections enter through finite differences of their metrics,
     and lambda through the determinant ratio, so the check is independent
-    of the closed forms used elsewhere.
+    of the closed forms used elsewhere.  One gap per point of the stack x.
     """
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    n = m_a.n
     d_ab = m_a.christoffel_fd(x) - m_b.christoffel_fd(x)
-    diff = np.einsum("kij,i,j->k", d_ab, X, Y)
-
-    def f(p):
-        return np.log(lambda_from_volumes(m_b, m_a, p)) / (n + 1)
-
-    h = 1e-5
-    df = np.array([
-        (f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(n)
-    ])
-    rhs = float(df @ X) * Y + float(df @ Y) * X
-    return float(np.linalg.norm(diff - rhs))
+    diff = np.einsum("...kij,...i,...j->...k", d_ab, X, Y)
+    df = _log_volume_gradient(m_b, m_a, x) / (m_a.n + 1)
+    rhs = np.sum(df * X, axis=-1)[..., None] * Y + np.sum(df * Y, axis=-1)[..., None] * X
+    return np.linalg.norm(diff - rhs, axis=-1)
 
 
 def contraction_gap(m_a, m_b, x):
-    """|trace(D) - d ln lambda| at x, both sides numerical."""
+    """|trace(D) - d ln lambda| at each point of x, both sides numerical."""
     x = np.asarray(x, dtype=float)
-    n = m_a.n
     d_ab = m_a.christoffel_fd(x) - m_b.christoffel_fd(x)
-    trace = np.einsum("kkj->j", d_ab)
+    trace = np.einsum("...kkj->...j", d_ab)
+    return np.max(np.abs(trace - _log_volume_gradient(m_b, m_a, x)), axis=-1)
 
-    def lnlam(p):
-        return np.log(lambda_from_volumes(m_b, m_a, p))
 
-    h = 1e-5
-    dlam = np.array([
-        (lnlam(x + h * e) - lnlam(x - h * e)) / (2 * h) for e in np.eye(n)
-    ])
-    return float(np.max(np.abs(trace - dlam)))
+def _log_volume_gradient(m_src, m_dst, x, h=1e-5):
+    """d ln lambda from central differences of the determinant ratio."""
+    return np.stack([
+        (np.log(lambda_from_volumes(m_src, m_dst, x + h * e))
+         - np.log(lambda_from_volumes(m_src, m_dst, x - h * e))) / (2 * h)
+        for e in np.eye(m_src.n)
+    ], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +310,21 @@ def sphere_surface_samples(radius=0.55, center=(0.0, 0.0, 0.1), m=8):
     return SurfaceSamples(pts, tangents)
 
 
+def _deformation_values(metric, Z, surface):
+    """max |g(nabla_X Z, Y) + g(X, nabla_Y Z)| / 2 over the tangent frame,
+    one value per surface sample."""
+    frames = surface.tangents
+    m2 = frames @ _killing_form(metric, Z, surface.points) @ np.swapaxes(frames, -1, -2)
+    return np.max(np.abs(m2), axis=(-2, -1)) / 2.0
+
+
 def deformation_residual(metric, Z, surface):
     """sup |g(nabla_X Z, X)| over surface samples and tangent directions.
 
     Zero means Z preserves the induced metric to first order (an
     infinitesimal isometric deformation).
     """
-    worst = 0.0
-    for p, frame in zip(surface.points, surface.tangents):
-        grad = metric.field_gradient(Z, p)
-        g = metric.metric(p)
-        sym = g @ grad + grad.T @ g
-        m2 = frame @ sym @ frame.T
-        worst = max(worst, float(np.max(np.abs(m2))) / 2.0)
-    return worst
+    return float(np.max(_deformation_values(metric, Z, surface), initial=0.0))
 
 
 def rigidity_transport(Z, m_src, m_dst, surface, tol=1e-7):
@@ -342,19 +333,12 @@ def rigidity_transport(Z, m_src, m_dst, surface, tol=1e-7):
     Raises (reporting the worst sample) when Z fails the deformation
     condition in the source metric; returns (P(Z), target residual).
     """
-    res_src = deformation_residual(m_src, Z, surface)
-    if res_src > tol:
-        worst = None
-        worst_val = -1.0
-        for p, frame in zip(surface.points, surface.tangents):
-            grad = m_src.field_gradient(Z, p)
-            g = m_src.metric(p)
-            sym = frame @ (g @ grad + grad.T @ g) @ frame.T
-            v = float(np.max(np.abs(sym))) / 2.0
-            if v > worst_val:
-                worst_val, worst = v, p
+    values = _deformation_values(m_src, Z, surface)
+    if np.max(values, initial=0.0) > tol:
+        worst = int(np.argmax(values))
         raise ValueError(
-            f"not an isometric deformation: residual {worst_val:.3e} at {worst}"
+            f"not an isometric deformation: residual {values[worst]:.3e} "
+            f"at {surface.points[worst]}"
         )
     PZ = infinitesimal_pogorelov(Z, m_src, m_dst)
     return PZ, deformation_residual(m_dst, PZ, surface)
@@ -367,23 +351,18 @@ def fit_flat_killing(metric, field, points):
     certifies the field as trivial (the restriction of a global flat
     Killing field).
     """
-    g = metric.base.matrix
+    points = np.asarray(points, dtype=float)
     n = metric.n
     # skew parameter basis: A = G^{-1} S with S skew-symmetric
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.zeros((n, n))
-            s[i, j], s[j, i] = 1.0, -1.0
-            basis.append(np.linalg.solve(g, s))
-    cols = []
-    rows = []
-    for x in points:
-        rows.append(np.asarray(field(x), dtype=float))
-        cols.append(
-            np.hstack([np.stack([b @ x for b in basis], axis=1), np.eye(n)])
-        )
-    A = np.vstack(cols)
-    b = np.concatenate(rows)
+    i, j = np.triu_indices(n, 1)
+    skew = np.zeros((len(i), n, n))
+    skew[np.arange(len(i)), i, j] = 1.0
+    skew[np.arange(len(i)), j, i] = -1.0
+    basis = np.linalg.solve(metric.base.matrix, skew)
+    # rows of point p: [basis_c @ p for each c | Id]
+    cols = np.einsum("ckl,pl->pkc", basis, points)
+    translations = np.broadcast_to(np.eye(n), (len(points), n, n))
+    A = np.concatenate([cols, translations], axis=-1).reshape(-1, len(i) + n)
+    b = _evaluate(field, points).reshape(-1)
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     return float(np.max(np.abs(A @ sol - b)))

@@ -130,10 +130,9 @@ class SurfacePatch:
         return sigma, jac, hess
 
 
-def sphere_patch(space_name="Euc3", radius=1.0,
-                 domain=((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2))):
+def sphere_patch(radius=1.0, domain=((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2))):
     """Round sphere in the Euclidean chart, with analytic derivatives."""
-    return _chart_patch(model_space(space_name), "S2", radius, domain)
+    return _chart_patch(model_space("Euc3"), "S2", radius, domain)
 
 
 def hyperboloid_patch(radius=1.0, domain=((0.1, 1.2), (0.2, 2 * np.pi - 0.2))):

@@ -165,6 +165,18 @@ def test_console_script_help():
     assert "acceptance" in proc.stdout
 
 
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats (and the optimize/integrate modules it pulls in) is only
+    # needed by halton_cloud, which imports it on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, modelspace; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _write(tmp_path, name, record):
     path = tmp_path / name
     path.write_text(json.dumps(record))
@@ -173,9 +185,12 @@ def _write(tmp_path, name, record):
 
 @pytest.mark.parametrize("case", ["nan-vector", "ball-no-radius", "top-level-list",
                                   "coplanar-body", "nan-path", "overflowing-path",
-                                  "entities-not-a-list", "surface-grid-2"])
+                                  "entities-not-a-list", "surface-grid-2",
+                                  "sphere-in-coEuc3", "hyperboloid-in-Euc3",
+                                  "patch-without-kind"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
+    surface = ["check-surface", "--grid", "9", "--space"]
     argv = {
         "nan-vector": ["distance", "--space", "Ell2", "--x", "[NaN,0,0]", "--y", "[0,1,0]"],
         "ball-no-radius": body + [_write(tmp_path, "b.json", {"kind": "ball"})],
@@ -190,12 +205,21 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                                                          "velocity": [1e308, 0, 0, 0]})],
         "entities-not-a-list": body + [_write(tmp_path, "s.json", {"entities": 5})],
         "surface-grid-2": ["check-surface", "--space", "coEuc3", "--grid", "2"],
+        "sphere-in-coEuc3": surface + ["coEuc3", "--patch", _write(
+            tmp_path, "s.json", {"kind": "sphere", "radius": 2.0})],
+        "hyperboloid-in-Euc3": surface + ["Euc3", "--patch", _write(
+            tmp_path, "h.json", {"kind": "hyperboloid"})],
+        "patch-without-kind": surface + ["Euc3", "--patch", _write(
+            tmp_path, "v.json", {"vertices": [[1, 2], [3]]})],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("validation error:") and "Traceback" not in err
-    if case == "surface-grid-2":
-        assert "at least" in err
+    expected = {"surface-grid-2": "at least",
+                "sphere-in-coEuc3": "sphere patches live in Euc3, not coEuc3",
+                "hyperboloid-in-Euc3": "hyperboloid patches live in Min3, not Euc3",
+                "patch-without-kind": "needs a 'kind'"}
+    assert expected.get(case, "") in err
 
 
 @pytest.mark.parametrize("space", ["Ell3", "dS3", "Hyp3", "AdS3"])

@@ -51,6 +51,9 @@ def test_christoffel_closed_vs_fd(pairs):
         for x in cloud[:10]:
             gap = np.max(np.abs(src.christoffel(x) - src.christoffel_fd(x)))
             assert gap < 1e-9
+        stacked = src.christoffel_fd(cloud[:10])
+        assert stacked.shape == (10, 3, 3, 3)
+        assert np.max(np.abs(src.christoffel(cloud[:10]) - stacked)) < 1e-9
 
 
 def test_killing_fields_and_transport(pairs):
@@ -87,10 +90,10 @@ def test_pogorelov_closed_form_and_linearity(pairs):
 
 def test_zero_and_rotation_fields(pairs):
     hyp, euc = pairs["hyp-euc"]
-    zero = lambda x: np.zeros(3)
+    zero = lambda x: np.zeros_like(x)
     Pz = pg.infinitesimal_pogorelov(zero, hyp, euc)
     assert np.max(np.abs(Pz(np.array([0.3, 0.1, -0.2])))) == 0.0
-    rot = lambda x: np.array([-x[1], x[0], 0.0])
+    rot = lambda x: np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])], axis=-1)
     Pr = pg.infinitesimal_pogorelov(rot, hyp, euc)
     cloud = pg.halton_cloud(16, seed=4)
     for x in cloud:
@@ -106,8 +109,8 @@ def test_ads_variant_killing(pairs):
     K = pg.chart_killing_field(gen)
 
     def mapped(x):
-        rho2 = 1.0 / (1.0 - float(x @ g21 @ x))
-        return K(x) + rho2 * float(x @ g21 @ K(x)) * x
+        rho2 = 1.0 / (1.0 - np.einsum("...i,ij,...j->...", x, g21, x))
+        return K(x) + (rho2 * np.einsum("...i,ij,...j->...", x, g21, K(x)))[..., None] * x
 
     cloud = pg.halton_cloud(64, seed=5)
     assert pg.killing_residual(mink, mapped, cloud[:24]) < 1e-6
@@ -149,8 +152,48 @@ def test_rigidity_transport(pairs):
     PZ, res = pg.rigidity_transport(Z, hyp, euc, surf)
     assert res < 1e-6
     assert pg.fit_flat_killing(euc, PZ, surf.points[::4]) < 1e-9
-    zero = lambda x: np.zeros(3)
+    zero = lambda x: np.zeros_like(x)
     _, res0 = pg.rigidity_transport(zero, hyp, euc, surf)
     assert res0 == 0.0
-    with pytest.raises(ValueError):
-        pg.rigidity_transport(lambda q: np.array([q[0] ** 2, 0.0, 0.0]), hyp, euc, surf)
+    with pytest.raises(ValueError, match="not an isometric deformation"):
+        pg.rigidity_transport(lambda q: q**2 * [1.0, 0.0, 0.0], hyp, euc, surf)
+
+
+def test_stacks_match_single_points(pairs):
+    cloud = pg.halton_cloud(24, seed=7)
+    for name, (src, dst) in pairs.items():
+        for method in (src.metric, src.christoffel, dst.metric, dst.christoffel, src.rho):
+            single = np.stack([method(x) for x in cloud])
+            np.testing.assert_allclose(method(cloud), single, rtol=1e-14, atol=0)
+        L = pg.operator_l(src, dst, cloud)
+        assert L.shape == (24, 3, 3)
+        single = np.stack([pg.operator_l(src, dst, x) for x in cloud])
+        assert np.max(np.abs(L - single)) < 1e-14
+        lam = pg.lambda_from_volumes(src, dst, cloud)
+        assert np.max(np.abs(lam - pg.lambda_closed_form(src, dst, cloud))) < 1e-12
+
+
+def test_killing_residual_over_a_cloud_is_the_pointwise_max(pairs):
+    rng = np.random.default_rng(8)
+    cloud = pg.halton_cloud(16, seed=8)
+    for name, (src, dst) in pairs.items():
+        K = pg.chart_killing_field(pg.random_killing_generator(name, rng))
+        # a field that is not Killing, so the residuals are well above rounding
+        Z = lambda x, K=K: K(x) + 0.1 * x**2
+        for metric, field in ((src, Z), (dst, pg.infinitesimal_pogorelov(Z, src, dst))):
+            whole = pg.killing_residual(metric, field, cloud)
+            pointwise = max(pg.killing_residual(metric, field, x) for x in cloud)
+            assert whole > 1e-3
+            assert whole == pytest.approx(pointwise, rel=1e-12)
+
+
+def test_field_of_the_wrong_shape_is_rejected(pairs):
+    hyp, euc = pairs["hyp-euc"]
+    cloud = pg.halton_cloud(8, seed=9)
+    constant = lambda x: np.array([1.0, 0.0, 0.0])  # ignores the stack
+    with pytest.raises(ValueError, match=r"shape \(3,\) for points of shape"):
+        pg.killing_residual(hyp, constant, cloud)
+    with pytest.raises(ValueError, match="shape"):
+        pg.fit_flat_killing(euc, constant, cloud)
+    with pytest.raises(ValueError, match="shape"):
+        pg.infinitesimal_pogorelov(constant, hyp, euc)(cloud)
