@@ -89,7 +89,7 @@ def family(axis):
     c1 = rng.standard_normal((4, 4)) * 0.4
     c1[axis, :] = 0.0
     d0 = rng.standard_normal(4) * 0.4
-    return lambda t, x: c0 + c1 @ x + t * d0
+    return lambda t, x: c0 + x @ c1.T + t * d0
 
 
 for src_name, co_name in [("Ell3", "coEuc3"), ("dS3", "coEuc3"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["richardson", "central_difference", "directional_derivative", "DEFAULT_SCHEDULE"]
+__all__ = ["richardson", "central_difference", "DEFAULT_SCHEDULE"]
 
 # t-schedule used by all numeric limits t -> 0.
 DEFAULT_SCHEDULE = 0.5 ** np.arange(3, 13)
@@ -56,11 +56,3 @@ def central_difference(f, t0=0.0, order=1, base_step=1e-3, levels=4):
     # ratio 4 in the richardson table
     return richardson(vals, ratio=4.0)
 
-
-def directional_derivative(field, x, v, h=None):
-    """Componentwise directional derivative of ``field`` at x along v."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(x))
-    return (np.asarray(field(x + h * v)) - np.asarray(field(x - h * v))) / (2 * h)

@@ -196,15 +196,15 @@ def criterion_5_co_connection(seed=0):
             X = cn.random_tangent_field(space, rng, 0.5)
             Y = cn.random_tangent_field(space, rng, 0.5)
             Z = cn.random_tangent_field(space, rng, 0.5)
-            worst = max(worst, cn.symmetry_residual(conn, X, Y, pts))
-            worst = max(worst, cn.metric_compatibility_residual(conn, X, Y, Z, pts))
+            worst = np.maximum(worst, cn.symmetry_residual(conn, X, Y, pts))
+            worst = np.maximum(worst, cn.metric_compatibility_residual(conn, X, Y, Z, pts))
             omega = cn.volume_form(space)
             frame = [X, Y, cn.random_tangent_field(space, rng, 0.5)]
-            worst = max(worst, cn.parallel_volume_residual(conn, omega, Z, frame, pts))
-        worst = max(worst, cn.t_parallel_residual(conn, pts))
+            worst = np.maximum(worst, cn.parallel_volume_residual(conn, omega, Z, frame, pts))
+        worst = np.maximum(worst, cn.t_parallel_residual(conn, pts))
         normal = rng.standard_normal(4)
         normal[-1] = 1.0 + abs(normal[-1])
-        worst = max(worst, cn.plane_preservation_residual(space, normal, rng))
+        worst = np.maximum(worst, cn.plane_preservation_residual(space, normal, rng))
     # geodesics
     cc = cn.co_connection(pj.model_space("coEuc3"))
     lines = [
@@ -216,15 +216,15 @@ def criterion_5_co_connection(seed=0):
     v_vec = np.array([0, 1.0, 0, p[1]])
     lines.append(lambda t: cn.project_to_locus(
         pj.model_space("coEuc3"), np.cos(t) * u_vec + np.sin(t) * v_vec))
-    geo = max(cn.geodesic_residual(cc, line) for line in lines)
+    geo = np.max([cn.geodesic_residual(cc, line) for line in lines])
     coM = pj.model_space("coMin3")
     ccm = cn.co_connection(coM)
-    geo = max(geo, cn.geodesic_residual(
+    geo = np.maximum(geo, cn.geodesic_residual(
         ccm, lambda t: np.array([np.sinh(t), 0.0, np.cosh(t), 0.0])))
     # a tilted co-Minkowski line: the graph of a Minkowski-linear height
     um = np.array([1.0, 0, 0, 0.3])
     vm = np.array([0, 0, 1.0, -0.5])
-    geo = max(geo, cn.geodesic_residual(
+    geo = np.maximum(geo, cn.geodesic_residual(
         ccm, lambda t: cn.project_to_locus(coM, np.sinh(t) * um + np.cosh(t) * vm)))
     control = cn.geodesic_residual(
         cc, lambda t: np.array([np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7),
@@ -247,7 +247,7 @@ def _field_family(rng, axis, dim=4):
     d0 = rng.standard_normal(dim) * 0.4
 
     def fam_fn(t, x):
-        return c0 + c1 @ x + t * d0
+        return c0 + np.einsum("ij,...j->...i", c1, x) + t * d0
 
     return fam_fn
 
@@ -267,8 +267,8 @@ def criterion_6_connection_transition(seed=0):
             Xf = _field_family(rng, fam.axis)
             Yf = _field_family(rng, fam.axis)
             Zf = _field_family(rng, fam.axis)
-            worst_c = max(worst_c, cn.connection_transition_check(src, cosp, fam, Xf, Yf, xi))
-            worst_v = max(worst_v, cn.volume_transition_check(src, cosp, fam, [Xf, Yf, Zf], xi))
+            worst_c = np.maximum(worst_c, cn.connection_transition_check(src, cosp, fam, Xf, Yf, xi))
+            worst_v = np.maximum(worst_v, cn.volume_transition_check(src, cosp, fam, [Xf, Yf, Zf], xi))
     passed = worst_c < 1e-6 and worst_v < 1e-6
     return _result(
         "6 connection/volume transition",

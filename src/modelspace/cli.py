@@ -275,16 +275,33 @@ def cmd_transition(args):
     _emit(args, lines, rec, csv_rows=rows, csv_header=header)
 
 
+def _coefficients(spec, key, shape):
+    try:
+        arr = np.asarray(spec.get(key, np.zeros(shape)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"field '{key}' must be a numeric array of shape {shape}") from exc
+    if arr.shape != shape:
+        raise ValidationError(f"field '{key}' has shape {arr.shape}, expected {shape}")
+    return _finite(arr, f"field '{key}'")
+
+
 def _fields_from_record(space, record, rng):
-    fields = []
+    """{"random": n} gives n >= 3 random tangent fields; {"fields": [...]}
+    gives the affine fields c0 + c1 x, c0 of shape (d,), c1 of shape (d, d)."""
     if "random" in record:
-        for _ in range(int(record["random"])):
-            fields.append(cn.random_tangent_field(space, rng, 0.5))
-        return fields
-    for spec_rec in record.get("fields", []):
-        c0 = np.asarray(spec_rec.get("c0", np.zeros(space.dim)), dtype=float)
-        c1 = np.asarray(spec_rec.get("c1", np.zeros((space.dim, space.dim))), dtype=float)
-        fields.append(cn.VectorField(space, lambda x, c0=c0, c1=c1: c0 + c1 @ x))
+        count = record["random"]
+        if isinstance(count, bool) or not isinstance(count, int) or count < 3:
+            raise ValidationError(f"'random' must be an integer >= 3, not {count!r}")
+        return [cn.random_tangent_field(space, rng, 0.5) for _ in range(count)]
+    specs = record.get("fields", [])
+    if not isinstance(specs, list) or not all(isinstance(f, dict) for f in specs):
+        raise ValidationError("'fields' must be a list of objects")
+    fields = []
+    for spec_rec in specs:
+        c0 = _coefficients(spec_rec, "c0", (space.dim,))
+        c1 = _coefficients(spec_rec, "c1", (space.dim, space.dim))
+        fields.append(cn.VectorField(
+            space, lambda x, c0=c0, c1=c1: c0 + np.einsum("ij,...j->...i", c1, x)))
     if len(fields) < 3:
         raise ValidationError("need at least three fields (or use {'random': n})")
     return fields
@@ -315,8 +332,9 @@ def cmd_check_connection(args):
     lines = [f"{name:>14}: {_fmt(val)}" for name, val in residuals.items()]
     _emit(args, lines, {"space": space.name, "residuals": residuals},
           csv_rows=[(v,) for v in residuals.values()], csv_header=["residual"])
-    worst = max(residuals, key=residuals.get)
-    if residuals[worst] > args.tol:
+    # a NaN residual (overflowing fields) is the worst and fails the check
+    worst = max(residuals, key=lambda k: np.inf if np.isnan(residuals[k]) else residuals[k])
+    if not residuals[worst] <= args.tol:
         raise ToleranceError(f"{worst} residual {_fmt(residuals[worst])} exceeds {args.tol}")
 
 

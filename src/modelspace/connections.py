@@ -14,7 +14,14 @@ exactly the unique symmetric connection compatible with the degenerate
 metric that preserves space-like planes and the vertical field T.
 
 Vector fields are ambient callables; tangency is enforced by projection at
-evaluation points on the locus.
+evaluation points on the locus.  Everything here takes point stacks: a
+field maps an ``(..., d)`` stack of points to an ``(..., d)`` stack of
+vectors, and a transition family ``f(t, x)`` does the same for each t.  A
+single point is a stack of one.  Each derivative is one field call on a
+stencil stack, and each residual is the max over its sample points.
+Matrices act on stacks through einsum rather than ``x @ m.T``: einsum
+rounds each row the same way whatever the stack's shape, so a row of a
+stack evaluates bit for bit as the lone point does.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import logging
 
 import numpy as np
 
-from ._numerics import DEFAULT_SCHEDULE, directional_derivative, richardson
+from ._numerics import DEFAULT_SCHEDULE, richardson
 
 logger = logging.getLogger(__name__)
 
@@ -59,25 +66,25 @@ def tangent_project(space, x, v):
     b = space.form
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    q = float(b.quad(x))
-    return v - (float(b(x, v)) / q) * x
+    return v - (b(x, v) / b.quad(x))[..., None] * x
 
 
 def project_to_locus(space, y):
-    """Rescale y onto the pseudo-sphere b(y, y) = sign."""
+    """Rescale each row of y onto the pseudo-sphere b(y, y) = sign."""
     y = np.asarray(y, dtype=float)
-    q = float(space.form.quad(y))
-    if space.sign * q <= 0:
+    q = space.form.quad(y)
+    if np.any(space.sign * q <= 0):
         raise ValueError(f"point cannot be scaled onto {space.name}")
-    return y / np.sqrt(abs(q))
+    return y / np.sqrt(np.abs(q))[..., None]
 
 
 class VectorField:
-    """An ambient callable x -> R^4, tangent to the space's locus.
+    """An ambient field (..., d) -> (..., d), tangent to the space's locus.
 
-    Evaluation projects out the transverse component; a warning is stored
-    when the correction at an on-locus point exceeds 1e-8 (the raw field
-    was not really tangent).
+    Evaluation projects out the transverse component.  ``max_correction``
+    is the largest correction over every point evaluated so far; a warning
+    is logged once, when a correction at an on-locus point first exceeds
+    1e-8 (the raw field was not really tangent).
     """
 
     def __init__(self, space, fn, name=None, project=True, warn=True):
@@ -89,27 +96,36 @@ class VectorField:
         self.max_correction = 0.0
 
     def raw(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(self.fn(x), dtype=float)
+        if v.shape != x.shape:
+            raise ValueError(
+                f"field {self.name} maps points of shape {x.shape} to shape {v.shape}; "
+                f"it must return one vector per point"
+            )
+        return v
 
     def __call__(self, x):
+        x = np.asarray(x, dtype=float)
         v = self.raw(x)
         if not self.project:
             return v
         w = tangent_project(self.space, x, v)
-        corr = np.linalg.norm(w - v)
-        if corr > self.max_correction:
-            if self.warn and self.max_correction <= TANGENCY_WARN < corr \
-                    and self._on_locus(x):
-                logger.warning(
-                    "field %s corrected by %.2e towards tangency on %s",
-                    self.name, corr, self.space.name,
-                )
-            self.max_correction = corr
+        corr = np.linalg.norm(w - v, axis=-1)
+        worst = float(np.max(corr, initial=0.0))
+        if worst > self.max_correction:
+            if self.warn and self.max_correction <= TANGENCY_WARN < worst:
+                flagged = corr[(corr > TANGENCY_WARN) & self._on_locus(x)]
+                if flagged.size:
+                    logger.warning(
+                        "field %s corrected by %.2e towards tangency on %s",
+                        self.name, flagged.max(), self.space.name,
+                    )
+            self.max_correction = worst
         return w
 
     def _on_locus(self, x):
-        q = float(self.space.form.quad(x))
-        return abs(q - self.space.sign) < 1e-6
+        return np.abs(self.space.form.quad(x) - self.space.sign) < 1e-6
 
 
 def _poly_field(rng, dim, scale=1.0):
@@ -118,7 +134,8 @@ def _poly_field(rng, dim, scale=1.0):
     c2 = rng.standard_normal((dim, dim, dim)) * (scale / 2.0)
 
     def fn(x):
-        return c0 + c1 @ x + np.einsum("ijk,j,k->i", c2, x, x)
+        lin = np.einsum("ij,...j->...i", c1, x)
+        return c0 + lin + np.einsum("ijk,...j,...k->...i", c2, x, x)
 
     return fn
 
@@ -137,30 +154,30 @@ def plane_tangent_field(space, normal, rng, scale=1.0):
     def fn(x):
         v = tangent_project(space, x, base(x))
         n_tan = tangent_project(space, x, normal)
-        denom = float(np.dot(normal, n_tan))
-        if abs(denom) < 1e-12:
-            return v
-        return v - (float(np.dot(normal, v)) / denom) * n_tan
+        denom = n_tan @ normal
+        coef = np.divide(v @ normal, denom, out=np.zeros_like(denom),
+                         where=np.abs(denom) >= 1e-12)
+        return v - coef[..., None] * n_tan
 
     return VectorField(space, fn, project=False)
 
 
-def ambient_derivative(field, v, x, refine=True):
-    """Componentwise directional derivative of a field at x along v.
+def ambient_derivative(field, v, x):
+    """Componentwise directional derivative of a field along v at each row of x.
 
     For a VectorField this differentiates the projected (tangent)
     extension; the projection is a smooth ambient extension of the
     on-locus field, so the tangential derivative is extension-independent.
-    Two Richardson levels keep the truncation error near roundoff.
+    The field is called once, on the (2, 3, ..., d) stencil x +- h_k v with
+    h_k = 1e-3 (1 + |x|) / 2^k; two Richardson levels keep the truncation
+    error near roundoff.
     """
-    if not refine:
-        return directional_derivative(field, x, v)
-    scale = 1.0 + np.linalg.norm(x)
-    vals = [
-        directional_derivative(field, x, v, h=1e-3 * scale / 2.0**k)
-        for k in range(3)
-    ]
-    return richardson(vals, ratio=4.0)
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    scale = 1.0 + np.linalg.norm(x, axis=-1, keepdims=True)
+    h = 1e-3 * scale / 2.0 ** np.arange(3).reshape((3,) + (1,) * x.ndim)
+    f = field(np.stack([x + h * v, x - h * v]))
+    return richardson((f[0] - f[1]) / (2 * h), ratio=4.0)
 
 
 class ConnectionEval:
@@ -171,10 +188,10 @@ class ConnectionEval:
         self.kind = kind
 
     def __call__(self, V, W, x):
+        """nabla_V W at each row of x; V is a field or a vector stack."""
         x = np.asarray(x, dtype=float)
         v = V(x) if callable(V) else np.asarray(V, dtype=float)
-        dW = ambient_derivative(W, v, x)
-        return tangent_project(self.space, x, dW)
+        return tangent_project(self.space, x, ambient_derivative(W, v, x))
 
     def along_curve(self, curve, t, h=1e-4):
         """nabla_{gamma'} gamma' at curve(t): the projected acceleration."""
@@ -211,49 +228,36 @@ def geodesic_residual(conn, curve, ts=None):
 
 
 class VolumeFormEval:
-    """The volume form omega(x; v, w, u) = det[N_x, v, w, u]."""
+    """The volume form omega(x; v, w, u) = det[N_x, v, w, u], row by row."""
 
     def __init__(self, space):
         self.space = space
 
     def __call__(self, x, v, w, u):
-        x = np.asarray(x, dtype=float)
-        cols = np.stack([x, np.asarray(v, float), np.asarray(w, float), np.asarray(u, float)], axis=1)
-        return float(np.linalg.det(cols))
+        cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, v, w, u)))
+        return np.linalg.det(np.stack(cols, axis=-1))
 
 
 def volume_form(space):
     return VolumeFormEval(space)
 
 
-def _locus_curve(space, x, direction):
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
-
-    def curve(s):
-        return project_to_locus(space, x + s * d)
-
-    return curve
-
-
 def _scalar_derivative_along(space, x, z, scalar, base_step=1e-3):
-    curve = _locus_curve(space, x, z)
-    vals = []
-    for k in range(4):
-        h = base_step / 2.0**k
-        vals.append((scalar(curve(h)) - scalar(curve(-h))) / (2 * h))
-    return float(richardson(vals, ratio=4.0))
+    """d/ds scalar(locus point of x + s z) at s = 0, row by row: one scalar
+    call on the (2, 4, ..., d) stencil, Richardson in h^2."""
+    x = np.asarray(x, dtype=float)
+    h = base_step / 2.0 ** np.arange(4).reshape((4,) + (1,) * x.ndim)
+    s = scalar(project_to_locus(space, np.stack([x + h * z, x - h * z])))
+    return richardson((s[0] - s[1]) / (2 * h[..., 0]), ratio=4.0)
 
 
 def symmetry_residual(conn, X, Y, points):
     """sup |nabla_X Y - nabla_Y X - [X, Y]| over sample points."""
-    worst = 0.0
-    for x in points:
-        lhs = conn(X, Y, x) - conn(Y, X, x)
-        bracket = ambient_derivative(Y, X(x), x) - ambient_derivative(X, Y(x), x)
-        bracket = tangent_project(conn.space, x, bracket)
-        worst = max(worst, float(np.linalg.norm(lhs - bracket)))
-    return worst
+    x = np.asarray(points, dtype=float)
+    lhs = conn(X, Y, x) - conn(Y, X, x)
+    bracket = ambient_derivative(Y, X(x), x) - ambient_derivative(X, Y(x), x)
+    bracket = tangent_project(conn.space, x, bracket)
+    return float(np.max(np.linalg.norm(lhs - bracket, axis=-1)))
 
 
 def metric_compatibility_residual(conn, X, Y, Z, points):
@@ -262,32 +266,21 @@ def metric_compatibility_residual(conn, X, Y, Z, points):
     g is the (possibly degenerate) metric induced by the ambient form.
     """
     b = conn.space.form
-    worst = 0.0
-    for x in points:
-        deriv = _scalar_derivative_along(
-            conn.space, x, Z(x), lambda p: float(b(X(p), Y(p)))
-        )
-        rhs = float(b(conn(Z, X, x), Y(x))) + float(b(X(x), conn(Z, Y, x)))
-        worst = max(worst, abs(deriv - rhs))
-    return worst
+    x = np.asarray(points, dtype=float)
+    deriv = _scalar_derivative_along(conn.space, x, Z(x), lambda p: b(X(p), Y(p)))
+    rhs = b(conn(Z, X, x), Y(x)) + b(X(x), conn(Z, Y, x))
+    return float(np.max(np.abs(deriv - rhs)))
 
 
 def t_parallel_residual(conn, points):
-    """sup |nabla_X T| for the vertical field T = e_last (co-spaces)."""
+    """sup |nabla_v T| for the vertical field T = e_last (co-spaces), with
+    v a random tangent vector at each point."""
     space = conn.space
-    t_field = VectorField(space, lambda x: _e_last(space.dim), project=False)
-    worst = 0.0
-    rng = np.random.default_rng(7)
-    for x in points:
-        v = tangent_project(space, x, rng.standard_normal(space.dim))
-        worst = max(worst, float(np.linalg.norm(conn(v, t_field, x))))
-    return worst
-
-
-def _e_last(dim):
-    e = np.zeros(dim)
-    e[-1] = 1.0
-    return e
+    x = np.asarray(points, dtype=float)
+    e_last = np.eye(space.dim)[-1]
+    t_field = VectorField(space, lambda p: np.broadcast_to(e_last, p.shape), project=False)
+    v = tangent_project(space, x, np.random.default_rng(7).standard_normal(x.shape))
+    return float(np.max(np.linalg.norm(conn(v, t_field, x), axis=-1)))
 
 
 def plane_preservation_residual(space, normal, rng, samples=6):
@@ -295,39 +288,33 @@ def plane_preservation_residual(space, normal, rng, samples=6):
 
     V, W are random fields tangent to the plane section {<normal,x> = 0};
     the co-space connection must keep their derivative in the plane.
+    Samples that cannot be scaled onto the locus are dropped; with none
+    left the residual is 0.
     """
     conn = co_connection(space) if space.degenerate else levi_civita(space)
     normal = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
     V = plane_tangent_field(space, normal, rng)
     W = plane_tangent_field(space, normal, rng)
-    worst = 0.0
-    for _ in range(samples):
-        raw = rng.standard_normal(space.dim)
-        raw -= np.dot(raw, normal) * normal
-        x = project_to_locus(space, raw) if space.sign * space.form.quad(raw) > 0 else None
-        if x is None:
-            continue
-        val = conn(V, W, x)
-        worst = max(worst, abs(float(np.dot(val, normal))))
-    return worst
+    raw = rng.standard_normal((samples, space.dim))
+    raw -= (raw @ normal)[:, None] * normal
+    keep = space.sign * space.form.quad(raw) > 0
+    if not keep.any():
+        return 0.0
+    val = conn(V, W, project_to_locus(space, raw[keep]))
+    return float(np.max(np.abs(val @ normal)))
 
 
 def parallel_volume_residual(conn, omega, Z, frame, points):
     """sup |Z.omega(X1,X2,X3) - sum omega(..., nabla_Z Xi, ...)|."""
-    worst = 0.0
-    for x in points:
-        def scalar(p):
-            return omega(p, frame[0](p), frame[1](p), frame[2](p))
+    x = np.asarray(points, dtype=float)
 
-        deriv = _scalar_derivative_along(conn.space, x, Z(x), scalar)
-        rhs = 0.0
-        vals = [f(x) for f in frame]
-        for i in range(3):
-            args = list(vals)
-            args[i] = conn(Z, frame[i], x)
-            rhs += omega(x, *args)
-        worst = max(worst, abs(deriv - rhs))
-    return worst
+    def scalar(p):
+        return omega(p, *(f(p) for f in frame))
+
+    deriv = _scalar_derivative_along(conn.space, x, Z(x), scalar)
+    vals = [f(x) for f in frame]
+    rhs = sum(omega(x, *vals[:i], conn(Z, frame[i], x), *vals[i + 1:]) for i in range(3))
+    return float(np.max(np.abs(deriv - rhs)))
 
 
 def parallel_transport(space, curve, t0, t1, X0, steps=200):
@@ -366,7 +353,6 @@ def holonomy_angle(space, corner_loop, X0):
     X = np.asarray(X0, dtype=float)
     for leg in corner_loop:
         X = parallel_transport(space, leg, 0.0, 1.0, X)
-    x0 = np.asarray(corner_loop[0](0.0), dtype=float)
     b = space.form
     cosang = float(b(X, X0)) / np.sqrt(float(b(X0, X0)) * float(b(X, X)))
     return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
@@ -379,7 +365,7 @@ def holonomy_angle(space, corner_loop, X0):
 def _base_point_path(src_space, fam, xi):
     def x_t(t, eta=None):
         target = xi if eta is None else eta
-        return project_to_locus(src_space, fam.inverse(t) @ target)
+        return project_to_locus(src_space, np.einsum("ij,...j->...i", fam.inverse(t), target))
 
     return x_t
 
@@ -389,7 +375,7 @@ def _limit_field(src_space, fam, family_fn, xi, schedule):
 
     family_fn(t, x) is an ambient field on the source for each t; the
     returned callable evaluates lim_t g_t family_fn(t, x_t(eta)) by
-    Richardson extrapolation at any target point eta.
+    Richardson extrapolation at each row of a target point stack eta.
     """
     x_t = _base_point_path(src_space, fam, xi)
 
@@ -398,7 +384,7 @@ def _limit_field(src_space, fam, family_fn, xi, schedule):
         for t in schedule:
             x = x_t(t, eta)
             v = tangent_project(src_space, x, np.asarray(family_fn(t, x), float))
-            seq.append(fam.matrix(t) @ v)
+            seq.append(np.einsum("ij,...j->...i", fam.matrix(t), v))
         return richardson(seq)
 
     return hat
@@ -408,8 +394,8 @@ def connection_transition_check(src_space, co_space, fam, X_family, Y_family, xi
                                 schedule=None):
     """Gap between the rescaled source connection and the co-connection.
 
-    X_family, Y_family: (t, x) -> ambient vector, smooth families whose
-    t = 0 fields are tangent to the blown-up plane.  Returns
+    X_family, Y_family: (t, (..., d) points) -> (..., d) vectors, smooth
+    families whose t = 0 fields are tangent to the blown-up plane.  Returns
     |lim g_t nabla^src_{X_t} Y_t  -  nabla^co_{hatX} hatY| at xi.
     """
     schedule = DEFAULT_SCHEDULE[:7] if schedule is None else schedule

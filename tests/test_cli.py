@@ -102,6 +102,15 @@ def test_check_connection_and_tolerance(capsys):
     assert code == 2
 
 
+def test_check_connection_overflowing_fields_fail(tmp_path, capsys):
+    # finite coefficients whose products overflow give NaN residuals
+    big = {"c0": [1e200, 1e200, 0, 0], "c1": (1e200 * np.eye(4)).tolist()}
+    path = _write(tmp_path, "big.json", {"fields": [big] * 3})
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(["check-connection", "--space", "coEuc3", "--fields", path], capsys)
+    assert code == 3 and "residual nan exceeds" in err
+
+
 def test_pogorelov_command(tmp_path, capsys):
     code, out, _ = run_cli(["pogorelov", "--pair", "hyp-euc"], capsys)
     assert code == 0 and "target Killing residual" in out
@@ -187,10 +196,13 @@ def _write(tmp_path, name, record):
                                   "coplanar-body", "nan-path", "overflowing-path",
                                   "entities-not-a-list", "surface-grid-2",
                                   "sphere-in-coEuc3", "hyperboloid-in-Euc3",
-                                  "patch-without-kind"])
+                                  "patch-without-kind", "fields-not-a-list",
+                                  "random-negative", "random-2", "c0-of-length-3",
+                                  "c1-of-2x2", "nan-coefficient"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
+    fields = ["check-connection", "--space", "coEuc3", "--fields"]
     argv = {
         "nan-vector": ["distance", "--space", "Ell2", "--x", "[NaN,0,0]", "--y", "[0,1,0]"],
         "ball-no-radius": body + [_write(tmp_path, "b.json", {"kind": "ball"})],
@@ -211,6 +223,13 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
             tmp_path, "h.json", {"kind": "hyperboloid"})],
         "patch-without-kind": surface + ["Euc3", "--patch", _write(
             tmp_path, "v.json", {"vertices": [[1, 2], [3]]})],
+        "fields-not-a-list": fields + [_write(tmp_path, "f1.json", {"fields": "abc"})],
+        "random-negative": fields + [_write(tmp_path, "f2.json", {"random": -1})],
+        "random-2": fields + [_write(tmp_path, "f3.json", {"random": 2})],
+        "c0-of-length-3": fields + [_write(tmp_path, "f4.json", {"fields": [{"c0": [1, 2, 3]}] * 3})],
+        "c1-of-2x2": fields + [_write(tmp_path, "f5.json", {"fields": [{"c1": [[1, 0], [0, 1]]}] * 3})],
+        "nan-coefficient": fields + [_write(
+            tmp_path, "f6.json", {"fields": [{"c0": [float("nan"), 0, 0, 0]}] * 3})],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -218,7 +237,13 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     expected = {"surface-grid-2": "at least",
                 "sphere-in-coEuc3": "sphere patches live in Euc3, not coEuc3",
                 "hyperboloid-in-Euc3": "hyperboloid patches live in Min3, not Euc3",
-                "patch-without-kind": "needs a 'kind'"}
+                "patch-without-kind": "needs a 'kind'",
+                "fields-not-a-list": "'fields' must be a list of objects",
+                "random-negative": "'random' must be an integer >= 3, not -1",
+                "random-2": "'random' must be an integer >= 3, not 2",
+                "c0-of-length-3": "field 'c0' has shape (3,), expected (4,)",
+                "c1-of-2x2": "field 'c1' has shape (2, 2), expected (4, 4)",
+                "nan-coefficient": "field 'c0' must hold finite numbers"}
     assert expected.get(case, "") in err
 
 

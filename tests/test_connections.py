@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from modelspace import acceptance as ac
+from modelspace import cli
 from modelspace import connections as cn
 from modelspace import transition as tr
 from modelspace.projective import model_space
@@ -8,13 +10,16 @@ from modelspace.projective import model_space
 
 def test_ambient_derivative_examples():
     sp = model_space("Ell3")
-    const = cn.VectorField(sp, lambda x: np.array([1.0, 2.0, 3.0, 4.0]), project=False)
+    const = cn.VectorField(
+        sp, lambda x: np.broadcast_to(np.array([1.0, 2.0, 3.0, 4.0]), x.shape), project=False)
     x0 = np.array([1.0, 0, 0, 0])
     assert np.max(np.abs(cn.ambient_derivative(const, np.array([0, 1.0, 0, 0]), x0))) < 1e-9
     ident = cn.VectorField(sp, lambda x: x, project=False)
     v = np.array([0.3, -0.1, 0.0, 0.7])
     assert np.max(np.abs(cn.ambient_derivative(ident, v, x0) - v)) < 1e-9
-    rot = cn.VectorField(sp, lambda x: np.array([x[1], -x[0], 0.0, 0.0]), project=False)
+    J = np.zeros((4, 4))
+    J[0, 1], J[1, 0] = 1.0, -1.0
+    rot = cn.VectorField(sp, lambda x: x @ J.T, project=False)
     out = cn.ambient_derivative(rot, np.array([1.0, 0, 0, 0]), np.array([0.5, 0.5, 0.5, 0.5]))
     assert np.max(np.abs(out - np.array([0.0, -1.0, 0, 0]))) < 1e-9
 
@@ -83,8 +88,9 @@ def test_slice_fields_match_sphere_connection():
     rng = np.random.default_rng(1)
     f3 = cn.random_tangent_field(ell2, rng, 0.5)
     g3 = cn.random_tangent_field(ell2, rng, 0.5)
-    lift = lambda h: cn.VectorField(
-        coe, lambda x: np.append(h(x[:3] / np.linalg.norm(x[:3])), 0.0), project=False)
+    lift = lambda h: cn.VectorField(coe, lambda x: np.concatenate(
+        [h(x[..., :3] / np.linalg.norm(x[..., :3], axis=-1, keepdims=True)),
+         np.zeros_like(x[..., 3:])], axis=-1), project=False)
     for _ in range(4):
         v = rng.standard_normal(3)
         x3 = v / np.linalg.norm(v)
@@ -156,7 +162,7 @@ def test_transition_of_connection_and_volume():
         c1 = rng.standard_normal((4, 4)) * 0.4
         c1[axis, :] = 0.0
         d0 = rng.standard_normal(4) * 0.4
-        return lambda t, x: c0 + c1 @ x + t * d0
+        return lambda t, x: c0 + x @ c1.T + t * d0
 
     for src_name, co_name in [("Ell3", "coEuc3"), ("Hyp3", "coMin3")]:
         src = model_space(src_name)
@@ -170,7 +176,7 @@ def test_transition_of_connection_and_volume():
             src, cosp, fam, [family(fam.axis) for _ in range(3)], xi)
         assert vgap < 1e-6
     # zero families give a zero gap
-    zero = lambda t, x: np.zeros(4)
+    zero = lambda t, x: np.zeros_like(x)
     src = model_space("Ell3")
     cosp = model_space("coEuc3")
     fam = tr.transition_family("Ell3", "plane")
@@ -184,6 +190,61 @@ def test_transition_tangency_guard():
     cosp = model_space("coEuc3")
     fam = tr.transition_family("Ell3", "plane")
     xi = cosp.sample_points(rng, 1, radius=0.8)[0]
-    bad = lambda t, x: np.array([0.0, 0, 0, 1.0])  # transverse at t = 0
+    bad = lambda t, x: np.broadcast_to(np.array([0.0, 0, 0, 1.0]), x.shape)  # transverse at t = 0
     with pytest.raises(ValueError):
         cn.connection_transition_check(src, cosp, fam, bad, bad, xi)
+
+
+def test_shipped_field_forms_take_stacks():
+    # four points in R^4: with a leading size equal to d, c1 @ x would
+    # mix the rows without raising, so only a row-by-row comparison shows it
+    rng = np.random.default_rng(11)
+    sp = model_space("coEuc3")
+    x = sp.sample_points(rng, 4)
+    family = ac._field_family(rng, tr.transition_family("Ell3", "plane").axis)
+    record = {"fields": [{"c0": rng.standard_normal(4).tolist(),
+                          "c1": rng.standard_normal((4, 4)).tolist()}] * 3}
+    forms = {
+        "random_tangent_field": cn.random_tangent_field(sp, rng, 0.5),
+        "plane_tangent_field": cn.plane_tangent_field(sp, [0.3, -0.2, 0.5, 1.0], rng),
+        "cli record field": cli._fields_from_record(sp, record, rng)[0],
+        "acceptance field family": lambda p: family(0.25, p),
+    }
+    for name, field in forms.items():
+        stack = field(x)
+        assert stack.shape == x.shape, name
+        np.testing.assert_allclose(stack, [field(p) for p in x], rtol=1e-12, atol=1e-15,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["coEuc3", "coMin3", "Ell3", "AdS3"])
+def test_residual_over_a_cloud_is_the_max_of_single_points(name):
+    sp = model_space(name)
+    rng = np.random.default_rng(5)
+    conn = cn.co_connection(sp) if sp.degenerate else cn.levi_civita(sp)
+    pts = sp.sample_points(rng, 6)
+    X, Y, Z, W = (cn.random_tangent_field(sp, rng, 0.5) for _ in range(4))
+    omega = cn.volume_form(sp)
+    residuals = {
+        "symmetry": lambda p: cn.symmetry_residual(conn, X, Y, p),
+        "compatibility": lambda p: cn.metric_compatibility_residual(conn, X, Y, Z, p),
+        "volume": lambda p: cn.parallel_volume_residual(conn, omega, Z, [X, Y, W], p),
+    }
+    for label, residual in residuals.items():
+        single = max(residual(p) for p in pts)
+        assert residual(pts) == pytest.approx(single, rel=1e-12), label
+
+
+def test_field_of_the_wrong_shape_raises():
+    sp = model_space("coEuc3")
+    x = sp.sample_points(np.random.default_rng(0), 3)
+    flat = cn.VectorField(sp, lambda p: np.array([1.0, 2.0, 3.0, 4.0]), name="flat")
+    with pytest.raises(ValueError, match=r"flat maps points of shape \(3, 4\) to shape \(4,\)"):
+        flat(x)
+
+
+def test_plane_preservation_is_zero_when_no_sample_reaches_the_locus():
+    # the section {x4 = 0} is space-like and misses the sheet b(x, x) = -1
+    hyp3 = model_space("Hyp3")
+    rng = np.random.default_rng(0)
+    assert cn.plane_preservation_residual(hyp3, [0, 0, 0, 1.0], rng) == 0.0
