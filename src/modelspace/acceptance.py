@@ -46,7 +46,7 @@ def criterion_1_distance_consistency(seed=0):
         d_closed = pj.closed_form_distance(space, X, Y)
         mask = ~np.isnan(d_closed)
         counts.append(int(mask.sum()))
-        worst = max(worst, float(np.max(np.abs(d_cross[mask] - d_closed[mask]))))
+        worst = np.maximum(worst, np.max(np.abs(d_cross[mask] - d_closed[mask])))
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-9 and elapsed < 5.0
     return _result(
@@ -74,7 +74,7 @@ def criterion_2_duality_round_trips(seed=0):
         # an inscribed octahedron keeps the origin interior
         body = du.EuclideanBody(np.vstack([verts, octa]))
         gap = np.max(np.abs(body.dual().dual().support(grid_e) - body.support(grid_e)))
-        worst_rt = max(worst_rt, float(gap))
+        worst_rt = np.maximum(worst_rt, gap)
     for _ in range(50):
         n_v = rng.integers(4, 12)
         rho = rng.uniform(0, 1.0, n_v)
@@ -86,14 +86,14 @@ def criterion_2_duality_round_trips(seed=0):
         ) * scale[:, None]
         body = du.MinkowskiBody(verts)
         gap = np.max(np.abs(body.dual().dual().support(grid_m) - body.support(grid_m)))
-        worst_rt = max(worst_rt, float(gap))
+        worst_rt = np.maximum(worst_rt, gap)
     # balls and hyperboloids through the sampled-support polar formula
     worst_smooth = 0.0
     for r in (0.5, 1.0, 2.0, 3.7):
         se = du.SupportFunctionE(grid_e, np.full(len(grid_e), r), grid_shape=(64, 64))
-        worst_smooth = max(worst_smooth, float(np.max(np.abs(du.dual_support(se).values - 1.0 / r))))
+        worst_smooth = np.maximum(worst_smooth, np.max(np.abs(du.dual_support(se).values - 1.0 / r)))
         sm = du.SupportFunctionMin(grid_m, np.full(len(grid_m), -r), grid_shape=(64, 64))
-        worst_smooth = max(worst_smooth, float(np.max(np.abs(du.dual_support(sm).values + 1.0 / r))))
+        worst_smooth = np.maximum(worst_smooth, np.max(np.abs(du.dual_support(sm).values + 1.0 / r)))
     worst_trunc = 0.0
     for _ in range(10):
         v = np.array([0.3, -0.1, 1.0]) * rng.uniform(0.5, 2.0)
@@ -101,7 +101,7 @@ def criterion_2_duality_round_trips(seed=0):
         r = rng.uniform(0.3, 3.0)
         vhat = v / np.sqrt(-bpq(2, 1).quad(v))
         apex = du.truncation_dual(v, r)
-        worst_trunc = max(worst_trunc, float(np.max(np.abs(apex - vhat / r))))
+        worst_trunc = np.maximum(worst_trunc, np.max(np.abs(apex - vhat / r)))
     passed = worst_rt < 1e-6 and worst_smooth < 1e-9 and worst_trunc < 1e-9
     return _result(
         "2 duality round trips",
@@ -118,7 +118,7 @@ def criterion_3_one_d_transition(seed=0):
     for a in (-2.0, 0.5, 3.0):
         for kind in ("rotation", "boost"):
             lim, _ = tr.one_d_limit(kind, a)
-            worst = max(worst, float(np.max(np.abs(lim - tr.translation_1d(a)))))
+            worst = np.maximum(worst, np.max(np.abs(lim - tr.translation_1d(a))))
     return _result(
         "3 one-dimensional conjugacy limits",
         worst < 1e-6,
@@ -159,7 +159,7 @@ def criterion_4_three_d_transition(seed=0):
                 return y / np.sqrt(abs(float(space.form.quad(y))))
 
             gap = tr.duality_transition_check(tr.PointPath(x_path), fam, space.form)
-            worst_gap = max(worst_gap, float(gap))
+            worst_gap = np.maximum(worst_gap, gap)
     passed = failures == 0 and worst_gap < 1e-7
     return _result(
         "4 three-dimensional transitions",
@@ -291,10 +291,10 @@ def criterion_7_pogorelov(seed=0):
             gen = pg.random_killing_generator(pair_name, rng)
             K = pg.chart_killing_field(gen)
             res_src = pg.killing_residual(m_src, K, cloud[:48])
-            worst_src = max(worst_src, res_src)
+            worst_src = np.maximum(worst_src, res_src)
             if res_src < 1e-7:
                 PK = pg.infinitesimal_pogorelov(K, m_src, m_dst)
-                worst_img = max(worst_img, pg.killing_residual(m_dst, PK, cloud[:48]))
+                worst_img = np.maximum(worst_img, pg.killing_residual(m_dst, PK, cloud[:48]))
     # eigenvalue dictionary at 500 points: one stacked operator per pair
     pts = pg.halton_cloud(500, seed=seed + 1)
     worst_eig = 0.0
@@ -306,15 +306,15 @@ def criterion_7_pogorelov(seed=0):
         v = _b_orthogonal(m_src.base.matrix, pts, rng)
         lateral = (L @ v[..., None])[..., 0] - rho2 * v
         radial = (L @ pts[..., None])[..., 0] - rho2**2 * pts
-        worst_eig = max(worst_eig, float(np.max(np.abs(lateral))), float(np.max(np.abs(radial))))
+        worst_eig = np.max([worst_eig, np.max(np.abs(lateral)), np.max(np.abs(radial))])
     # Weyl and contraction identities
     worst_weyl = 0.0
     for pair_name in ("hyp-euc", "ads-min"):
         m_src, m_dst = pg.chart_pair(pair_name)
         # one pair of directions (X_i, Y_i) per point, drawn in that order
         X, Y = np.moveaxis(rng.standard_normal((20, 2, 3)), 1, 0)
-        worst_weyl = max(worst_weyl, float(np.max(pg.weyl_gap(m_dst, m_src, cloud[:20], X, Y))),
-                         float(np.max(pg.contraction_gap(m_dst, m_src, cloud[:20]))))
+        worst_weyl = np.max([worst_weyl, np.max(pg.weyl_gap(m_dst, m_src, cloud[:20], X, Y)),
+                             np.max(pg.contraction_gap(m_dst, m_src, cloud[:20]))])
     passed = worst_src < 1e-7 and worst_img < 1e-6 and worst_eig < 1e-9 and worst_weyl < 1e-6
     return _result(
         "7 infinitesimal Pogorelov map",
@@ -345,12 +345,12 @@ def criterion_8_surfaces(seed=0):
     # canonical data exact to 1e-9
     d_s = sf.embedding_data(sf.sphere_patch(), m=33)
     d_h = sf.embedding_data(sf.hyperboloid_patch(), m=33)
-    canon = max(
-        float(np.max(np.abs(d_s.B - np.eye(2)))),
-        float(np.max(np.abs(d_h.B - np.eye(2)))),
-        float(np.max(np.abs(d_s.det_B - 1.0))),
-        float(np.max(np.abs(d_h.det_B - 1.0))),
-    )
+    canon = np.max([
+        np.max(np.abs(d_s.B - np.eye(2))),
+        np.max(np.abs(d_h.B - np.eye(2))),
+        np.max(np.abs(d_s.det_B - 1.0)),
+        np.max(np.abs(d_h.det_B - 1.0)),
+    ])
     # O(h^2) scaling of the Gauss residual under refinement
     coE = pj.model_space("coEuc3")
     dom = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3))
@@ -367,8 +367,9 @@ def criterion_8_surfaces(seed=0):
         return h
 
     patch = sf.graph_patch(coE, f, dom, df=df, d2f=d2f)
+    d65 = sf.embedding_data_co(patch, m=65)
     g33, _ = sf.gauss_codazzi_residual(sf.embedding_data_co(patch, m=33))
-    g65, _ = sf.gauss_codazzi_residual(sf.embedding_data_co(patch, m=65))
+    g65, _ = sf.gauss_codazzi_residual(d65)
     ratio = g33 / g65
     # shape_from_support vs the connection route at 64^2
     a = rng.standard_normal(3) * 0.1
@@ -378,17 +379,14 @@ def criterion_8_surfaces(seed=0):
     B_sup, _ = sf.shape_from_support(ufn, base="S2", domain=dom, m=64)
     sup_gap = float(np.max(np.abs(B_sup - dco.B)))
     # dual involution and curvature dictionary
-    d1 = sf.embedding_data_co(patch, m=65)
-    dd = sf.dual_embedding_data(sf.dual_embedding_data(d1))
-    invol = max(
-        float(np.max(np.abs(dd.I - d1.I))), float(np.max(np.abs(dd.B - d1.B)))
-    )
+    dd = sf.dual_embedding_data(sf.dual_embedding_data(d65))
+    invol = np.max([np.max(np.abs(dd.I - d65.I)), np.max(np.abs(dd.B - d65.B))])
     Ks = {}
     for m in (65, 129, 257):
-        dm = sf.embedding_data_co(patch, m=m)
+        dm = d65 if m == 65 else sf.embedding_data_co(patch, m=m)
         ddm = sf.dual_embedding_data(dm)
         Ks[m] = sf.gauss_curvature(ddm.I, ddm.du, ddm.dv)
-    det65 = np.linalg.det(sf.embedding_data_co(patch, m=65).B)
+    det65 = np.linalg.det(d65.B)
     k1 = (4 * Ks[129][::2, ::2] - Ks[65]) / 3
     k2 = (4 * Ks[257][::2, ::2] - Ks[129]) / 3
     k_ref = (16 * k2[::2, ::2] - k1) / 15
@@ -403,8 +401,8 @@ def criterion_8_surfaces(seed=0):
         "Hyp3", lambda t, m_, U, V: t * (-1.0 + 0.05 * m_[..., 0]) + t * t * (0.2 + 0.05 * m_[..., 1]))
     out_e = sf.surface_transition(fam_ell, "Ell3", m=17, ts=0.5 ** np.arange(3, 10))
     out_h = sf.surface_transition(fam_hyp, "Hyp3", m=17, ts=0.5 ** np.arange(3, 10))
-    trans_gap = max(max(out_e["gaps"].values()), max(out_h["gaps"].values()))
-    r2 = min(out_e["rate_r2"], out_h["rate_r2"])
+    trans_gap = np.max([*out_e["gaps"].values(), *out_h["gaps"].values()])
+    r2 = np.min([out_e["rate_r2"], out_h["rate_r2"]])
     passed = (
         canon < 1e-9
         and 3.5 <= ratio <= 4.5
@@ -439,10 +437,10 @@ def criterion_9_rigidity(seed=0):
             gen = pg.random_killing_generator(pair_name, rng)
             Z = pg.chart_killing_field(gen)
             res_src = pg.deformation_residual(m_src, Z, surf)
-            worst_src = max(worst_src, res_src)
+            worst_src = np.maximum(worst_src, res_src)
             PZ, res_dst = pg.rigidity_transport(Z, m_src, m_dst, surf)
-            worst_dst = max(worst_dst, res_dst)
-            worst_triv = max(worst_triv, pg.fit_flat_killing(m_dst, PZ, surf.points[::4]))
+            worst_dst = np.maximum(worst_dst, res_dst)
+            worst_triv = np.maximum(worst_triv, pg.fit_flat_killing(m_dst, PZ, surf.points[::4]))
     passed = worst_src < 1e-7 and worst_dst < 1e-6 and worst_triv < 1e-6
     return _result(
         "9 rigidity transport",

@@ -118,10 +118,22 @@ def _surface_grid(args):
     return grid
 
 
+def _strict_json(value):
+    """The record with non-finite floats as the strings "nan", "inf" and
+    "-inf", which strict JSON parsers accept."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return "nan" if np.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
 def _emit(args, text_lines, record, csv_rows=None, csv_header=None):
     mode = getattr(args, "emit", "text") or "text"
     if mode == "json":
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(json.dumps(_strict_json(record), indent=2, sort_keys=True, allow_nan=False))
     elif mode == "csv":
         if csv_rows is None:
             raise ValidationError("this subcommand has no CSV output")

@@ -80,8 +80,8 @@ class SurfacePatch:
     ``immersion(u, v)`` must broadcast over array parameters and return
     points with a trailing coordinate axis.  Optional ``jacobian`` /
     ``hessian`` evaluators (shapes (..., d, 2) and (..., d, 2, 2)) make
-    the data exact; otherwise central differences with one refinement
-    level are used.
+    the data exact; otherwise plain central differences (step ``h`` of
+    ``frames``) are used.
     """
 
     def __init__(self, space, immersion, domain, jacobian=None, hessian=None,
@@ -104,19 +104,20 @@ class SurfacePatch:
     def frames(self, U, V, h=3e-4):
         """(sigma, J, H) on the grid: points, first and second parameter
         derivatives, shapes (..., d), (..., d, 2), (..., d, 2, 2)."""
-        sigma = np.asarray(self.immersion(U, V), dtype=float)
+        f = self.immersion
+        sigma = np.asarray(f(U, V), dtype=float)
+        if self.jacobian is None or self.hessian is None:
+            u_p, u_m = np.asarray(f(U + h, V)), np.asarray(f(U - h, V))
+            v_p, v_m = np.asarray(f(U, V + h)), np.asarray(f(U, V - h))
         if self.jacobian is not None:
             jac = np.asarray(self.jacobian(U, V), dtype=float)
         else:
-            du = (np.asarray(self.immersion(U + h, V)) - np.asarray(self.immersion(U - h, V))) / (2 * h)
-            dv = (np.asarray(self.immersion(U, V + h)) - np.asarray(self.immersion(U, V - h))) / (2 * h)
-            jac = np.stack([du, dv], axis=-1)
+            jac = np.stack([(u_p - u_m) / (2 * h), (v_p - v_m) / (2 * h)], axis=-1)
         if self.hessian is not None:
             hess = np.asarray(self.hessian(U, V), dtype=float)
         else:
-            f = self.immersion
-            duu = (np.asarray(f(U + h, V)) - 2 * sigma + np.asarray(f(U - h, V))) / h**2
-            dvv = (np.asarray(f(U, V + h)) - 2 * sigma + np.asarray(f(U, V - h))) / h**2
+            duu = (u_p - 2 * sigma + u_m) / h**2
+            dvv = (v_p - 2 * sigma + v_m) / h**2
             duv = (
                 np.asarray(f(U + h, V + h))
                 - np.asarray(f(U + h, V - h))
@@ -277,16 +278,13 @@ def embedding_data(patch, m=64, normal_hint=None):
     U, V, du, dv = patch.grid(m)
     sigma, jac, hess = patch.frames(U, V)
     d = sigma.shape[-1]
+    g = space.chart_form.matrix if d == 3 else space.form.matrix
+    gj = g @ jac
+    I = np.einsum("...ai,...aj->...ij", jac, gj)
     if d == 3:
-        g = space.chart_form.matrix
-        gj = np.einsum("ab,...bi->...ai", g, jac)
-        I = np.einsum("...ai,...aj->...ij", jac, gj)
         cross = np.cross(jac[..., 0], jac[..., 1])
         normal = np.einsum("ab,...b->...a", np.linalg.inv(g), cross)
     else:
-        g = space.form.matrix
-        gj = np.einsum("ab,...bi->...ai", g, jac)
-        I = np.einsum("...ai,...aj->...ij", jac, gj)
         # normal: b-orthogonal to sigma_u, sigma_v and to the position
         rows = np.concatenate(
             [np.swapaxes(gj, -1, -2), np.einsum("ab,...b->...a", g, sigma)[..., None, :]],
@@ -331,7 +329,7 @@ def embedding_data_co(patch, m=64):
     U, V, du, dv = patch.grid(m)
     sigma, jac, hess = patch.frames(U, V)
     b = space.form.matrix
-    gj = np.einsum("ab,...bi->...ai", b, jac)
+    gj = b @ jac
     I = np.einsum("...ai,...aj->...ij", jac, gj)
     detI = np.linalg.det(I)
     if np.any(detI <= 1e-12):
@@ -339,37 +337,24 @@ def embedding_data_co(patch, m=64):
         raise ValueError(f"patch is not space-like at grid node {tuple(idx)}")
     # co-connection value: remove the N = x component as measured by b
     qx = np.einsum("...a,ab,...b->...", sigma, b, sigma)
-    bx_h = np.einsum("...a,ab,...bij->...ij", sigma, b, hess)
+    bx_h = np.einsum("...a,...aij->...ij", sigma @ b, hess)
     nabla = hess - (bx_h / qx[..., None, None])[..., None, :, :] * sigma[..., :, None, None]
-    # vertical coefficient in the basis (sigma_u, sigma_v, T)
+    # vertical coefficient of nabla in the full-rank basis (sigma_u,
+    # sigma_v, T): row 2 of its least-squares inverse (B^T B)^{-1} B^T,
+    # which is (B^T B)^{-1} e_2 (a symmetric Gram) mapped by B
     t_vec = np.zeros(sigma.shape[-1])
     t_vec[-1] = 1.0
     basis = np.concatenate(
         [jac, np.broadcast_to(t_vec, sigma.shape)[..., None]], axis=-1
     )
-    II = _batched_solve(basis, nabla)
+    gram = np.swapaxes(basis, -1, -2) @ basis
+    e2 = np.broadcast_to([[0.0], [0.0], [1.0]], gram.shape[:-1] + (1,))
+    vertical = (basis @ np.linalg.solve(gram, e2))[..., 0]
+    II = np.einsum("...a,...aij->...ij", vertical, nabla)
     B = np.linalg.solve(I, II)
     III = np.swapaxes(B, -1, -2) @ I @ B
     meta = {"vertical": "T = e_last", "grid": m}
     return EmbeddingData(space.name, U, V, du, dv, I, II, B, III, meta=meta)
-
-
-def _batched_solve(basis, nabla):
-    """Vertical coefficient of nabla in the (sigma_u, sigma_v, T) basis."""
-    shape = nabla.shape[:-3]
-    d = basis.shape[-2]
-    bas = basis.reshape(-1, d, 3)
-    nab = nabla.reshape(-1, d, 2, 2)
-    rhs = nab.transpose(0, 2, 3, 1).reshape(-1, d)
-    bas_rep = np.repeat(bas, 4, axis=0)
-    # least squares via normal equations (basis is full rank: surface
-    # tangents plus the vertical direction)
-    bt = np.swapaxes(bas_rep, -1, -2)
-    gram = bt @ bas_rep
-    proj = (bt @ rhs[..., None])[..., 0]
-    sol = np.linalg.solve(gram, proj[..., None])[..., 0]
-    out = sol[..., 2].reshape(-1, 2, 2)
-    return out.reshape(shape + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +486,32 @@ def dual_embedding_data(data):
 # ---------------------------------------------------------------------------
 # support functions and shape operators on the co-space side
 
+# central stencils on the offsets -2..2 (first and second derivative):
+# fourth order for the deep interior, second order (zero-padded) for the
+# 1-ring; the support recovery and its forward map share them
+_OFFS = np.arange(-2, 3)
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_D1_RING = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
+_D2_RING = np.array([0.0, 1.0, -2.0, 1.0, 0.0])
+
+
+# offsets of the Hessian stencil: +-e_i for the diagonal, then
+# (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) for each pair i < j
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_HESS_OFFSETS = np.array(
+    [s * e for e in np.eye(3) for s in (1, -1)]
+    + [si * np.eye(3)[i] + sj * np.eye(3)[j] for i, j in _PAIRS for si in (1, -1) for sj in (1, -1)]
+)
+
 
 def _ambient_extension_hessian(u_fn, points, g, h=2e-4):
     """Hessian of the one-homogeneous extension of u at base points.
 
     U(y) = |y|_g u(y/|y|_g), with g the base form: Euclidean for S^2,
     Lorentzian for H^2.  Central differences with one Richardson level;
-    points shape (..., 3).
+    points shape (..., 3).  Each stencil offset costs one evaluation of
+    U, on both step levels at once.
     """
     def U(y):
         q = np.einsum("...i,ij,...j->...", y, g, y)
@@ -515,29 +519,23 @@ def _ambient_extension_hessian(u_fn, points, g, h=2e-4):
         return s * np.asarray(u_fn(y / s[..., None]))
 
     pts = np.asarray(points, dtype=float)
-    n = 3
-    out = np.empty(pts.shape[:-1] + (3, 3))
-
-    def hess_at(step):
-        hmat = np.empty(pts.shape[:-1] + (3, 3))
-        u0 = U(pts)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = step
-            hmat[..., i, i] = (U(pts + ei) - 2 * u0 + U(pts - ei)) / step**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = step
-                val = (
-                    U(pts + ei + ej) - U(pts + ei - ej)
-                    - U(pts - ei + ej) + U(pts - ei - ej)
-                ) / (4 * step**2)
-                hmat[..., i, j] = val
-                hmat[..., j, i] = val
-        return hmat
-
-    coarse = hess_at(h)
-    fine = hess_at(h / 2)
+    steps = np.array([h, h / 2]).reshape((2,) + (1,) * pts.ndim)
+    u0 = U(pts)[..., None]
+    # one offset at a time keeps U's temporaries at twice the points (all
+    # 36 shifted copies at once would grow with the grid); with the levels
+    # leading, u_fn sees the points in their own row layout
+    vals = np.empty((2,) + pts.shape[:-1] + (len(_HESS_OFFSETS),))
+    for n, off in enumerate(_HESS_OFFSETS):
+        vals[..., n] = U(pts + steps * off)
+    plus, minus = vals[..., 0:6:2], vals[..., 1:6:2]
+    s2 = steps**2
+    hmat = np.empty(vals.shape[:-1] + (3, 3))
+    idx = np.arange(3)
+    hmat[..., idx, idx] = (plus - 2 * u0 + minus) / s2
+    for n, (i, j) in enumerate(_PAIRS):
+        pp, pm, mp, mm = np.moveaxis(vals[..., 6 + 4 * n:10 + 4 * n], -1, 0)
+        hmat[..., i, j] = hmat[..., j, i] = (pp - pm - mp + mm) / (4 * s2[..., 0])
+    coarse, fine = hmat
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -567,6 +565,19 @@ def shape_from_support(u_fn, base="S2", domain=None, m=64, points=None, jac=None
     return B, I
 
 
+def _stencil_kernels(d1, d2, du, dv):
+    """Kernels of d_uu, d_uv, d_vv, d_u, d_v and the identity on the 5x5
+    offsets (-2..2)^2, from one first- and one second-derivative stencil."""
+    k = np.zeros((6, 5, 5))
+    k[0, :, 2] = d2 / du**2
+    k[1] = np.outer(d1 / du, d1 / dv)
+    k[2, 2, :] = d2 / dv**2
+    k[3, :, 2] = d1 / du
+    k[4, 2, :] = d1 / dv
+    k[5, 2, 2] = 1.0
+    return k
+
+
 def recover_support_from_shape(B, I, du, dv, points, codazzi_tol=1e-5):
     """Least-squares solve of Hess_I(u) + u I = I B for the support u.
 
@@ -580,138 +591,83 @@ def recover_support_from_shape(B, I, du, dv, points, codazzi_tol=1e-5):
     gamma = _christoffel_of_I(I, du, dv, order=4)
     # Codazzi precondition; the discrete estimator of a true Codazzi
     # tensor is itself O(h^2), so the threshold floors at the grid error
-    data = EmbeddingData("coEuc3", None, None, du, dv, I, I @ B, B,
-                         np.swapaxes(B, -1, -2) @ I @ B)
+    IB = I @ B
+    data = EmbeddingData("coEuc3", None, None, du, dv, I, IB, B, np.swapaxes(B, -1, -2) @ IB)
     cod = np.abs(codazzi_residual_field(data))
     k = max(2, int(0.12 * m1))
     h2 = max(du, dv) ** 2
     threshold = max(codazzi_tol, h2 * (1.0 + float(np.max(np.abs(B)))))
     if float(np.max(cod[k:-k, k:-k])) > threshold:
         raise ValueError("shape operator violates the Codazzi equation; no support function exists")
-    target = I @ B  # the Hessian form plus u I
-    n_pts = m1 * m2
     import scipy.sparse as sp
-
-    rows, cols, vals = [], [], []
-    rhs = []
-    eq = 0
-
-    # fourth-order interior stencils (offsets -2..2)
-    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    offs = np.arange(-2, 3)
-
-    def idx(i, j):
-        return i * m2 + j
-
-    weight = 1.0
-
-    def add(i, j, c):
-        rows.append(eq)
-        cols.append(idx(i, j))
-        vals.append(weight * c)
-
-    for i in range(1, m1 - 1):
-        for j in range(1, m2 - 1):
-            g = gamma[i, j]
-            deep = 2 <= i < m1 - 2 and 2 <= j < m2 - 2
-            # the 1-ring rows only pin the outermost unknowns; keep their
-            # h^2 truncation error from leaking into the interior fit
-            weight = 1.0 if deep else 0.05
-            for (a, b_) in ((0, 0), (0, 1), (1, 1)):
-                # Hess(u)_{ab} = d_a d_b u - Gamma^k_{ab} d_k u; fourth
-                # order in the deep interior, second order on the 1-ring
-                # (which also pins the outermost unknowns)
-                if deep:
-                    if (a, b_) == (0, 0):
-                        for o, c in zip(offs, d2 / du**2):
-                            add(i + o, j, c)
-                    elif (a, b_) == (1, 1):
-                        for o, c in zip(offs, d2 / dv**2):
-                            add(i, j + o, c)
-                    else:
-                        for oi, ci in zip(offs, d1 / du):
-                            if ci == 0.0:
-                                continue
-                            for oj, cj in zip(offs, d1 / dv):
-                                if cj == 0.0:
-                                    continue
-                                add(i + oi, j + oj, ci * cj)
-                    gu = [(o, c / du) for o, c in zip(offs, d1) if c != 0.0]
-                    gv = [(o, c / dv) for o, c in zip(offs, d1) if c != 0.0]
-                else:
-                    if (a, b_) == (0, 0):
-                        add(i + 1, j, 1.0 / du**2)
-                        add(i - 1, j, 1.0 / du**2)
-                        add(i, j, -2.0 / du**2)
-                    elif (a, b_) == (1, 1):
-                        add(i, j + 1, 1.0 / dv**2)
-                        add(i, j - 1, 1.0 / dv**2)
-                        add(i, j, -2.0 / dv**2)
-                    else:
-                        add(i + 1, j + 1, 0.25 / (du * dv))
-                        add(i - 1, j - 1, 0.25 / (du * dv))
-                        add(i + 1, j - 1, -0.25 / (du * dv))
-                        add(i - 1, j + 1, -0.25 / (du * dv))
-                    gu = [(-1, -0.5 / du), (1, 0.5 / du)]
-                    gv = [(-1, -0.5 / dv), (1, 0.5 / dv)]
-                c0, c1 = g[0, a, b_], g[1, a, b_]
-                for o, c in gu:
-                    add(i + o, j, -c0 * c)
-                for o, c in gv:
-                    add(i, j + o, -c1 * c)
-                # + u * I_ab
-                add(i, j, I[i, j, a, b_])
-                rhs.append(weight * target[i, j, a, b_])
-                eq += 1
-    # gauge: discrete projections of u onto the linear functions vanish
-    weight = 1.0
-    w = du * dv
-    for axis in range(3):
-        ell = points[..., axis]
-        for i in range(m1):
-            for j in range(m2):
-                add(i, j, w * ell[i, j])
-        rhs.append(0.0)
-        eq += 1
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(eq, n_pts))
     from scipy.sparse.linalg import spsolve
 
-    # least squares via the (sparse, well-posed thanks to the gauge rows)
-    # normal equations
-    ata = (mat.T @ mat).tocsc()
-    atb = mat.T @ np.array(rhs)
-    sol = spsolve(ata, atb)
-    return sol.reshape(m1, m2)
+    # one equation per interior node and component ab in (00, 01, 11):
+    # Hess(u)_ab + u I_ab = (I B)_ab with Hess(u)_ab = d_a d_b u -
+    # Gamma^k_ab d_k u, fourth order in the deep interior and second order
+    # on the 1-ring
+    a, b = np.array([0, 0, 1]), np.array([0, 1, 1])
+    inner = np.s_[1:-1, 1:-1]
+    gam = gamma[inner][..., a, b].reshape(-1, 2, 3)
+    Iab = I[inner][..., a, b].reshape(-1, 3)
+    target = IB[inner][..., a, b].reshape(-1, 3)
+    ii, jj = (g.ravel() for g in np.meshgrid(np.arange(1, m1 - 1), np.arange(1, m2 - 1),
+                                             indexing="ij"))
+    deep = (ii >= 2) & (ii < m1 - 2) & (jj >= 2) & (jj < m2 - 2)
+    eq = np.arange(3 * len(ii)).reshape(-1, 3)
+    # the 1-ring rows only pin the outermost unknowns; a weight of 0.05
+    # keeps their h^2 truncation error from leaking into the interior fit
+    levels = ((deep, _D1, _D2, 1.0), (~deep, _D1_RING, _D2_RING, 0.05))
+    rows, cols, vals, rhs = [], [], [], np.empty(eq.size)
+    for mask, d1, d2, weight in levels:
+        kern = _stencil_kernels(d1, d2, du, dv)
+        coef = kern[:3] - np.einsum("nkc,kxy->ncxy", gam[mask], kern[3:5]) \
+            + Iab[mask][..., None, None] * kern[5]
+        used = np.broadcast_to(np.any(kern[3:] != 0, axis=0) | (kern[:3] != 0), coef.shape)
+        col = (ii[mask, None, None, None] + _OFFS[:, None]) * m2 + jj[mask, None, None, None] + _OFFS
+        rows.append(np.broadcast_to(eq[mask][..., None, None], coef.shape)[used])
+        cols.append(np.broadcast_to(col, coef.shape)[used])
+        vals.append(weight * coef[used])
+        rhs[eq[mask]] = weight * target[mask]
+    S = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(eq.size, m1 * m2))
+    # gauge: discrete projections of u onto the linear functions vanish.
+    # The least-squares normal equations S^T S u + L^T L u = S^T r keep
+    # the three dense gauge rows L in a border, z = L u, so the matrix
+    # stays as sparse as the stencils.  Unknowns are numbered row by row,
+    # so S^T S is banded (half-width 4 m2 + 4) with the border last, and
+    # the natural order keeps the LU fill inside the band
+    L = sp.csr_matrix(du * dv * points.reshape(-1, 3).T)
+    border = sp.bmat([[S.T @ S, L.T], [L, -sp.identity(3)]], format="csc")
+    sol = spsolve(border, np.concatenate([S.T @ rhs, np.zeros(3)]), permc_spec="NATURAL")
+    return sol[:-3].reshape(m1, m2)
 
 
 def apply_shape_operator(u_grid, I, du, dv, sign=+1.0):
     """Discrete Hess_I(u) +- u I -> B, the forward map of the recovery.
 
-    Uses the same interior stencils as recover_support_from_shape (plain
-    3-point second differences, 4-point cross term, central gradients);
-    boundary cells replicate their nearest interior value.
+    Uses the deep-interior stencils of recover_support_from_shape (the
+    fourth-order five-point first and second differences and their
+    product for the cross term); the two-cell margin replicates its
+    nearest interior value.
     """
     gamma = _christoffel_of_I(I, du, dv, order=4)
-    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    offs = np.arange(-2, 3)
     c = np.s_[2:-2]
 
     def shift(o_i, o_j):
         m1, m2 = u_grid.shape
         return u_grid[2 + o_i:m1 - 2 + o_i, 2 + o_j:m2 - 2 + o_j]
 
-    h_uu = sum(co * shift(o, 0) for o, co in zip(offs, d2)) / du**2
-    h_vv = sum(co * shift(0, o) for o, co in zip(offs, d2)) / dv**2
+    h_uu = sum(co * shift(o, 0) for o, co in zip(_OFFS, _D2)) / du**2
+    h_vv = sum(co * shift(0, o) for o, co in zip(_OFFS, _D2)) / dv**2
     h_uv = sum(
         ci * cj * shift(oi, oj)
-        for oi, ci in zip(offs, d1)
-        for oj, cj in zip(offs, d1)
+        for oi, ci in zip(_OFFS, _D1)
+        for oj, cj in zip(_OFFS, _D1)
         if ci != 0.0 and cj != 0.0
     ) / (du * dv)
-    g_u = sum(co * shift(o, 0) for o, co in zip(offs, d1)) / du
-    g_v = sum(co * shift(0, o) for o, co in zip(offs, d1)) / dv
+    g_u = sum(co * shift(o, 0) for o, co in zip(_OFFS, _D1)) / du
+    g_v = sum(co * shift(0, o) for o, co in zip(_OFFS, _D1)) / dv
     grad = np.stack([g_u, g_v], axis=-1)
     hess = np.empty(h_uu.shape + (2, 2))
     hess[..., 0, 0], hess[..., 1, 1] = h_uu, h_vv

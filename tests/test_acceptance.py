@@ -5,10 +5,16 @@ modelspace.acceptance and prints one pass/fail line (shown with -s, or
 in the failure report).
 """
 
+import numpy as np
 import pytest
 
 from modelspace import acceptance as ac
 from modelspace import connections as cn
+from modelspace import duality as du
+from modelspace import pogorelov as pg
+from modelspace import projective as pj
+from modelspace import surfaces as sf
+from modelspace import transition as tr
 
 
 @pytest.mark.parametrize("criterion", ac.CRITERIA, ids=lambda c: c.__name__)
@@ -33,3 +39,72 @@ def test_nan_residual_fails_criterion_5(monkeypatch):
     result = ac.criterion_5_co_connection(seed=0)
     assert len(calls) > 2
     assert not result["passed"] and "axiom residuals nan" in result["detail"]
+
+
+def _nan_on_second_call(monkeypatch, module, name, poison):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return poison(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+NAN = float("nan")
+
+
+def _nan_B(data):
+    return sf.EmbeddingData(data.space_name, data.U, data.V, data.du, data.dv, data.I,
+                            data.II, np.full_like(data.B, NAN), data.III)
+
+
+def _nan_transition(out):
+    # a NaN behind a finite gap and in the second rate: Python's max/min
+    # would keep the finite values
+    gaps = dict(out["gaps"])
+    gaps[list(gaps)[-1]] = NAN
+    return {**out, "gaps": gaps, "rate_r2": NAN}
+
+
+NAN_CASES = {
+    "criterion-1": (ac.criterion_1_distance_consistency,
+                    [(pj, "projective_distance_batch", lambda out: (out[0] * NAN, out[1]))],
+                    ["d_closed| = nan"]),
+    "criterion-2": (ac.criterion_2_duality_round_trips,
+                    [(du, "truncation_dual", lambda apex: apex * NAN)],
+                    ["truncation nan"]),
+    "criterion-3": (ac.criterion_3_one_d_transition,
+                    [(tr, "one_d_limit", lambda out: (out[0] * NAN, out[1]))],
+                    ["translation nan"]),
+    "criterion-4": (ac.criterion_4_three_d_transition,
+                    [(tr, "duality_transition_check", lambda gap: NAN)],
+                    ["diagram gap nan"]),
+    "criterion-7": (ac.criterion_7_pogorelov,
+                    [(pg, "killing_residual", lambda res: NAN)],
+                    ["image nan"]),
+    "criterion-8": (ac.criterion_8_surfaces,
+                    [(sf, "embedding_data", _nan_B),
+                     (sf, "dual_embedding_data", _nan_B),
+                     (sf, "surface_transition", _nan_transition)],
+                    ["canonical nan", "involution nan", "transition nan", "R2 nan"]),
+    "criterion-9": (ac.criterion_9_rigidity,
+                    [(pg, "deformation_residual", lambda res: NAN)],
+                    ["dst nan"]),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_residual_fails_criterion(monkeypatch, case):
+    # every accumulator propagates a NaN arriving after a finite value
+    criterion, patches, expected = NAN_CASES[case]
+    counters = [_nan_on_second_call(monkeypatch, *patch) for patch in patches]
+    with np.errstate(invalid="ignore"):
+        result = criterion(seed=0)
+    assert all(len(calls) >= 2 for calls in counters)
+    assert not result["passed"]
+    for text in expected:
+        assert text in result["detail"], result["detail"]

@@ -111,6 +111,29 @@ def test_check_connection_overflowing_fields_fail(tmp_path, capsys):
     assert code == 3 and "residual nan exceeds" in err
 
 
+def test_json_output_is_strict_for_nan_residuals(tmp_path, capsys):
+    big = {"c0": [1e200, 1e200, 0, 0], "c1": (1e200 * np.eye(4)).tolist()}
+    path = _write(tmp_path, "big.json", {"fields": [big] * 3})
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(["check-connection", "--space", "coEuc3", "--fields", path,
+                                "--emit", "json"], capsys)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    record = json.loads(out, parse_constant=reject)
+    assert code == 3 and record["residuals"]["symmetry"] == "nan"
+
+
+def test_surface_json_is_byte_identical(capsys):
+    for args in (["check-surface", "--space", "coEuc3", "--grid", "17", "--emit", "json"],
+                 ["dual-surface", "--space", "coMin3", "--grid", "17", "--emit", "json"]):
+        code1, out1, _ = run_cli(args, capsys)
+        code2, out2, _ = run_cli(args, capsys)
+        assert code1 == code2 == 0 and out1 == out2
+        assert json.loads(out1)["gauss_residual"] > 0
+
+
 def test_pogorelov_command(tmp_path, capsys):
     code, out, _ = run_cli(["pogorelov", "--pair", "hyp-euc"], capsys)
     assert code == 0 and "target Killing residual" in out

@@ -201,6 +201,53 @@ def test_recover_support_round_trip():
         sf.recover_support_from_shape(bad, I, du, dv, pts)
 
 
+def test_recover_support_system_stays_sparse(monkeypatch):
+    # the dense gauge rows live in a border, not in the normal matrix:
+    # each unknown couples to at most the 9x9 block its stencils reach,
+    # O(m^2) nonzeros in all (folded into S^T S they fill all n^2)
+    import scipy.sparse.linalg as spla
+
+    seen = []
+    real = spla.spsolve
+
+    def capture(A, b, **kwargs):
+        seen.append(A)
+        return real(A, b, **kwargs)
+
+    monkeypatch.setattr(spla, "spsolve", capture)
+    m = 33
+    Ug, Vg = np.meshgrid(np.linspace(*S2_DOM[0], m), np.linspace(*S2_DOM[1], m),
+                         indexing="ij")
+    du = (S2_DOM[0][1] - S2_DOM[0][0]) / (m - 1)
+    dv = (S2_DOM[1][1] - S2_DOM[1][0]) / (m - 1)
+    B, I = sf.shape_from_support(lambda x: 1.0 + 0.05 * x[..., 0] ** 2, base="S2",
+                                 domain=S2_DOM, m=m)
+    sf.recover_support_from_shape(B, I, du, dv, sf.sphere_chart(Ug, Vg))
+    (A,) = seen
+    n = A.shape[0]
+    assert n >= m * m
+    assert A.nnz <= 81 * n + 6 * m * m + 3
+
+
+def test_vertical_coefficient_matches_per_node_lstsq():
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal(4) * 0.1
+    coe = model_space("coEuc3")
+    f = lambda U, V: 1.0 + c[0] * np.sin(2 * U) * np.cos(V) + c[1] * U * V + c[2] * np.cos(U + c[3] * V)
+    patch = sf.graph_patch(coe, f, S2_DOM)
+    m = 9
+    data = sf.embedding_data_co(patch, m=m)
+    sigma, jac, hess = patch.frames(data.U, data.V)
+    b = coe.form.matrix
+    t_vec = np.array([0.0, 0.0, 0.0, 1.0])
+    for i, j in rng.integers(0, m, size=(10, 2)):
+        x, J, H = sigma[i, j], jac[i, j], hess[i, j]
+        nabla = H - np.einsum("a,ab,bij->ij", x, b, H)[None] / (x @ b @ x) * x[:, None, None]
+        basis = np.column_stack([J, t_vec])
+        coef, *_ = np.linalg.lstsq(basis, nabla.reshape(4, 4), rcond=None)
+        assert np.max(np.abs(data.II[i, j] - coef[2].reshape(2, 2))) < 1e-12
+
+
 def test_immersion_from_data():
     dev = lambda U, V: sf.sphere_chart(U, V)
     patch = sf.immersion_from_data_co_euclidean(
