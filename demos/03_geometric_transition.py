@@ -41,11 +41,8 @@ for name, kind, target in [
 ]:
     space = model_space(name)
     family = tr.transition_family(name, kind)
-    hits = sum(
-        tr.limit_group_membership(tr.conjugate_limit(
-            tr.random_isometry_path(space, family, rng), family)[0], target, tol=1e-6)
-        for _ in range(40)
-    )
+    limits, _ = tr.conjugate_limit(tr.random_isometry_path(space, family, rng, size=40), family)
+    hits = int(np.sum(tr.limit_group_membership(limits, target, tol=1e-6)))
     print(f"  {name} --blow-up {kind:5s}--> {target}: {hits}/40 paths in pattern")
 
 print("\n== the transition commutes with duality ==")

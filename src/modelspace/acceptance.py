@@ -137,13 +137,10 @@ def criterion_4_three_d_transition(seed=0):
     per = 125  # 8 transitions x 125 paths
     for kind in ("point", "plane"):
         for name, target in pj.transitions(kind, 3):
-            space = pj.model_space(name)
             fam = tr.transition_family(name, kind)
-            for _ in range(per):
-                h = tr.random_isometry_path(space, fam, rng)
-                lim, _ = tr.conjugate_limit(h, fam)
-                if not tr.limit_group_membership(lim, target, tol=1e-6):
-                    failures += 1
+            h = tr.random_isometry_path(pj.model_space(name), fam, rng, size=per)
+            lim, _ = tr.conjugate_limit(h, fam)
+            failures += int(np.sum(~tr.limit_group_membership(lim, target, tol=1e-6)))
     worst_gap = 0.0
     cases = [("Ell3", "point"), ("Ell3", "plane"), ("dS3", "point"), ("Hyp3", "plane")]
     for name, kind in cases:
@@ -151,8 +148,8 @@ def criterion_4_three_d_transition(seed=0):
         fam = tr.transition_family(name, kind)
         for _ in range(25):
             x0 = _fixed_locus_point(space, fam, rng)
-            v = rng.standard_normal(4)
-            w = rng.standard_normal(4)
+            v = rng.standard_normal(space.dim)
+            w = rng.standard_normal(space.dim)
 
             def x_path(t, x0=x0, v=v, w=w, space=space):
                 y = x0 + t * v + 0.5 * t * t * w
@@ -171,11 +168,11 @@ def criterion_4_three_d_transition(seed=0):
 
 def _fixed_locus_point(space, fam, rng):
     if fam.kind == "blow_up_point":
-        x0 = np.zeros(4)
+        x0 = np.zeros(space.dim)
         x0[fam.axis] = 1.0
         return x0
     while True:
-        y = rng.standard_normal(4)
+        y = rng.standard_normal(space.dim)
         y[fam.axis] = 0.0
         q = float(space.form.quad(y))
         if space.sign * q > 0.1:

@@ -27,6 +27,7 @@ from . import pogorelov as pg
 from . import projective as pj
 from . import surfaces as sf
 from . import transition as tr
+from ._numerics import DEFAULT_SCHEDULE
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -265,13 +266,7 @@ def cmd_transition(args):
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     seq_limit, err = tr.rescaled_point_limit_sequence(path, fam)
-    rows = []
-    from ._numerics import DEFAULT_SCHEDULE
-
-    for t in DEFAULT_SCHEDULE:
-        v = fam.matrix(t) @ path(t)
-        v = v / np.linalg.norm(v)
-        rows.append(np.concatenate([[t], v]))
+    rows = np.column_stack([DEFAULT_SCHEDULE, tr.rescaled_point_images(path, fam)])
     lines = [
         f"limit point: {limit}",
         f"sequence route agrees to {_fmt(1 - abs(float(np.dot(limit.rep, seq_limit.rep))))}"

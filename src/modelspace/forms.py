@@ -24,6 +24,7 @@ __all__ = [
     "evaluate",
     "classify_vector",
     "restrict",
+    "antisymmetric_from_draw",
     "random_antisymmetric",
     "random_isometry",
 ]
@@ -154,6 +155,11 @@ def restrict(form, basis):
     return BilinearForm(gram)
 
 
+def antisymmetric_from_draw(g, s, scale=1.0):
+    """G^{-1} scale (s - s^T)/2 in so(b) for invertible G, stacked over ``s``."""
+    return np.linalg.solve(g, scale * (s - np.swapaxes(s, -1, -2)) / 2.0)
+
+
 def random_antisymmetric(form, rng, scale=1.0):
     """Random generator A with A^T G + G A = 0, i.e. an element of so(b).
 
@@ -162,18 +168,18 @@ def random_antisymmetric(form, rng, scale=1.0):
     """
     d = form.dim
     s = rng.standard_normal((d, d))
-    skew = scale * (s - s.T) / 2.0
     # Solve A = G^{-1} * skew when G is invertible; otherwise build A from
     # the block structure (works for the diagonal degenerate forms here).
     g = form.matrix
     if not form.degenerate:
-        return np.linalg.solve(g, skew)
+        return antisymmetric_from_draw(g, s, scale)
     # Degenerate diagonal case: zero rows of G leave the corresponding rows
     # of A free; pick them at random, constrain the rest.
     diag = np.diag(g)
     mask = np.abs(diag) > 1e-12
     a = np.zeros((d, d))
-    a[np.ix_(mask, mask)] = np.linalg.solve(g[np.ix_(mask, mask)], skew[np.ix_(mask, mask)])
+    block = np.ix_(mask, mask)
+    a[block] = antisymmetric_from_draw(g[block], s[block], scale)
     free = ~mask
     a[np.ix_(free, mask)] = scale * rng.standard_normal((int(free.sum()), int(mask.sum())))
     # Columns hitting the kernel must keep G A antisymmetric: (GA)[i, free]=0

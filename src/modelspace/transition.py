@@ -15,6 +15,7 @@ axis) the permutation is part of the family's matrix.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import forms
 from ._numerics import DEFAULT_SCHEDULE, central_difference, richardson
@@ -27,6 +28,8 @@ __all__ = [
     "transition_family",
     "dual_family",
     "PointPath",
+    "IsometryPath",
+    "rescaled_point_images",
     "rescaled_point_limit",
     "rescaled_point_limit_sequence",
     "conjugate_isometry",
@@ -61,20 +64,17 @@ class RescalingFamily:
         self.perm = None if perm is None else np.asarray(perm, dtype=float)
 
     def diag(self, t):
-        d = np.full(self.dim, 1.0 / t)
-        if self.kind == "blow_up_point":
-            d[self.axis] = 1.0
-        else:
-            d = np.ones(self.dim)
-            d[self.axis] = 1.0 / t
-        return d
+        """The diagonal at t; a t-array of shape (T,) gives (T, d)."""
+        t = np.asarray(t, dtype=float)
+        stretched = (np.arange(self.dim) == self.axis) == (self.kind == "blow_up_hyperplane")
+        return np.where(stretched, 1.0 / t[..., None], 1.0)
 
     def matrix(self, t):
-        m = np.diag(self.diag(t))
+        m = np.where(np.eye(self.dim, dtype=bool), self.diag(t)[..., None], 0.0)
         return m if self.perm is None else self.perm @ m
 
     def inverse(self, t):
-        m = np.diag(1.0 / self.diag(t))
+        m = np.where(np.eye(self.dim, dtype=bool), 1.0 / self.diag(t)[..., None], 0.0)
         return m if self.perm is None else m @ self.perm.T
 
     def base_condition(self, x0, tol=1e-9):
@@ -180,81 +180,83 @@ def rescaled_point_limit(path, fam):
     return ProjPoint(fam.assemble_limit(x0, dx0))
 
 
+def rescaled_point_images(path, fam, schedule=DEFAULT_SCHEDULE):
+    """The normalized images g_t x(t) / |g_t x(t)| over the schedule, (T, d)."""
+    images = [fam.matrix(t) @ path(t) for t in schedule]
+    return np.array([v / np.linalg.norm(v) for v in images])
+
+
+def _signed_like_first(rows):
+    """The rows of a (T, d) stack, each negated if it points away from the first."""
+    rows = np.asarray(rows)
+    return np.where((rows @ rows[0] < 0)[:, None], -rows, rows)
+
+
 def rescaled_point_limit_sequence(path, fam, schedule=DEFAULT_SCHEDULE):
     """Independent route: extrapolate the normalized images g_t x(t)."""
-    ref = None
-    seq = []
-    for t in schedule:
-        v = fam.matrix(t) @ path(t)
-        v = v / np.linalg.norm(v)
-        if ref is None:
-            ref = v
-        if np.dot(v, ref) < 0:
-            v = -v
-        seq.append(v)
+    seq = _signed_like_first(rescaled_point_images(path, fam, schedule))
     limit, err = richardson(seq, return_error=True)
     return ProjPoint(limit), err
 
 
 def conjugate_isometry(h, fam, t):
-    """g_t h g_t^{-1}, exactly."""
-    return fam.matrix(t) @ np.asarray(h, dtype=float) @ fam.inverse(t)
+    """g_t h g_t^{-1}, exactly: entry (i, j) scaled by diag_i / diag_j, then
+    the slot permutation.  A t-array (T,) conjugates a stack (T, ..., d, d)."""
+    h = np.asarray(h, dtype=float)
+    diag = fam.diag(t).reshape(np.shape(t) + (1,) * (h.ndim - np.ndim(t) - 2) + (fam.dim,))
+    m = diag[..., :, None] * h * (1.0 / diag)[..., None, :]
+    return m if fam.perm is None else fam.perm @ m @ fam.perm.T
 
 
-def _matrix_normalize(m, ref=None):
-    m = np.asarray(m, dtype=float)
-    scale = m[-1, -1]
-    if abs(scale) < 1e-8 * np.max(np.abs(m)):
-        idx = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-        scale = m[idx]
-    m = m / scale
-    if ref is not None and np.sum(m * ref) < 0:
-        m = -m
-    return m
+def _matrix_normalize(m):
+    """Scale each of a (T, ..., d, d) sequence by its corner entry (its
+    largest when the corner is tiny), signed to agree with the first."""
+    mag = np.abs(m).reshape(m.shape[:-2] + (-1,))
+    largest = np.take_along_axis(m.reshape(mag.shape), mag.argmax(-1)[..., None], -1)[..., 0]
+    corner = m[..., -1, -1]
+    scale = np.where(np.abs(corner) < 1e-8 * mag.max(-1), largest, corner)
+    m = m / scale[..., None, None]
+    return np.where((np.sum(m * m[0], axis=(-2, -1)) < 0)[..., None, None], -m, m)
 
 
 def conjugate_limit(h_path, fam, schedule=DEFAULT_SCHEDULE):
     """Extrapolated limit of g_t h(t) g_t^{-1} over the t-schedule.
 
-    ``h_path`` maps t to an isometry of the source; the result is the
-    normalized limit matrix and the extrapolation error estimate.
+    ``h_path`` maps a t-array of shape (T,) to isometries of the source,
+    (T, ..., d, d), as an IsometryPath does.  The result is the normalized
+    limit stack (..., d, d) and the largest extrapolation error estimate
+    over it.
     """
-    seq = []
-    ref = None
-    for t in schedule:
-        c = _matrix_normalize(conjugate_isometry(h_path(t), fam, t), ref)
-        if ref is None:
-            ref = c
-        seq.append(c)
+    seq = _matrix_normalize(conjugate_isometry(h_path(schedule), fam, schedule))
     return richardson(seq, return_error=True)
 
 
 def limit_group_membership(m, target, tol=1e-8):
-    """Block-pattern test for the limit isometry groups.
+    """Block-pattern test for the limit isometry groups, on (..., d, d).
 
     ``target`` names a flat limit space or its group: 'Euc3' or 'IsomEuc',
     'coMin' or 'IsomCoMin'.  Affine targets look like [[A, t], [0, 1]]
     with A in O(n) or O(n-1,1); co-space targets look like [[A, 0], [t, 1]].
-    The representative is normalized by its corner entry first (so
-    homotheties fail).
+    Each representative is normalized by its corner entry first (so
+    homotheties fail).  Returns a bool array over the leading axes; a
+    matrix with a NaN fails.
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0] - 1
+    n = m.shape[-1] - 1
     base = target.removeprefix("Isom").rstrip("0123456789").lower()
     spec = next((s for b, s in SPACES.items() if b.lower() == base), None)
     if spec is None or (spec.chart_form is None and spec.chart is None):
         raise ValueError(f"unknown target group {target}")
-    corner = m[n, n]
-    if abs(corner) < tol * np.max(np.abs(m)):
-        return False
-    m = m / corner
-    a = m[:n, :n]
     # the block form: the flat chart's metric, or the co-space's base form
     g = spec.chart_form(n).matrix if spec.chart_form else spec.form(n).matrix[:n, :n]
-    if np.max(np.abs(a.T @ g @ a - g)) > tol:
-        return False
-    zero_block = m[n, :n] if spec.chart_form else m[:n, n]
-    return bool(np.max(np.abs(zero_block)) <= tol)
+    corner = m[..., n, n]
+    ok = np.abs(corner) >= tol * np.max(np.abs(m), axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = m / corner[..., None, None]
+        a = m[..., :n, :n]
+        ok &= np.max(np.abs(np.swapaxes(a, -1, -2) @ g @ a - g), axis=(-2, -1)) <= tol
+    zero_block = m[..., n, :n] if spec.chart_form else m[..., :n, n]
+    return ok & (np.max(np.abs(zero_block), axis=-1) <= tol)
 
 
 def duality_transition_check(path, fam, form, schedule=DEFAULT_SCHEDULE):
@@ -271,49 +273,51 @@ def duality_transition_check(path, fam, form, schedule=DEFAULT_SCHEDULE):
     side_a = side_a / np.linalg.norm(side_a)
     gdual = dual_family(fam, form)
     seq = []
-    ref = None
     for t in schedule:
-        nu = form.matrix @ path(t)
-        w = np.linalg.inv(gdual(t)).T @ nu
-        w = w / np.linalg.norm(w)
-        if ref is None:
-            ref = w
-        if np.dot(w, ref) < 0:
-            w = -w
-        seq.append(w)
-    side_b, _ = richardson(seq, return_error=True)
+        w = np.linalg.inv(gdual(t)).T @ (form.matrix @ path(t))
+        seq.append(w / np.linalg.norm(w))
+    side_b, _ = richardson(_signed_like_first(seq), return_error=True)
     side_b = side_b / np.linalg.norm(side_b)
     return 1.0 - abs(float(np.dot(side_a, side_b)))
 
 
-def stabilizer_isometry(form, fam, rng, scale=0.5):
-    """A random isometry of ``form`` stabilizing the family's fixed locus.
-
-    For the diagonal forms used here the stabilizer of the fixed point
-    and of the fixed hyperplane agree: isometries fixing the axis line.
-    """
-    d = form.dim
-    axis = fam.axis
-    rest = [i for i in range(d) if i != axis]
-    sub = forms.BilinearForm(form.matrix[np.ix_(rest, rest)])
-    a_sub = forms.random_antisymmetric(sub, rng, scale=scale)
-    a = np.zeros((d, d))
-    a[np.ix_(rest, rest)] = a_sub
-    from scipy.linalg import expm
-
+def stabilizer_isometry(form, fam, draw, scale=0.5):
+    """Isometries of a non-degenerate ``form`` fixing the family's axis line
+    (for the diagonal forms here, the stabilizer of the fixed point and of
+    the fixed plane), one per standard normal block (d-1, d-1) of ``draw``."""
+    rest = [i for i in range(form.dim) if i != fam.axis]
+    keep = np.ix_(rest, rest)
+    a = np.zeros(draw.shape[:-2] + form.matrix.shape)
+    a[(Ellipsis, *keep)] = forms.antisymmetric_from_draw(form.matrix[keep], draw, scale)
     return expm(a)
 
 
-def random_isometry_path(space, fam, rng, scale=0.5):
-    """h(t) in O(form) with h(0) stabilizing the fixed locus, smooth in t."""
-    h0 = stabilizer_isometry(space.form, fam, rng, scale=scale)
-    gen = forms.random_antisymmetric(space.form, rng, scale=scale)
-    from scipy.linalg import expm
+class IsometryPath:
+    """t -> exp(t gen) h0 for ``h0``, ``gen`` of shape (*size, d, d); a
+    t-array of shape (T,) gives (T, *size, d, d) from one stacked expm."""
 
-    def h(t):
-        return expm(t * gen) @ h0
+    def __init__(self, h0, gen):
+        self.h0 = h0
+        self.gen = gen
 
-    return h
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return expm(t.reshape(t.shape + (1,) * self.gen.ndim) * self.gen) @ self.h0
+
+
+def random_isometry_path(space, fam, rng, scale=0.5, size=None):
+    """h(t) in O(form) with h(0) stabilizing the fixed locus, smooth in t.
+
+    ``size`` (numpy's convention) stacks independent paths from the stream
+    of that many size=None draws: per path the stabilizer's normals, then
+    the generator's.  The form must be non-degenerate.
+    """
+    d = space.dim
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    stab, gen = np.split(rng.standard_normal(shape + ((d - 1) ** 2 + d * d,)), [(d - 1) ** 2], -1)
+    h0 = stabilizer_isometry(space.form, fam, stab.reshape(shape + (d - 1, d - 1)), scale)
+    return IsometryPath(h0, forms.antisymmetric_from_draw(space.form.matrix,
+                                                          gen.reshape(shape + (d, d)), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +347,9 @@ def scaling_1d(k):
 
 
 def one_d_limit(kind, a, ks=None):
-    """Extrapolated limit of g_k X_{a/k} g_k^{-1} for X = R or S."""
-    if ks is None:
-        ks = 2.0 ** np.arange(3, 13)
-    make = rotation_1d if kind == "rotation" else boost_1d
-    seq = []
-    for k in ks:
-        g = scaling_1d(k)
-        conj = g @ make(a / k) @ np.linalg.inv(g)
-        seq.append(conj)
-    return richardson(seq, ratio=2.0, return_error=True)
+    """Extrapolated limit of g_k X_{a/k} g_k^{-1} for X = R or S, where
+    g_k = diag(k, 1) is the line's point blow-up at t = 1/k."""
+    ks = 2.0 ** np.arange(3, 13) if ks is None else np.asarray(ks, dtype=float)
+    x = np.moveaxis((rotation_1d if kind == "rotation" else boost_1d)(a / ks), -1, 0)
+    return richardson(conjugate_isometry(x, blow_up_point(2), 1.0 / ks), ratio=2.0,
+                      return_error=True)

@@ -81,8 +81,9 @@ NAN_CASES = {
                     [(tr, "one_d_limit", lambda out: (out[0] * NAN, out[1]))],
                     ["translation nan"]),
     "criterion-4": (ac.criterion_4_three_d_transition,
-                    [(tr, "duality_transition_check", lambda gap: NAN)],
-                    ["diagram gap nan"]),
+                    [(tr, "duality_transition_check", lambda gap: NAN),
+                     (tr, "conjugate_limit", lambda out: (out[0] * NAN, out[1]))],
+                    ["125/1000 pattern failures", "diagram gap nan"]),
     "criterion-7": (ac.criterion_7_pogorelov,
                     [(pg, "killing_residual", lambda res: NAN)],
                     ["image nan"]),

@@ -125,13 +125,19 @@ def test_json_output_is_strict_for_nan_residuals(tmp_path, capsys):
     assert code == 3 and record["residuals"]["symmetry"] == "nan"
 
 
-def test_surface_json_is_byte_identical(capsys):
+def test_json_and_csv_are_byte_identical(tmp_path, capsys):
+    path = _write(tmp_path, "path.json", {"base": [0, 0, 0, 1], "velocity": [0.7, 0, 0, 0.2]})
+    transition = ["transition", "--family", "point", "--space", "Ell3", "--path", path]
     for args in (["check-surface", "--space", "coEuc3", "--grid", "17", "--emit", "json"],
-                 ["dual-surface", "--space", "coMin3", "--grid", "17", "--emit", "json"]):
+                 ["dual-surface", "--space", "coMin3", "--grid", "17", "--emit", "json"],
+                 transition + ["--emit", "json"],
+                 transition + ["--emit", "csv"]):
         code1, out1, _ = run_cli(args, capsys)
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0 and out1 == out2
-        assert json.loads(out1)["gauss_residual"] > 0
+        if args[0] != "transition":
+            assert json.loads(out1)["gauss_residual"] > 0
+    assert len(out1.splitlines()) == 11
 
 
 def test_pogorelov_command(tmp_path, capsys):

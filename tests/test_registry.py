@@ -59,10 +59,9 @@ def test_families_land_in_limit_groups_in_every_dimension(n):
         for name, target in pj.transitions(kind, n):
             space = pj.model_space(name)
             fam = tr.transition_family(name, kind)
-            for _ in range(4):
-                h = tr.random_isometry_path(space, fam, rng)
-                limit, _ = tr.conjugate_limit(h, fam)
-                assert tr.limit_group_membership(limit, target, tol=1e-6), (name, kind)
+            h = tr.random_isometry_path(space, fam, rng, size=4)
+            limits, _ = tr.conjugate_limit(h, fam)
+            assert np.all(tr.limit_group_membership(limits, target, tol=1e-6)), (name, kind)
 
 
 def test_limit_groups_by_space_or_group_name():

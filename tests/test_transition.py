@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from modelspace import forms
 from modelspace import projective as pj
 from modelspace import transition as tr
+from modelspace._numerics import DEFAULT_SCHEDULE, richardson
 
 
 def test_family_invariants():
@@ -85,11 +87,75 @@ def test_limit_group_patterns(name, kind, target):
     rng = np.random.default_rng(hash((name, kind)) % 2**32)
     space = pj.model_space(name)
     fam = tr.transition_family(name, kind)
-    for _ in range(30):
-        h = tr.random_isometry_path(space, fam, rng)
-        limit, err = tr.conjugate_limit(h, fam)
-        assert err < 1e-7
-        assert tr.limit_group_membership(limit, target, tol=1e-6)
+    h = tr.random_isometry_path(space, fam, rng, size=30)
+    limits, err = tr.conjugate_limit(h, fam)
+    assert limits.shape == (30, 4, 4) and err < 1e-7
+    assert np.all(tr.limit_group_membership(limits, target, tol=1e-6))
+
+
+def _reference_draw(space, fam, rng, scale=0.5):
+    """h(0) and the generator drawn one path at a time: the stabilizer's
+    generator on the form restricted off the axis, then the path's."""
+    keep = [i for i in range(space.dim) if i != fam.axis]
+    a = np.zeros((space.dim, space.dim))
+    sub = forms.BilinearForm(space.form.matrix[np.ix_(keep, keep)])
+    a[np.ix_(keep, keep)] = forms.random_antisymmetric(sub, rng, scale=scale)
+    return expm(a), forms.random_antisymmetric(space.form, rng, scale=scale)
+
+
+def _reference_limit(h, fam):
+    """conjugate_limit one t at a time, conjugating by matrix products."""
+    seq = []
+    for t in DEFAULT_SCHEDULE:
+        m = fam.matrix(t) @ h(t) @ fam.inverse(t)
+        scale = m[-1, -1]
+        if abs(scale) < 1e-8 * np.max(np.abs(m)):
+            scale = m.flat[np.argmax(np.abs(m))]
+        m = m / scale
+        seq.append(-m if seq and np.sum(m * seq[0]) < 0 else m)
+    return richardson(seq, return_error=True)
+
+
+@pytest.mark.parametrize("name,kind", [("Ell3", "point"), ("Hyp3", "plane"), ("AdS2", "point")])
+def test_stacked_paths_match_one_at_a_time(name, kind):
+    space = pj.model_space(name)
+    fam = tr.transition_family(name, kind)
+    rngs = [np.random.default_rng(5) for _ in range(3)]
+    stack = tr.random_isometry_path(space, fam, rngs[0], size=6)
+    singles = [tr.random_isometry_path(space, fam, rngs[1]) for _ in range(6)]
+    reference = [_reference_draw(space, fam, rngs[2]) for _ in range(6)]
+    for attr, k in (("h0", 0), ("gen", 1)):
+        expected = np.array([ref[k] for ref in reference])
+        assert np.array_equal(getattr(stack, attr), expected)
+        assert np.array_equal([getattr(p, attr) for p in singles], expected)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+    ts = np.array([0.5, 0.125])
+    assert np.array_equal(stack(ts)[1], stack(0.125))
+    assert np.array_equal(stack(ts)[:, 2], singles[2](ts))
+    limits, err = tr.conjugate_limit(stack, fam)
+    per_path = [tr.conjugate_limit(p, fam) for p in singles]
+    assert np.array_equal(limits, [lim for lim, _ in per_path])
+    assert np.array_equal(limits, [_reference_limit(p, fam)[0] for p in singles])
+    assert err == max(e for _, e in per_path)
+
+
+def test_membership_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(6)
+    fam = tr.transition_family("Hyp3", "plane")
+    limits, _ = tr.conjugate_limit(
+        tr.random_isometry_path(pj.model_space("Hyp3"), fam, rng, size=4), fam)
+    nan_row = limits[0].copy()
+    nan_row[1, 2] = np.nan
+    homothety = limits[1] @ np.diag([1.0, 1, 1, 2.5])
+    wrong_zero = limits[2].copy()
+    wrong_zero[0, 3] = 0.3
+    stack = np.concatenate([limits, [nan_row, homothety, wrong_zero]])
+    member = tr.limit_group_membership(stack, "IsomCoMin", tol=1e-6)
+    assert member.dtype == bool and member.tolist() == [True] * 4 + [False] * 3
+    assert member.tolist() == [bool(tr.limit_group_membership(m, "IsomCoMin", tol=1e-6))
+                               for m in stack]
+    assert np.array_equal(tr.limit_group_membership(stack.reshape(7, 1, 4, 4), "IsomCoMin",
+                                                    tol=1e-6), member[:, None])
 
 
 def test_membership_rejects():
