@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -104,16 +103,9 @@ def _load_record(path, tag):
     raise ValidationError(f"scene contains no entity tagged {tag!r}")
 
 
-def _grid_size(args):
-    if getattr(args, "grid", None):
-        return args.grid
-    env = os.environ.get("MODELSPACE_GRID")
-    return int(env) if env else 64
-
-
 def _surface_grid(args):
     # the surface residuals drop two boundary cells on each side
-    grid = min(_grid_size(args), 65)
+    grid = min(args.grid, 65)
     if grid < 5:
         raise ValidationError(f"surface grid must be at least 5, got {grid}")
     return grid
@@ -132,10 +124,9 @@ def _strict_json(value):
 
 
 def _emit(args, text_lines, record, csv_rows=None, csv_header=None):
-    mode = getattr(args, "emit", "text") or "text"
-    if mode == "json":
+    if args.emit == "json":
         print(json.dumps(_strict_json(record), indent=2, sort_keys=True, allow_nan=False))
-    elif mode == "csv":
+    elif args.emit == "csv":
         if csv_rows is None:
             raise ValidationError("this subcommand has no CSV output")
         print(",".join(csv_header))
@@ -203,7 +194,7 @@ def _body_from_record(record, flavor):
 
 def cmd_dualize(args):
     record = _load_record(args.body, "body")
-    grid = _grid_size(args)
+    grid = args.grid
     body = _body_from_record(record, args.flavor)
     if args.flavor == "euclidean":
         dirs = du.sphere_grid(grid)
@@ -525,14 +516,16 @@ def cmd_acceptance(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, tol_default=1e-6):
-    parser.add_argument("--grid", type=int, default=None,
-                        help="direction/parameter grid size (default 64, env MODELSPACE_GRID)")
-    parser.add_argument("--tol", type=float, default=tol_default,
-                        help="tolerance for the pass/fail verdict")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--emit", choices=["text", "json", "csv"], default="text",
-                        help="output format")
+def _add_options(parser, *names, tol=1e-6):
+    """Register the shared options ``names`` that the subcommand reads."""
+    options = {
+        "grid": dict(type=int, default=64, help="direction/parameter grid size (default 64)"),
+        "tol": dict(type=float, default=tol, help="tolerance for the pass/fail verdict"),
+        "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "emit": dict(choices=["text", "json", "csv"], default="text", help="output format"),
+    }
+    for name in names:
+        parser.add_argument(f"--{name}", **options[name])
 
 
 def build_parser():
@@ -546,61 +539,61 @@ def build_parser():
     p.add_argument("--space", required=True)
     p.add_argument("--x", required=True, help='point, e.g. "[1,0,0]"')
     p.add_argument("--y", required=True)
-    _add_common(p)
+    _add_options(p, "emit")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("classify-line", help="type of the line through two points")
     p.add_argument("--space", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p)
+    _add_options(p, "emit")
     p.set_defaults(func=cmd_classify_line)
 
     p = sub.add_parser("dualize", help="dual body and support samples")
     p.add_argument("--flavor", choices=["euclidean", "minkowski"], required=True)
     p.add_argument("--body", required=True, help="body JSON file")
-    _add_common(p)
+    _add_options(p, "grid", "emit")
     p.set_defaults(func=cmd_dualize)
 
     p = sub.add_parser("transition", help="rescaled limit of a point path")
     p.add_argument("--family", choices=["point", "plane"], required=True)
     p.add_argument("--space", required=True)
     p.add_argument("--path", required=True, help="path JSON file (base/velocity/acceleration)")
-    _add_common(p)
+    _add_options(p, "emit")
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("check-connection", help="co-space connection residual table")
     p.add_argument("--space", required=True)
     p.add_argument("--fields", default=None, help="fields JSON file")
-    _add_common(p)
+    _add_options(p, "tol", "seed", "emit")
     p.set_defaults(func=cmd_check_connection)
 
     p = sub.add_parser("pogorelov", help="infinitesimal Pogorelov residuals")
     p.add_argument("--pair", choices=["hyp-euc", "ads-min"], required=True)
     p.add_argument("--killing", default=None, help="generator JSON file")
-    _add_common(p)
+    _add_options(p, "tol", "seed", "emit")
     p.set_defaults(func=cmd_pogorelov)
 
     p = sub.add_parser("check-surface", help="embedding data and Gauss-Codazzi residuals")
     p.add_argument("--space", required=True)
     p.add_argument("--patch", default=None, help="patch JSON file")
-    _add_common(p, tol_default=1e-1)
+    _add_options(p, "grid", "tol", "emit", tol=1e-1)
     p.set_defaults(func=cmd_check_surface)
 
     p = sub.add_parser("dual-surface", help="embedding data of the dual surface")
     p.add_argument("--space", required=True)
     p.add_argument("--patch", default=None)
-    _add_common(p, tol_default=1e-1)
+    _add_options(p, "grid", "emit")
     p.set_defaults(func=cmd_dual_surface)
 
     p = sub.add_parser("transition-surface", help="rescaled limit of a surface family")
     p.add_argument("--space", required=True)
     p.add_argument("--patch", default=None)
-    _add_common(p, tol_default=1e-4)
+    _add_options(p, "tol", "emit", tol=1e-4)
     p.set_defaults(func=cmd_transition_surface)
 
     p = sub.add_parser("acceptance", help="run the acceptance criteria suite")
-    _add_common(p)
+    _add_options(p, "seed")
     p.set_defaults(func=cmd_acceptance)
 
     return parser

@@ -106,6 +106,22 @@ def same_ray_set(a, b, tol=1e-8):
     return bool(np.all(dist < tol))
 
 
+def _cone_vertices(gens, axis, sign, message, compact=False):
+    """Vertices of a body from the generators of the cone over it.
+
+    The vertices are the generators whose homogenizing coordinate
+    t = sign * gens[:, axis] exceeds 1e-10, divided by t and with that
+    coordinate dropped; the other generators are recession rays.  Raises
+    ``message`` when no generator is a vertex or, for a ``compact`` body,
+    when one is not.
+    """
+    t = sign * gens[:, axis]
+    vertex = t > 1e-10
+    if not (vertex.all() if compact else vertex.any()):
+        raise ValueError(message)
+    return np.delete(gens[vertex], axis, axis=1) / t[vertex][:, None]
+
+
 class PolyCone:
     """A closed convex polyhedral cone, by generators or by halfspaces.
 
@@ -191,13 +207,9 @@ class EuclideanBody:
     def dual(self):
         """Polar body {y : <x, y> <= 1 for all x in K}, exactly."""
         form = bpq(self.n + 1, 0)
-        dual_cone = self.cone().dual(form)
-        gens = dual_cone.generators
-        last = gens[:, -1]
-        if np.any(last > -1e-10):
-            raise ValueError("dual body is unbounded (origin not interior?)")
-        verts = gens[:, :-1] / (-last)[:, None]
-        return EuclideanBody(verts)
+        gens = self.cone().dual(form).generators
+        return EuclideanBody(_cone_vertices(
+            gens, -1, -1, "dual body is unbounded (origin not interior?)", compact=True))
 
     def minkowski_sum(self, other):
         sums = (self.vertices[:, None, :] + other.vertices[None, :, :]).reshape(-1, self.n)
@@ -273,13 +285,8 @@ class MinkowskiBody:
         3-d dual of the recession data.
         """
         ambient = bpq(self.n, 1)
-        dual_cone = self.cone().dual(ambient)
-        gens = dual_cone.generators
-        first = gens[:, 0]
-        verts = gens[first < -1e-10]
-        if len(verts) == 0:
-            raise ValueError("dual has no vertices; body was not admissible")
-        verts = verts[:, 1:] / (-verts[:, 0])[:, None]
+        gens = self.cone().dual(ambient).generators
+        verts = _cone_vertices(gens, 0, -1, "dual has no vertices; body was not admissible")
         return MinkowskiBody(verts, rays=self.recession_dual(), check=False)
 
     def minkowski_sum(self, other):
@@ -458,22 +465,15 @@ def body_from_support(sf):
     if isinstance(sf, SupportFunctionE):
         rows = np.hstack([sf.dirs, -sf.values[:, None]])
         rows = np.vstack([rows, np.append(np.zeros(sf.n), -1.0)])
-        gens = cone_facet_normals(rows)
-        last = gens[:, -1]
-        if np.any(np.abs(last) <= 1e-10):
-            raise ValueError("support samples do not bound a compact body")
-        verts = gens[:, :-1] / last[:, None]
-        return EuclideanBody(verts)
+        return EuclideanBody(_cone_vertices(
+            cone_facet_normals(rows), -1, 1, "support samples do not bound a compact body",
+            compact=True))
     if isinstance(sf, SupportFunctionMin):
         g = bpq(sf.n - 1, 1).matrix
         rows = np.hstack([sf.values[:, None], sf.dirs @ g])
         rows = np.vstack([rows, np.append(1.0, np.zeros(sf.n))])
-        gens = cone_facet_normals(rows)
-        first = gens[:, 0]
-        verts = gens[first < -1e-10]
-        if len(verts) == 0:
-            raise ValueError("support samples do not bound an admissible body")
-        verts = verts[:, 1:] / (-verts[:, 0])[:, None]
+        verts = _cone_vertices(cone_facet_normals(rows), 0, -1,
+                               "support samples do not bound an admissible body")
         # recession: the b-dual of the sampled directions
         rays = cone_facet_normals(sf.dirs @ g)
         return MinkowskiBody(verts, rays=rays, check=False)

@@ -338,19 +338,39 @@ def line_through(x, y):
     return ProjLine(x.rep, y.rep)
 
 
+def _gram(form, X, Y):
+    """Gram entries and line type of the lines through two (..., d) stacks.
+
+    Returns a = b(X, X), h = b(X, Y), c = b(Y, Y), the discriminant
+    h*h - a*c of the restricted form (positive on hyperbolic lines,
+    negative on elliptic ones) and the parabolic mask
+    |disc| <= (DISC_RTOL * max(|a|, |h|, |c|))^2.
+    """
+    b = form.matrix
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    a = np.einsum("...i,ij,...j->...", X, b, X)
+    h = np.einsum("...i,ij,...j->...", X, b, Y)
+    c = np.einsum("...i,ij,...j->...", Y, b, Y)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(h)), np.abs(c))
+    disc = h * h - a * c
+    tau = DISC_RTOL * scale
+    return a, h, c, disc, np.abs(disc) <= tau * tau
+
+
+def _line_type(disc, parabolic):
+    return np.where(parabolic, "parabolic", np.where(disc > 0, "hyperbolic", "elliptic"))
+
+
 def classify_line(space, line):
     """'elliptic', 'parabolic' or 'hyperbolic' against the space's absolute.
 
     Equivalently: the restricted form on the span is definite, degenerate,
-    or of signature (1,1).
+    or of signature (1,1).  The test is ``_gram``'s, so a parabolic line
+    is one whose ``absolute_points`` coincide, or lie in the absolute.
     """
-    restriction = forms.restrict(space.form, line.span)
-    p, q, z = restriction.signature
-    if z >= 1:
-        return "parabolic"
-    if p == 1 and q == 1:
-        return "hyperbolic"
-    return "elliptic"
+    _, _, _, disc, parabolic = _gram(space.form, line.u, line.v)
+    return str(_line_type(disc, parabolic))
 
 
 class AbsolutePair:
@@ -368,31 +388,31 @@ class AbsolutePair:
         self.degenerate = bool(degenerate)
 
 
+def _absolute_roots(a, h, c, disc):
+    """The roots I, J of a*alpha^2 + 2h*alpha*beta + c*beta^2 = 0.
+
+    Each is a (..., 2) complex pair [alpha:beta], from the formula that
+    divides by the larger of |a| and |c|: alpha/beta = (-h +- sqrt(disc))/a,
+    else beta/alpha = (-h -+ sqrt(disc))/c.
+    """
+    sq = np.sqrt(np.asarray(disc, dtype=complex))
+    swap = (np.abs(a) < np.abs(c))[..., None]
+    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
+    I = np.where(swap, np.stack([c, -h - sq], axis=-1), np.stack([-h + sq, a], axis=-1))
+    J = np.where(swap, np.stack([c, -h + sq], axis=-1), np.stack([-h - sq, a], axis=-1))
+    return I, J
+
+
 def absolute_points(space, line):
     """Solve b(alpha*u + beta*v, alpha*u + beta*v) = 0 on the line."""
-    b = space.form
-    u, v = line.u, line.v
-    a = float(b(u, u))
-    h = float(b(u, v))
-    c = float(b(v, v))
-    scale = max(abs(a), abs(h), abs(c))
-    if scale == 0.0:
-        return AbsolutePair(np.array([[1, 0], [0, 1]]), coincident=False, degenerate=True)
-    disc = complex(h * h - a * c)
-    tau = DISC_RTOL * scale
-    coincident = abs(disc) <= tau * tau
-    sq = np.sqrt(disc)
+    a, h, c, disc, parabolic = _gram(space.form, line.u, line.v)
+    if max(abs(a), abs(h), abs(c)) == 0.0:
+        return AbsolutePair(np.eye(2), coincident=False, degenerate=True)
     if max(abs(a), abs(c)) <= 1e-13 * abs(h):
         # both basis vectors isotropic: the roots are the basis directions
-        return AbsolutePair(np.array([[1, 0], [0, 1]]), coincident=False)
-    if abs(a) >= abs(c):
-        # alpha/beta = (-h +- sqrt(disc)) / a
-        roots = np.array([[-h + sq, a], [-h - sq, a]], dtype=complex)
-    else:
-        # beta/alpha = (-h -+ sqrt(disc)) / c
-        roots = np.array([[c, -h - sq], [c, -h + sq]], dtype=complex)
-    roots = np.array([r / np.linalg.norm(r) for r in roots])
-    return AbsolutePair(roots, coincident=coincident)
+        return AbsolutePair(np.eye(2), coincident=False)
+    roots = np.stack(_absolute_roots(a, h, c, disc))
+    return AbsolutePair(roots / np.linalg.norm(roots, axis=-1, keepdims=True), coincident=parabolic)
 
 
 def _as_hom_pair(z):
@@ -404,8 +424,8 @@ def _as_hom_pair(z):
     return np.array([complex(z), 1.0], dtype=complex)
 
 
-def _det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+def _det2_batch(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def cross_ratio(x, y, q, p):
@@ -418,10 +438,10 @@ def cross_ratio(x, y, q, p):
     """
     xh, yh, qh, ph = (_as_hom_pair(t) for t in (x, y, q, p))
     for a, b_ in ((xh, yh), (xh, qh), (yh, qh)):
-        if abs(_det2(a, b_)) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b_):
+        if abs(_det2_batch(a, b_)) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b_):
             raise ValueError("cross-ratio undefined: coincidence among x, y, q")
-    num = _det2(xh, qh) * _det2(yh, ph)
-    den = _det2(yh, qh) * _det2(xh, ph)
+    num = _det2_batch(xh, qh) * _det2_batch(yh, ph)
+    den = _det2_batch(yh, qh) * _det2_batch(xh, ph)
     if den == 0:
         return np.inf
     return num / den
@@ -431,29 +451,21 @@ def projective_distance(space, x, y, return_line_type=False):
     """Distance |1/2 ln[x, y, I, J]| along the line through x and y.
 
     I, J are the line's absolute points and ln is the principal branch.
-    Parabolic lines give 0.  On elliptic lines the value lies in
-    [0, pi/2]; on hyperbolic lines with both points in one component it
-    is the arccosh-type distance of same-branch lifts.
+    Parabolic lines give 0, and the line type of a point with itself is
+    None.  On elliptic lines the value lies in [0, pi/2]; on hyperbolic
+    lines with both points in one component it is the arccosh-type
+    distance of same-branch lifts.  One-pair call of
+    ``projective_distance_batch`` on the pseudo-sphere lifts.
     """
     if not space.contains(x):
         raise ValueError(f"first point is not in {space.name}")
     if not space.contains(y):
         raise ValueError(f"second point is not in {space.name}")
-    if x.same_point(y):
-        line_type = None
-        return (0.0, line_type) if return_line_type else 0.0
-    line = line_through(x, y)
-    kind = classify_line(space, line)
-    if kind == "parabolic":
-        return (0.0, kind) if return_line_type else 0.0
-    absolute = absolute_points(space, line)
-    xc = line.coordinates_of(x.rep).astype(complex)
-    yc = line.coordinates_of(y.rep).astype(complex)
-    r = cross_ratio(xc, yc, absolute.roots[0], absolute.roots[1])
-    if r == np.inf or r == 0:
-        raise ValueError("point lies on the absolute")
-    d = abs(0.5 * np.log(r))
-    return (d, kind) if return_line_type else d
+    d, kinds = projective_distance_batch(space, space.lift(x)[None], space.lift(y)[None])
+    kind = str(kinds[0])
+    if kind == "parabolic" and x.same_point(y):
+        kind = None
+    return (float(d[0]), kind) if return_line_type else float(d[0])
 
 
 def projective_distance_batch(space, X, Y):
@@ -465,40 +477,14 @@ def projective_distance_batch(space, X, Y):
     hyperbolic lines get the modulus of the complex logarithm, as the
     cross-ratio formula prescribes.
     """
-    b = space.form.matrix
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    a = np.einsum("ni,ij,nj->n", X, b, X)
-    h = np.einsum("ni,ij,nj->n", X, b, Y)
-    c = np.einsum("ni,ij,nj->n", Y, b, Y)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(h)), np.abs(c))
-    disc = h * h - a * c
-    tau = DISC_RTOL * scale
-    parabolic = np.abs(disc) <= tau * tau
-    sq = np.sqrt(disc.astype(complex))
-    # Roots of a*t^2 + 2h*t + c = 0 in t = alpha/beta for x = alpha*X + beta*Y
-    # written in the (X, Y) basis directly: x has coords (1, 0), y has (0, 1).
+    a, h, c, disc, parabolic = _gram(space.form, X, Y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rootI = np.stack([-h + sq, a.astype(complex)], axis=-1)
-        rootJ = np.stack([-h - sq, a.astype(complex)], axis=-1)
-        swap = np.abs(a) < np.abs(c)
-        rootI[swap] = np.stack([c.astype(complex)[swap], (-h - sq)[swap]], axis=-1)
-        rootJ[swap] = np.stack([c.astype(complex)[swap], (-h + sq)[swap]], axis=-1)
-        xh = np.zeros_like(rootI)
-        xh[:, 0] = 1.0
-        yh = np.zeros_like(rootI)
-        yh[:, 1] = 1.0
-        num = _det2_batch(xh, rootI) * _det2_batch(yh, rootJ)
-        den = _det2_batch(yh, rootI) * _det2_batch(xh, rootJ)
-        r = num / den
+        I, J = _absolute_roots(a, h, c, disc)
+        # [x, y, I, J] in the (X, Y) basis, where x = (1, 0) and y = (0, 1)
+        r = I[..., 1] * J[..., 0] / (I[..., 0] * J[..., 1])
         d = np.abs(0.5 * np.log(r))
     d[parabolic] = 0.0
-    kinds = np.where(parabolic, "parabolic", np.where(disc > 0, "hyperbolic", "elliptic"))
-    return d, kinds
-
-
-def _det2_batch(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return d, _line_type(disc, parabolic)
 
 
 def closed_form_distance(space, X, Y):
@@ -509,23 +495,13 @@ def closed_form_distance(space, X, Y):
     pairs on a common branch, which exist iff |b(x,y)| >= 1.  Straddling
     hyperbolic pairs and degenerate (parabolic) lines give NaN and 0.
     """
-    b = space.form.matrix
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    a = np.einsum("ni,ij,nj->n", X, b, X)
-    h = np.einsum("ni,ij,nj->n", X, b, Y)
-    c = np.einsum("ni,ij,nj->n", Y, b, Y)
-    disc = h * h - a * c
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(h)), np.abs(c))
-    out = np.full(X.shape[0], np.nan)
-    parabolic = np.abs(disc) <= (DISC_RTOL * scale) ** 2
-    elliptic = disc < 0
-    hyperbolic = disc > 0
+    _, h, _, disc, parabolic = _gram(space.form, X, Y)
+    out = np.full(h.shape, np.nan)
     out[parabolic] = 0.0
     ch = np.abs(h)
-    el = elliptic & ~parabolic
+    el = (disc < 0) & ~parabolic
     out[el] = np.arccos(np.clip(ch[el], 0.0, 1.0))
-    hy = hyperbolic & ~parabolic
+    hy = (disc > 0) & ~parabolic
     same_branch = hy & (ch >= 1.0 - 1e-12)
     out[same_branch] = np.arccosh(np.maximum(ch[same_branch], 1.0))
     return out

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -161,7 +162,7 @@ def test_surface_commands(tmp_path, capsys):
         ["dual-surface", "--space", "coEuc3", "--grid", "17"], capsys)
     assert code == 0 and "involution defect" in out
     code, out, _ = run_cli(
-        ["transition-surface", "--space", "Ell3", "--grid", "9"], capsys)
+        ["transition-surface", "--space", "Ell3"], capsys)
     assert code == 0 and "R^2" in out
 
 
@@ -185,13 +186,28 @@ def test_scene_envelope(tmp_path, capsys):
     assert code == 2 and "unknown scene entity tag" in err
 
 
-def test_grid_env_override(tmp_path, capsys, monkeypatch):
-    body = tmp_path / "ball.json"
-    body.write_text(json.dumps({"kind": "ball", "radius": 1.0}))
-    monkeypatch.setenv("MODELSPACE_GRID", "4")
-    code, out, _ = run_cli(
-        ["dualize", "--flavor", "euclidean", "--body", str(body)], capsys)
-    assert code == 0 and "16 directions" in out
+# the long options of each subcommand: only those its command reads
+OPTIONS = {
+    "distance": {"--space", "--x", "--y", "--emit"},
+    "classify-line": {"--space", "--x", "--y", "--emit"},
+    "dualize": {"--flavor", "--body", "--grid", "--emit"},
+    "transition": {"--family", "--space", "--path", "--emit"},
+    "check-connection": {"--space", "--fields", "--tol", "--seed", "--emit"},
+    "pogorelov": {"--pair", "--killing", "--tol", "--seed", "--emit"},
+    "check-surface": {"--space", "--patch", "--grid", "--tol", "--emit"},
+    "dual-surface": {"--space", "--patch", "--grid", "--emit"},
+    "transition-surface": {"--space", "--patch", "--tol", "--emit"},
+    "acceptance": {"--seed"},
+}
+
+
+def test_each_subcommand_registers_only_the_options_it_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: {opt for action in sub._actions for opt in action.option_strings
+                    if opt.startswith("--") and opt != "--help"}
+             for name, sub in subparsers.choices.items()}
+    assert found == OPTIONS
 
 
 def test_console_script_help():

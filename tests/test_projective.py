@@ -97,6 +97,39 @@ def test_projective_distance_examples():
         pj.projective_distance(hyp2, pj.ProjPoint([1, 0, 0]), pj.ProjPoint([0, 0, 1]))
 
 
+@pytest.mark.parametrize("name, x, y", [
+    ("Ell2", [1, 0, 0], [np.cos(1e-5), np.sin(1e-5), 0]),
+    ("Hyp2", [0, 0, 1], [np.sinh(1e-5), 0, np.cosh(1e-5)]),
+], ids=["Ell2", "Hyp2"])
+def test_short_distances_are_not_coincident(name, x, y):
+    # the points are 1e-5 apart, not one point
+    d, kind = pj.projective_distance(
+        pj.model_space(name), pj.ProjPoint(x), pj.ProjPoint(y), return_line_type=True)
+    assert kind is not None
+    assert abs(d - 1e-5) <= 1e-6 * 1e-5
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])
+def test_line_type_and_coincident_roots_agree(eps):
+    hyp2 = pj.model_space("Hyp2")
+    line = pj.ProjLine([1, 0, 0], [0, 1, 1 + eps])
+    coincident = pj.absolute_points(hyp2, line).coincident
+    assert (pj.classify_line(hyp2, line) == "parabolic") == coincident
+
+
+@pytest.mark.parametrize("name", ["Ell2", "Hyp2", "dS2", "AdS3"])
+def test_scalar_distance_is_the_batch_kernel_on_lifts(name):
+    space = pj.model_space(name)
+    rng = np.random.default_rng(8)
+    xs = [pj.ProjPoint(v) for v in space.random_points(rng, 50)]
+    ys = [pj.ProjPoint(v) for v in space.random_points(rng, 50)]
+    d, kinds = pj.projective_distance_batch(
+        space, [space.lift(x) for x in xs], [space.lift(y) for y in ys])
+    scalar = [pj.projective_distance(space, x, y, return_line_type=True) for x, y in zip(xs, ys)]
+    assert np.array([s[0] for s in scalar]).tobytes() == d.tobytes()
+    assert [s[1] for s in scalar] == kinds.tolist()
+
+
 def test_distance_symmetric_vanishing_and_invariant():
     rng = np.random.default_rng(3)
     for name in ("Ell2", "Hyp2", "dS2", "AdS3"):
