@@ -193,8 +193,10 @@ def _body_from_record(record, flavor):
 
 
 def cmd_dualize(args):
-    record = _load_record(args.body, "body")
     grid = args.grid
+    if grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {grid}")
+    record = _load_record(args.body, "body")
     body = _body_from_record(record, args.flavor)
     if args.flavor == "euclidean":
         dirs = du.sphere_grid(grid)

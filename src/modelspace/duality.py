@@ -480,7 +480,7 @@ def body_from_support(sf):
     raise TypeError("expected a sampled support function")
 
 
-def dual_support(sf, block=512):
+def dual_support(sf):
     """Support function of the dual body, from the grid polar formula.
 
     Euclidean: h*(w) = max_v <v, w> / h(v); Minkowski:
@@ -488,15 +488,64 @@ def dual_support(sf, block=512):
     grid directions whenever the maximizing direction lies on the grid
     (e.g. any body of revolution sampled on its own axis grid: balls and
     hyperboloids give B_r -> B_{1/r} and H_r -> H_{1/r} exactly).
+
+    Both are a maximum inner product h*(w) = max_v <w, p_v> over the points
+    p_v = v / h(v) (Euclidean) or G v / -h(v) (Minkowski), answered by
+    branch and bound over cells (the cone-tree bound of Ram & Gray, KDD
+    2012).  The directions are grouped into the voxels of a lattice over
+    their bounding box.  For directions w in cell s and points p in cell t,
+    with centroids and radii (W_s, r_Ws) and (P_t, r_Pt),
+
+        <w, p> <= U[s, t] = <W_s, P_t> + |W_s| r_Pt + r_Ws (|P_t| + r_Pt),
+
+    and each w is a grid direction with its own point, so
+    h*(w) >= <w, p_w> >= L_s, the least own product in cell s.  Cell t is
+    dropped for cell s only when U[s, t] < L_s - 1e-12 max|U|: a dropped
+    point's exact product then lies below the direction's own product by
+    more than the rounding of an n-term dot product, so it can never be the
+    floating-point maximum.  The result equals the all-pairs maximum up to
+    the rounding of the same dot products.
     """
     dirs = sf.dirs
-    # scale the grid by 1/h(v) once, so each block is one product and a max
+    n_dirs, n = dirs.shape
+    if n_dirs == 0:
+        raise ValueError("dual_support needs at least one direction")
     if isinstance(sf, SupportFunctionE):
         cls, right = SupportFunctionE, dirs.T / sf.values
     else:
         cls, right = SupportFunctionMin, bpq(sf.n - 1, 1).matrix @ dirs.T / -sf.values
-    out = np.concatenate([np.max(dirs[i:i + block] @ right, axis=1)
-                          for i in range(0, len(dirs), block)])
+    # the directions fill an (n-1)-dimensional sphere or hyperboloid sheet,
+    # which meets about 4 k^(n-1) of the k^n voxels: about 64 per cell
+    k = max(1, round((n_dirs / 256) ** (1 / max(n - 1, 1))))
+    lo, hi = dirs.min(axis=0), dirs.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    voxel = np.clip(((dirs - lo) / span * k).astype(np.intp), 0, k - 1)
+    key = np.ravel_multi_index(voxel.T, (k,) * n)
+    order = np.argsort(key, kind="stable")
+    W, R = dirs[order], right[:, order]
+    _, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
+    cell = np.repeat(np.arange(len(starts)), counts)
+
+    def centroid_radius(X):
+        c = np.add.reduceat(X, starts) / counts[:, None]
+        return c, np.maximum.reduceat(np.linalg.norm(X - c[cell], axis=1), starts)
+
+    cw, rw = centroid_radius(W)
+    cp, rp = centroid_radius(R.T)
+    low = np.minimum.reduceat(np.einsum("ij,ji->i", W, R), starts)
+    U = (cw @ cp.T + np.linalg.norm(cw, axis=1)[:, None] * rp
+         + rw[:, None] * (np.linalg.norm(cp, axis=1) + rp))
+    # written as "not provably below", so a NaN keeps every cell, as the
+    # all-pairs maximum would
+    keep = ~(U < (low - 1e-12 * np.max(np.abs(U)))[:, None])
+    out = np.empty(n_dirs)
+    for s, (a, b) in enumerate(zip(starts, starts + counts)):
+        cols = R[:, keep[s][cell]]
+        # blocks of about 2^17 products, whose 1 MiB output stays in cache
+        rows = max(1, 2**17 // cols.shape[1])
+        for i in range(a, b, rows):
+            j = min(i + rows, b)
+            out[order[i:j]] = np.max(W[i:j] @ cols, axis=1)
     return cls(dirs, out, grid_shape=sf.grid_shape)
 
 

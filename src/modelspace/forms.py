@@ -83,7 +83,9 @@ class BilinearForm:
 
 
 def _signature(matrix):
-    eigvals = np.linalg.eigvalsh(matrix)
+    diag = np.diagonal(matrix)
+    # a diagonal matrix's eigenvalues are its diagonal entries
+    eigvals = diag if np.array_equal(matrix, np.diag(diag)) else np.linalg.eigvalsh(matrix)
     radius = np.max(np.abs(eigvals)) if matrix.size else 0.0
     tol = SIGNATURE_ZERO_RTOL * radius if radius > 0 else SIGNATURE_ZERO_RTOL
     p = int(np.sum(eigvals > tol))

@@ -332,10 +332,15 @@ def _sign_fix(vec):
 
 
 def line_through(x, y):
-    """The projective line through two distinct points."""
-    if x.same_point(y):
-        raise ValueError("coincident points do not span a line")
-    return ProjLine(x.rep, y.rep)
+    """The projective line through two distinct points.
+
+    Refused only when ``ProjLine``'s independence test fails: two points
+    that ``same_point`` calls equal may still span a line.
+    """
+    try:
+        return ProjLine(x.rep, y.rep)
+    except ValueError:
+        raise ValueError("coincident points do not span a line") from None
 
 
 def _gram(form, X, Y):

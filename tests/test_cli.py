@@ -35,6 +35,15 @@ def test_classify_line(capsys):
     code, out, _ = run_cli(
         ["classify-line", "--space", "dS2", "--x", "[1,0,0]", "--y", "[0,1,0]"], capsys)
     assert code == 0 and out.splitlines()[0] == "elliptic"
+    # 1e-5 apart: inside same_point's tolerance, but the line is well defined
+    near = ["--space", "Ell2", "--x", "[1,0,0]", "--y", "[0.99999999995,0.00001,0]"]
+    code, out, _ = run_cli(["classify-line"] + near, capsys)
+    assert code == 0 and out.splitlines()[0] == "elliptic"
+    code, out, _ = run_cli(["distance"] + near, capsys)
+    assert code == 0 and out.splitlines()[1] == "elliptic"
+    code, _, err = run_cli(
+        ["classify-line", "--space", "Ell2", "--x", "[1,0,0]", "--y", "[1,0,0]"], capsys)
+    assert code == 2 and "coincident points do not span a line" in err
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -129,15 +138,21 @@ def test_json_output_is_strict_for_nan_residuals(tmp_path, capsys):
 def test_json_and_csv_are_byte_identical(tmp_path, capsys):
     path = _write(tmp_path, "path.json", {"base": [0, 0, 0, 1], "velocity": [0.7, 0, 0, 0.2]})
     transition = ["transition", "--family", "point", "--space", "Ell3", "--path", path]
+    ball = _write(tmp_path, "ball.json", {"kind": "ball", "radius": 1.7})
+    hyperboloid = _write(tmp_path, "hyperboloid.json", {"kind": "hyperboloid", "radius": 1.7})
     for args in (["check-surface", "--space", "coEuc3", "--grid", "17", "--emit", "json"],
                  ["dual-surface", "--space", "coMin3", "--grid", "17", "--emit", "json"],
+                 ["dualize", "--flavor", "euclidean", "--body", ball, "--emit", "json"],
+                 ["dualize", "--flavor", "minkowski", "--body", hyperboloid, "--emit", "json"],
                  transition + ["--emit", "json"],
                  transition + ["--emit", "csv"]):
         code1, out1, _ = run_cli(args, capsys)
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0 and out1 == out2
-        if args[0] != "transition":
+        if args[0].endswith("surface"):
             assert json.loads(out1)["gauss_residual"] > 0
+        if args[0] == "dualize":
+            assert len(json.loads(out1)["support"]) == 64 * 64
     assert len(out1.splitlines()) == 11
 
 
@@ -243,7 +258,8 @@ def _write(tmp_path, name, record):
                                   "sphere-in-coEuc3", "hyperboloid-in-Euc3",
                                   "patch-without-kind", "fields-not-a-list",
                                   "random-negative", "random-2", "c0-of-length-3",
-                                  "c1-of-2x2", "nan-coefficient"])
+                                  "c1-of-2x2", "nan-coefficient", "dualize-grid-0",
+                                  "dualize-grid-negative"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
@@ -275,6 +291,11 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
         "c1-of-2x2": fields + [_write(tmp_path, "f5.json", {"fields": [{"c1": [[1, 0], [0, 1]]}] * 3})],
         "nan-coefficient": fields + [_write(
             tmp_path, "f6.json", {"fields": [{"c0": [float("nan"), 0, 0, 0]}] * 3})],
+        "dualize-grid-0": ["dualize", "--flavor", "euclidean", "--grid", "0", "--body", _write(
+            tmp_path, "c.json", {"vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                                              for z in (-1, 1)]})],
+        "dualize-grid-negative": ["dualize", "--flavor", "minkowski", "--grid", "-3", "--body",
+                                  _write(tmp_path, "h.json", {"kind": "hyperboloid", "radius": 2})],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -288,7 +309,9 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "random-2": "'random' must be an integer >= 3, not 2",
                 "c0-of-length-3": "field 'c0' has shape (3,), expected (4,)",
                 "c1-of-2x2": "field 'c1' has shape (2, 2), expected (4, 4)",
-                "nan-coefficient": "field 'c0' must hold finite numbers"}
+                "nan-coefficient": "field 'c0' must hold finite numbers",
+                "dualize-grid-0": "--grid must be at least 1, got 0",
+                "dualize-grid-negative": "--grid must be at least 1, got -3"}
     assert expected.get(case, "") in err
 
 

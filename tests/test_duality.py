@@ -176,6 +176,61 @@ def test_ball_and_hyperboloid_duals_exact():
     assert np.max(np.abs(du.dual_support(sm).values + 0.5)) < 1e-12
 
 
+def _polar_case(name):
+    rng = np.random.default_rng(7)
+    if name == "polytope-48":
+        return du.support_from_body(du.EuclideanBody(rng.standard_normal((40, 3))), grid=48)
+    if name.startswith("ball-"):
+        r = float(name.split("-")[1])
+        grid = du.sphere_grid(64)
+        return du.SupportFunctionE(grid, np.full(len(grid), r), grid_shape=(64, 64))
+    if name.startswith("hyperboloid-"):
+        r = float(name.split("-")[1])
+        grid = du.hyperboloid_grid(64)
+        return du.SupportFunctionMin(grid, np.full(len(grid), -r), grid_shape=(64, 64))
+    if name == "minkowski-body":
+        rho, phi = rng.uniform(0, 1, 8), rng.uniform(0, 2 * np.pi, 8)
+        verts = np.stack([np.sinh(rho) * np.cos(phi), np.sinh(rho) * np.sin(phi),
+                          np.cosh(rho)], axis=1) * rng.uniform(1, 2, (8, 1))
+        return du.support_from_body(du.MinkowskiBody(verts), grid=48)
+    if name == "minkowski-flat-polar":
+        # one vertex x0: every polar point G v / -b(x0, v) lies on the plane x0 . p = -1
+        return du.support_from_body(du.MinkowskiBody([[0.2, -0.1, 1.5]]), grid=48)
+    if name == "circle-1024":
+        return du.support_from_body(du.EuclideanBody(rng.standard_normal((9, 2))), grid=1024)
+    if name == "rapidity-512":
+        verts = np.array([[0.0, 1.0], [0.5, 1.4], [-0.3, 1.2]])
+        return du.support_from_body(du.MinkowskiBody(verts), grid=512)
+    if name == "random-500":
+        dirs = rng.standard_normal((500, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return du.support_from_body(du.EuclideanBody(rng.standard_normal((30, 3))), dirs=dirs)
+    size = int(name.split("-")[1])
+    dirs = du.sphere_grid(2)[:size]
+    return du.SupportFunctionE(dirs, rng.uniform(0.5, 2.0, size))
+
+
+@pytest.mark.parametrize("name", ["polytope-48", "ball-0.5", "ball-1", "ball-3.7",
+                                  "hyperboloid-0.5", "hyperboloid-1", "hyperboloid-3.7",
+                                  "minkowski-body", "minkowski-flat-polar", "circle-1024",
+                                  "rapidity-512", "random-500", "grid-1", "grid-4"])
+def test_pruned_polar_matches_all_pairs(name):
+    sf = _polar_case(name)
+    if isinstance(sf, du.SupportFunctionE):
+        right = sf.dirs.T / sf.values
+    else:
+        right = forms.bpq(sf.n - 1, 1).matrix @ sf.dirs.T / -sf.values
+    ref = np.max(sf.dirs @ right, axis=1)
+    dual = du.dual_support(sf)
+    assert type(dual) is type(sf) and dual.grid_shape == sf.grid_shape
+    assert np.max(np.abs(dual.values - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_dual_support_needs_a_direction():
+    with pytest.raises(ValueError, match="at least one direction"):
+        du.dual_support(du.SupportFunctionE(np.empty((0, 3)), np.empty(0)))
+
+
 def test_body_from_support_round_trips():
     dirs = du.sphere_grid(12)
     A = np.diag([1.0, 2.0, 1.5])

@@ -91,6 +91,30 @@ def test_signature_congruence_invariance():
             assert forms.BilinearForm(m.T @ b.matrix @ m).signature == sig
 
 
+def _eigvalsh_signature(matrix):
+    eig = np.linalg.eigvalsh(matrix)
+    radius = np.max(np.abs(eig)) if matrix.size else 0.0
+    tol = forms.SIGNATURE_ZERO_RTOL * radius if radius > 0 else forms.SIGNATURE_ZERO_RTOL
+    return (int(np.sum(eig > tol)), int(np.sum(eig < -tol)), int(np.sum(np.abs(eig) <= tol)))
+
+
+def test_diagonal_signatures_match_eigvalsh():
+    rng = np.random.default_rng(3)
+    rtol = forms.SIGNATURE_ZERO_RTOL
+    # zeros, tiny entries and entries just either side of the zero threshold
+    special = [0.0, 1e-300, 1e-12, rtol * 0.999, rtol * 1.001, 1.0]
+    for _ in range(300):
+        dim = int(rng.integers(0, 6))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        entries = np.where(rng.random(dim) < 0.5, rng.choice(special, dim),
+                           rng.uniform(0.1, 2.0, dim)) * rng.choice([-1.0, 1.0], dim) * scale
+        diagonal = np.diag(entries)
+        mixed = rng.standard_normal((dim, dim))
+        for matrix in (diagonal, mixed @ diagonal @ mixed.T):
+            assert forms._signature(matrix) == _eigvalsh_signature(matrix)
+    assert forms.bpq(2, 1, 1).signature == (2, 1, 1)
+
+
 def test_random_isometry_preserves_form():
     rng = np.random.default_rng(2)
     for b in (forms.bpq(3, 1), forms.bpq(2, 2), forms.co_euclidean_form(3),
