@@ -27,7 +27,7 @@ for a in (0.5, 3.0):
 print("\n== blowing up a point of the sphere gives the Euclidean plane ==")
 fam = tr.blow_up_point(3)
 a = 0.7
-path = tr.PointPath(lambda t: np.array([np.sin(a * t), 0.0, np.cos(a * t)]))
+path = tr.PointPath(lambda t: np.stack([np.sin(a * t), np.zeros_like(t), np.cos(a * t)], -1))
 print(f"  path leaving (0,0,1) at speed {a}: limit {tr.rescaled_point_limit(path, fam)}")
 print(f"  expected chart point {ProjPoint([a, 0, 1.0])}")
 
@@ -62,8 +62,9 @@ for name, kind in [("Ell3", "point"), ("dS3", "point"), ("Hyp3", "plane")]:
     v, w = rng.standard_normal((2, 4))
 
     def x(t):
+        t = np.asarray(t)[..., None]
         y = x0 + t * v + 0.5 * t * t * w
-        return y / np.sqrt(abs(float(space.form.quad(y))))
+        return y / np.sqrt(np.abs(space.form.quad(y)))[..., None]
 
     gap = tr.duality_transition_check(tr.PointPath(x), family, space.form)
     print(f"  {name} ({kind}): limit-of-duals vs dual-of-limit gap {gap:.2e}")

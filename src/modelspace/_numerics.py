@@ -37,22 +37,15 @@ def richardson(values, ratio=2.0, return_error=False):
     return (best, err) if return_error else best
 
 
-def central_difference(f, t0=0.0, order=1, base_step=1e-3, levels=4):
+def central_difference(f, t0=0.0, base_step=1e-3, levels=4):
     """Derivative of f at t0 by central differences + Richardson in h^2.
 
-    ``f`` may return arrays.  ``order`` 1 or 2.
+    ``f`` maps a t-array of shape (T,) to values of shape (T, ...); it is
+    called once, on the stencil t0 +- h_k with h_k = base_step / 2^k.
     """
-    vals = []
-    for k in range(levels):
-        h = base_step / 2.0 ** k
-        if order == 1:
-            vals.append((np.asarray(f(t0 + h)) - np.asarray(f(t0 - h))) / (2 * h))
-        else:
-            vals.append(
-                (np.asarray(f(t0 + h)) - 2 * np.asarray(f(t0)) + np.asarray(f(t0 - h)))
-                / h**2
-            )
+    h = base_step / 2.0 ** np.arange(levels)
+    plus, minus = np.split(np.asarray(f(t0 + np.concatenate([h, -h]))), 2)
     # the error expansion is in h^2: one elimination level per halving is
     # ratio 4 in the richardson table
-    return richardson(vals, ratio=4.0)
-
+    return richardson((plus - minus) / (2 * h.reshape((levels,) + (1,) * (plus.ndim - 1))),
+                      ratio=4.0)

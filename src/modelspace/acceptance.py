@@ -146,17 +146,17 @@ def criterion_4_three_d_transition(seed=0):
     for name, kind in cases:
         space = pj.model_space(name)
         fam = tr.transition_family(name, kind)
-        for _ in range(25):
-            x0 = _fixed_locus_point(space, fam, rng)
-            v = rng.standard_normal(space.dim)
-            w = rng.standard_normal(space.dim)
+        # per path, in the stream's order: x0, then v, then w
+        x0, v, w = np.stack([(_fixed_locus_point(space, fam, rng), rng.standard_normal(space.dim),
+                              rng.standard_normal(space.dim)) for _ in range(25)], axis=1)
 
-            def x_path(t, x0=x0, v=v, w=w, space=space):
-                y = x0 + t * v + 0.5 * t * t * w
-                return y / np.sqrt(abs(float(space.form.quad(y))))
+        def x_path(t):
+            t = np.asarray(t)[..., None, None]
+            y = x0 + t * v + 0.5 * t * t * w
+            return y / np.sqrt(np.abs(space.form.quad(y)))[..., None]
 
-            gap = tr.duality_transition_check(tr.PointPath(x_path), fam, space.form)
-            worst_gap = np.maximum(worst_gap, gap)
+        gaps = tr.duality_transition_check(tr.PointPath(x_path), fam, space.form)
+        worst_gap = np.maximum(worst_gap, np.max(gaps))
     passed = failures == 0 and worst_gap < 1e-7
     return _result(
         "4 three-dimensional transitions",

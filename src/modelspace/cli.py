@@ -240,11 +240,12 @@ def _path_from_record(space, record):
     acc = _finite(record.get("acceleration", np.zeros_like(base)), "path acceleration")
 
     def x(t):
+        t = np.asarray(t)[..., None]
         y = base + t * vel + 0.5 * t * t * acc
-        q = float(space.form.quad(y))
-        if not np.isfinite(q) or space.sign * q <= 0:
+        q = space.form.quad(y)
+        if not np.all(np.isfinite(q) & (space.sign * q > 0)):
             raise ValidationError("path leaves the model space or overflows")
-        return y / np.sqrt(abs(q))
+        return y / np.sqrt(np.abs(q))[..., None]
 
     return tr.PointPath(x)
 

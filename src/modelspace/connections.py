@@ -16,8 +16,9 @@ metric that preserves space-like planes and the vertical field T.
 Vector fields are ambient callables; tangency is enforced by projection at
 evaluation points on the locus.  Everything here takes point stacks: a
 field maps an ``(..., d)`` stack of points to an ``(..., d)`` stack of
-vectors, and a transition family ``f(t, x)`` does the same for each t.  A
-single point is a stack of one.  Each derivative is one field call on a
+vectors, and a transition family ``f(t, x)`` does the same with t shaped
+to broadcast against x, so a whole t-schedule is one call.  A single
+point is a stack of one.  Each derivative is one field call on a
 stencil stack, and each residual is the max over its sample points.
 Matrices act on stacks through einsum rather than ``x @ m.T``: einsum
 rounds each row the same way whatever the stack's shape, so a row of a
@@ -224,7 +225,7 @@ def geodesic_residual(conn, curve, ts=None):
     """sup over parameter samples of |nabla_{gamma'} gamma'|."""
     if ts is None:
         ts = np.linspace(0.05, 0.95, 19)
-    return max(float(np.linalg.norm(conn.along_curve(curve, t))) for t in ts)
+    return float(np.max([np.linalg.norm(conn.along_curve(curve, t)) for t in ts]))
 
 
 class VolumeFormEval:
@@ -363,9 +364,12 @@ def holonomy_angle(space, corner_loop, X0):
 
 
 def _base_point_path(src_space, fam, xi):
+    """The source points over a t-array of shape (T,): g_t^-1 eta scaled
+    onto the locus, (T, ..., d) for a target stack eta of shape (..., d)
+    (by default xi)."""
     def x_t(t, eta=None):
         target = xi if eta is None else eta
-        return project_to_locus(src_space, np.einsum("ij,...j->...i", fam.inverse(t), target))
+        return project_to_locus(src_space, np.einsum("tij,...j->t...i", fam.inverse(t), target))
 
     return x_t
 
@@ -375,17 +379,16 @@ def _limit_field(src_space, fam, family_fn, xi, schedule):
 
     family_fn(t, x) is an ambient field on the source for each t; the
     returned callable evaluates lim_t g_t family_fn(t, x_t(eta)) by
-    Richardson extrapolation at each row of a target point stack eta.
+    Richardson extrapolation at each row of a target point stack eta,
+    with one family call over the whole schedule.
     """
     x_t = _base_point_path(src_space, fam, xi)
 
     def hat(eta):
-        seq = []
-        for t in schedule:
-            x = x_t(t, eta)
-            v = tangent_project(src_space, x, np.asarray(family_fn(t, x), float))
-            seq.append(np.einsum("ij,...j->...i", fam.matrix(t), v))
-        return richardson(seq)
+        x = x_t(schedule, eta)
+        t = schedule.reshape((-1,) + (1,) * (x.ndim - 1))
+        v = tangent_project(src_space, x, family_fn(t, x))
+        return richardson(np.einsum("tij,t...j->t...i", fam.matrix(schedule), v))
 
     return hat
 
@@ -395,31 +398,31 @@ def connection_transition_check(src_space, co_space, fam, X_family, Y_family, xi
     """Gap between the rescaled source connection and the co-connection.
 
     X_family, Y_family: (t, (..., d) points) -> (..., d) vectors, smooth
-    families whose t = 0 fields are tangent to the blown-up plane.  Returns
+    families whose t = 0 fields are tangent to the blown-up plane.  The
+    schedule's t reaches a family shaped to broadcast against its points:
+    (T, 1) over the (T, d) base points and their stencils, (T, 1, ..., 1)
+    inside the limit fields.  Returns
     |lim g_t nabla^src_{X_t} Y_t  -  nabla^co_{hatX} hatY| at xi.
     """
-    schedule = DEFAULT_SCHEDULE[:7] if schedule is None else schedule
+    schedule = DEFAULT_SCHEDULE[:7] if schedule is None else np.asarray(schedule, dtype=float)
     xi = np.asarray(xi, dtype=float)
     x_t = _base_point_path(src_space, fam, xi)
-    x0 = x_t(1e-14)
+    x0 = x_t(np.array([1e-14]))[0]
     # the t = 0 fields must be tangent to the blown-up plane, otherwise
     # the pushforward limits diverge
     for fx in (X_family, Y_family):
-        v0 = tangent_project(src_space, x0, np.asarray(fx(0.0, x0), float))
+        v0 = tangent_project(src_space, x0, fx(0.0, x0))
         if abs(v0[fam.axis]) > 1e-6 * (1.0 + np.linalg.norm(v0)):
             raise ValueError("family is not tangent to the blown-up plane at t=0")
-    conn_src = levi_civita(src_space)
-    seq = []
-    for t in schedule:
-        x = x_t(t)
-        Xf = VectorField(src_space, lambda p, t=t: X_family(t, p), warn=False)
-        Yf = VectorField(src_space, lambda p, t=t: Y_family(t, p), warn=False)
-        seq.append(fam.matrix(t) @ conn_src(Xf, Yf, x))
-    lhs = richardson(seq)
-    hatX = _limit_field(src_space, fam, X_family, xi, schedule)
-    hatY = _limit_field(src_space, fam, Y_family, xi, schedule)
-    conn_co = co_connection(co_space)
-    rhs = conn_co(hatX(xi), hatY, xi)
+    t = schedule[:, None]
+    Xf = VectorField(src_space, lambda p: X_family(t, p), warn=False)
+    Yf = VectorField(src_space, lambda p: Y_family(t, p), warn=False)
+    x, gt = x_t(schedule), fam.matrix(schedule)
+    v = Xf(x)
+    lhs = richardson(np.einsum("tij,tj->ti", gt, levi_civita(src_space)(v, Yf, x)))
+    # hatX at xi is the limit of the pushed-forward vectors X_t(x_t) themselves
+    hatX = richardson(np.einsum("tij,tj->ti", gt, v))
+    rhs = co_connection(co_space)(hatX, _limit_field(src_space, fam, Y_family, xi, schedule), xi)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -431,22 +434,13 @@ def volume_transition_check(src_space, co_space, fam, families, xi, schedule=Non
     the family multiplies volumes by det g_t = 1/t, and the limit of the
     rescaled volumes is the degenerate space's parallel volume form.
     """
-    schedule = DEFAULT_SCHEDULE[:7] if schedule is None else schedule
+    schedule = DEFAULT_SCHEDULE[:7] if schedule is None else np.asarray(schedule, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    x_t = _base_point_path(src_space, fam, xi)
-    omega_src = volume_form(src_space)
-    seq = []
-    for t in schedule:
-        x = x_t(t)
-        vals = [
-            tangent_project(src_space, x, np.asarray(f(t, x), float))
-            for f in families
-        ]
-        # det(g_t) ~ 1/t is the volume face of the transverse stretch:
-        # det[g_t N, g_t X, g_t Y, g_t Z] = det(g_t) det[N, X, Y, Z]
-        seq.append(np.linalg.det(fam.matrix(t)) * omega_src(x, *vals))
-    lhs = richardson(np.array(seq))
-    hats = [_limit_field(src_space, fam, f, xi, schedule) for f in families]
-    omega_co = volume_form(co_space)
-    rhs = omega_co(xi, *[h(xi) for h in hats])
+    x, gt = _base_point_path(src_space, fam, xi)(schedule), fam.matrix(schedule)
+    vals = [tangent_project(src_space, x, f(schedule[:, None], x)) for f in families]
+    # det(g_t) ~ 1/t is the volume face of the transverse stretch:
+    # det[g_t N, g_t X, g_t Y, g_t Z] = det(g_t) det[N, X, Y, Z]
+    lhs = richardson(np.linalg.det(gt) * volume_form(src_space)(x, *vals))
+    # the limit fields at xi are the limits of the same pushed-forward vectors
+    rhs = volume_form(co_space)(xi, *(richardson(np.einsum("tij,tj->ti", gt, v)) for v in vals))
     return abs(float(lhs) - rhs)

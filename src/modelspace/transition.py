@@ -78,26 +78,21 @@ class RescalingFamily:
         return m if self.perm is None else m @ self.perm.T
 
     def base_condition(self, x0, tol=1e-9):
-        """Whether g_t x(t) can converge: x(0) on the fixed locus."""
+        """Whether g_t x(t) can converge: x(0) on the fixed locus, row by row."""
         x0 = np.asarray(x0, dtype=float)
-        scale = np.linalg.norm(x0)
+        scale = np.linalg.norm(x0, axis=-1)
         if self.kind == "blow_up_point":
-            off = np.delete(x0, self.axis)
-            return np.linalg.norm(off) <= tol * scale
-        return abs(x0[self.axis]) <= tol * scale
+            return np.linalg.norm(np.delete(x0, self.axis, axis=-1), axis=-1) <= tol * scale
+        return np.abs(x0[..., self.axis]) <= tol * scale
 
     def assemble_limit(self, x0, dx0):
-        """Limit of g_t x(t) from x(0) and x'(0): fixed-slot coordinates
-        stay, stretched slots pick up the first derivative."""
+        """Limit of g_t x(t) from x(0) and x'(0), row by row: fixed-slot
+        coordinates stay, stretched slots pick up the first derivative."""
         x0 = np.asarray(x0, dtype=float)
         dx0 = np.asarray(dx0, dtype=float)
-        out = dx0.copy()
-        if self.kind == "blow_up_point":
-            out[self.axis] = x0[self.axis]
-        else:
-            out = x0.copy()
-            out[self.axis] = dx0[self.axis]
-        return out if self.perm is None else self.perm @ out
+        out, at_axis = (x0.copy(), dx0) if self.kind == "blow_up_hyperplane" else (dx0.copy(), x0)
+        out[..., self.axis] = at_axis[..., self.axis]
+        return out if self.perm is None else np.einsum("ij,...j->...i", self.perm, out)
 
 
 def blow_up_point(dim, axis=None, perm=None):
@@ -134,16 +129,17 @@ def dual_family(fam, form):
     """The compatible family on the dual side: b(g_t x, g*_t y) ~ b(x, y).
 
     Returns the matrix-valued callable t -> G^-1 g_t^-T G, projectively
-    rescaled so the largest diagonal entry is 1 at t = 1.
+    rescaled so the largest diagonal entry is 1 at t = 1; a t-array of
+    shape (T,) gives (T, d, d), each matrix rescaled on its own.
     """
     g = form.matrix
     ginv = np.linalg.inv(g)
 
     def normalized(t):
-        m = ginv @ np.linalg.inv(fam.matrix(t)).T @ g
-        scale = np.max(np.abs(m))
-        smallest = np.min(np.abs(m[np.abs(m) > 1e-14 * scale]))
-        return m / smallest
+        m = ginv @ np.swapaxes(fam.inverse(t), -1, -2) @ g
+        mag = np.abs(m)
+        big = mag.max(axis=(-2, -1), keepdims=True)
+        return m / np.where(mag > 1e-14 * big, mag, np.inf).min(axis=(-2, -1), keepdims=True)
 
     return normalized
 
@@ -151,9 +147,11 @@ def dual_family(fam, form):
 class PointPath:
     """A differentiable path t -> x(t) in a space's ambient cone.
 
-    ``evaluator`` must be defined in a neighborhood of t = 0 (central
-    differences probe both sides); ``derivative`` is optional and, when
-    given, used instead of numerical differentiation.
+    ``evaluator`` maps a t-array of shape (T,) to points (T, ..., d) and a
+    scalar t to (..., d), so one PointPath may hold a stack of paths.  It
+    must be defined in a neighborhood of t = 0 (central differences probe
+    both sides); ``derivative`` is optional and, when given, used at t = 0
+    instead of numerical differentiation.
     """
 
     def __init__(self, evaluator, derivative=None):
@@ -164,32 +162,43 @@ class PointPath:
         return np.asarray(self.evaluator(t), dtype=float)
 
 
-def rescaled_point_limit(path, fam):
-    """lim g_t x(t): zeroth order on the fixed locus, first order across.
+def _unit(v):
+    """The rows of a (..., d) stack scaled to unit length.  np.vecdot rounds
+    each row as the 1-d np.linalg.norm does, whatever the stack's shape."""
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
 
-    Raises when the base condition x(0) on-the-fixed-locus fails (the
-    limit diverges in that case).
-    """
+
+def _point_limit(path, fam):
+    """lim g_t x(t), unnormalized, for each path of a stack: (..., d)."""
     x0 = path(0.0)
-    if not fam.base_condition(x0):
+    if not np.all(fam.base_condition(x0)):
         raise ValueError("path violates the base condition; limit diverges")
     if path.derivative is not None:
         dx0 = np.asarray(path.derivative(0.0), dtype=float)
     else:
-        dx0 = central_difference(path, 0.0, order=1)
-    return ProjPoint(fam.assemble_limit(x0, dx0))
+        dx0 = central_difference(path, 0.0)
+    return fam.assemble_limit(x0, dx0)
+
+
+def rescaled_point_limit(path, fam):
+    """lim g_t x(t) of one path: zeroth order on the fixed locus, first
+    order across.
+
+    Raises when the base condition x(0) on-the-fixed-locus fails (the
+    limit diverges in that case).
+    """
+    return ProjPoint(_point_limit(path, fam))
 
 
 def rescaled_point_images(path, fam, schedule=DEFAULT_SCHEDULE):
-    """The normalized images g_t x(t) / |g_t x(t)| over the schedule, (T, d)."""
-    images = [fam.matrix(t) @ path(t) for t in schedule]
-    return np.array([v / np.linalg.norm(v) for v in images])
+    """The normalized images g_t x(t) / |g_t x(t)| over the schedule, (T, ..., d)."""
+    return _unit(np.einsum("tij,t...j->t...i", fam.matrix(schedule), path(schedule)))
 
 
 def _signed_like_first(rows):
-    """The rows of a (T, d) stack, each negated if it points away from the first."""
-    rows = np.asarray(rows)
-    return np.where((rows @ rows[0] < 0)[:, None], -rows, rows)
+    """The rows of a (T, ..., d) stack, each negated if it points away
+    from the same path's row at the first t."""
+    return np.where((np.vecdot(rows, rows[0]) < 0)[..., None], -rows, rows)
 
 
 def rescaled_point_limit_sequence(path, fam, schedule=DEFAULT_SCHEDULE):
@@ -265,20 +274,19 @@ def duality_transition_check(path, fam, form, schedule=DEFAULT_SCHEDULE):
     Side A assembles the limit of g_t x(t) from derivatives and dualizes
     it (the dual hyperplane's Euclidean normal is G x).  Side B pushes the
     dual hyperplanes x(t)* through the compatible dual family and
-    extrapolates their normals.  Returns the angular gap between the two;
-    the commuting-diagram property makes it vanish.
+    extrapolates their normals.  Returns the angular gap between the two,
+    a float for one path and an array over a stack of paths; the
+    commuting-diagram property makes it vanish.
     """
-    limit_a = rescaled_point_limit(path, fam)
-    side_a = form.matrix @ limit_a.rep
-    side_a = side_a / np.linalg.norm(side_a)
-    gdual = dual_family(fam, form)
-    seq = []
-    for t in schedule:
-        w = np.linalg.inv(gdual(t)).T @ (form.matrix @ path(t))
-        seq.append(w / np.linalg.norm(w))
-    side_b, _ = richardson(_signed_like_first(seq), return_error=True)
-    side_b = side_b / np.linalg.norm(side_b)
-    return 1.0 - abs(float(np.dot(side_a, side_b)))
+    g = form.matrix
+    side_a = _unit(np.einsum("ij,...j->...i", g, _unit(_point_limit(path, fam))))
+    # x(t)*'s normal G x(t) moves by the dual family's inverse transpose
+    dual_inv = np.linalg.inv(dual_family(fam, form)(schedule))
+    gx = np.einsum("ij,t...j->t...i", g, path(schedule))
+    normals = _unit(np.einsum("tji,t...j->t...i", dual_inv, gx))
+    side_b = _unit(richardson(_signed_like_first(normals)))
+    gap = 1.0 - np.abs(np.vecdot(side_a, side_b))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def stabilizer_isometry(form, fam, draw, scale=0.5):

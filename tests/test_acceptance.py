@@ -84,6 +84,10 @@ NAN_CASES = {
                     [(tr, "duality_transition_check", lambda gap: NAN),
                      (tr, "conjugate_limit", lambda out: (out[0] * NAN, out[1]))],
                     ["125/1000 pattern failures", "diagram gap nan"]),
+    "criterion-6": (ac.criterion_6_connection_transition,
+                    [(cn, "connection_transition_check", lambda gap: NAN),
+                     (cn, "volume_transition_check", lambda gap: NAN)],
+                    ["connection gap nan", "volume gap nan"]),
     "criterion-7": (ac.criterion_7_pogorelov,
                     [(pg, "killing_residual", lambda res: NAN)],
                     ["image nan"]),

@@ -100,6 +100,13 @@ def test_transition_command(tmp_path, capsys):
         ["transition", "--family", "point", "--space", "Ell3", "--path", str(bad)],
         capsys)
     assert code == 2
+    # a Hyp3 path that turns light-like only at the schedule's first t = 2^-3
+    light = tmp_path / "light_path.json"
+    light.write_text(json.dumps({"base": [0, 0, 0, 1], "velocity": [8, 0, 0, 0]}))
+    code, out, err = run_cli(
+        ["transition", "--family", "point", "--space", "Hyp3", "--path", str(light)], capsys)
+    assert code == 2 and out == ""
+    assert "path leaves the model space or overflows" in err
 
 
 def test_check_connection_and_tolerance(capsys):

@@ -5,7 +5,8 @@ from modelspace import acceptance as ac
 from modelspace import cli
 from modelspace import connections as cn
 from modelspace import transition as tr
-from modelspace.projective import model_space
+from modelspace._numerics import DEFAULT_SCHEDULE, richardson
+from modelspace.projective import model_space, transitions
 
 
 def test_ambient_derivative_examples():
@@ -43,6 +44,17 @@ def test_geodesics_nondegenerate():
     latitude = lambda t: np.array(
         [np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7), np.sin(0.7), 0.0])
     assert cn.geodesic_residual(conn, latitude) > 1e-2
+
+
+def test_geodesic_residual_keeps_a_nan_sample():
+    # a circle that is NaN only near t = 0.5: Python's max kept the clean value
+    cc = cn.co_connection(model_space("coEuc3"))
+
+    def circle(t):
+        return np.array([np.cos(t), np.sin(t), 0.0, 0.0]) * (np.nan if abs(t - 0.5) < 0.01 else 1.0)
+
+    assert cn.geodesic_residual(cc, lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])) < 1e-6
+    assert np.isnan(cn.geodesic_residual(cc, circle))
 
 
 def test_nondegenerate_levi_civita_axioms():
@@ -182,6 +194,69 @@ def test_transition_of_connection_and_volume():
     fam = tr.transition_family("Ell3", "plane")
     xi = cosp.sample_points(rng, 1, radius=0.8)[0]
     assert cn.volume_transition_check(src, cosp, fam, [zero, zero, zero], xi) < 1e-12
+
+
+def _per_t_transition_gaps(src, cosp, fam, X, Y, Z, xi, schedule=DEFAULT_SCHEDULE[:7]):
+    """The connection and volume gaps one t at a time, each family called
+    with a scalar t."""
+    def x_t(t, eta):
+        return cn.project_to_locus(src, np.einsum("ij,...j->...i", fam.inverse(t), eta))
+
+    def hat(f):
+        def field(eta):
+            return richardson([np.einsum("ij,...j->...i", fam.matrix(t),
+                                         cn.tangent_project(src, x_t(t, eta), f(t, x_t(t, eta))))
+                               for t in schedule])
+        return field
+
+    conn_seq, vol_seq = [], []
+    for t in schedule:
+        x = x_t(t, xi)
+        Xf = cn.VectorField(src, lambda p, t=t: X(t, p), warn=False)
+        Yf = cn.VectorField(src, lambda p, t=t: Y(t, p), warn=False)
+        conn_seq.append(fam.matrix(t) @ cn.levi_civita(src)(Xf, Yf, x))
+        vals = [cn.tangent_project(src, x, f(t, x)) for f in (X, Y, Z)]
+        vol_seq.append(np.linalg.det(fam.matrix(t)) * cn.volume_form(src)(x, *vals))
+    rhs = cn.co_connection(cosp)(hat(X)(xi), hat(Y), xi)
+    conn_gap = float(np.linalg.norm(richardson(conn_seq) - rhs))
+    vol_rhs = cn.volume_form(cosp)(xi, *(hat(f)(xi) for f in (X, Y, Z)))
+    return conn_gap, abs(float(richardson(np.array(vol_seq))) - vol_rhs)
+
+
+def test_transition_checks_match_a_per_t_loop():
+    # criterion 6's draw at seed 0, bit for bit
+    rng = np.random.default_rng(0)
+    for src_name, co_name in transitions("plane", 3):
+        src, cosp = model_space(src_name), model_space(co_name)
+        fam = tr.transition_family(src_name, "plane")
+        for _ in range(20):
+            xi = cosp.sample_points(rng, 1, radius=0.8)[0]
+            X, Y, Z = (ac._field_family(rng, fam.axis) for _ in range(3))
+            got = (cn.connection_transition_check(src, cosp, fam, X, Y, xi),
+                   cn.volume_transition_check(src, cosp, fam, [X, Y, Z], xi))
+            expected = _per_t_transition_gaps(src, cosp, fam, X, Y, Z, xi)
+            assert np.array_equal(np.array(got).view(np.uint64),
+                                  np.array(expected).view(np.uint64)), (src_name, got, expected)
+
+
+def test_transition_families_see_t_shaped_like_their_points():
+    src, cosp = model_space("Ell3"), model_space("coEuc3")
+    fam = tr.transition_family("Ell3", "plane")
+    xi = cosp.sample_points(np.random.default_rng(4), 1, radius=0.8)[0]
+    shapes = set()
+
+    def family(t, x):
+        shapes.add((np.shape(t), x.shape))
+        return np.broadcast_to(np.array([0.3, -0.2, 0.1, 0.0]), x.shape) + 0.0 * t
+
+    cn.connection_transition_check(src, cosp, fam, family, family, xi)
+    # the t = 0 tangency guard, the (T, d) base points, their derivative
+    # stencil, and the limit fields' stencil at xi
+    assert shapes == {((), (4,)), ((7, 1), (7, 4)), ((7, 1), (2, 3, 7, 4)),
+                      ((7, 1, 1, 1), (7, 2, 3, 4))}
+    shapes.clear()
+    cn.volume_transition_check(src, cosp, fam, [family] * 3, xi)
+    assert shapes == {((7, 1), (7, 4))}
 
 
 def test_transition_tangency_guard():

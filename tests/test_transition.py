@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from modelspace import acceptance as ac
 from modelspace import forms
 from modelspace import projective as pj
 from modelspace import transition as tr
-from modelspace._numerics import DEFAULT_SCHEDULE, richardson
+from modelspace._numerics import DEFAULT_SCHEDULE, central_difference, richardson
 
 
 def test_family_invariants():
@@ -33,13 +34,13 @@ def test_one_d_toy_model():
 def test_rescaled_point_limit_examples():
     fam = tr.blow_up_point(3)
     a = 0.7
-    path = tr.PointPath(lambda t: np.array([np.sin(a * t), 0.0, np.cos(a * t)]))
+    path = tr.PointPath(lambda t: np.stack([np.sin(a * t), np.zeros_like(t), np.cos(a * t)], -1))
     limit = tr.rescaled_point_limit(path, fam)
     assert limit == pj.ProjPoint([a, 0.0, 1.0])
     # constant path at the fixed point: the affine origin of the chart
-    const = tr.PointPath(lambda t: np.array([0.0, 0.0, 1.0]))
+    const = tr.PointPath(lambda t: np.broadcast_to([0.0, 0.0, 1.0], np.shape(t) + (3,)))
     assert tr.rescaled_point_limit(const, fam) == pj.ProjPoint([0, 0, 1.0])
-    bad = tr.PointPath(lambda t: np.array([0.5, 0.0, np.sqrt(0.75)]))
+    bad = tr.PointPath(lambda t: np.broadcast_to([0.5, 0.0, np.sqrt(0.75)], np.shape(t) + (3,)))
     with pytest.raises(ValueError):
         tr.rescaled_point_limit(bad, fam)
 
@@ -53,8 +54,9 @@ def test_sequence_route_agrees():
         w = rng.standard_normal(4)
 
         def x(t):
+            t = np.asarray(t)[..., None]
             y = np.array([0.0, 0, 0, 1.0]) + t * v * np.array([1, 1, 1, 0]) + 0.5 * t * t * w
-            return y / np.linalg.norm(y)
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
         path = tr.PointPath(x)
         lim_a = tr.rescaled_point_limit(path, fam)
@@ -204,8 +206,9 @@ def test_duality_transition_diagrams():
             v, w = rng.standard_normal((2, 4))
 
             def x(t, x0=x0, v=v, w=w):
+                t = np.asarray(t)[..., None]
                 y = x0 + t * v + 0.5 * t * t * w
-                return y / np.sqrt(abs(float(space.form.quad(y))))
+                return y / np.sqrt(np.abs(space.form.quad(y)))[..., None]
 
             gap = tr.duality_transition_check(tr.PointPath(x), fam, space.form)
             assert gap < 1e-7
@@ -221,3 +224,86 @@ def test_dual_family_structure():
         ratio = gd(t)[mask] / expected.matrix(t)[mask]
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12
         assert np.max(np.abs(gd(t)[~mask])) < 1e-12
+
+
+def _quadratic_paths(space, fam, rng, count):
+    """``count`` paths x0 + t v + t^2 w / 2 on the space, x0 on the fixed
+    locus, as the (count, d) base points and coefficients."""
+    x0 = np.array([ac._fixed_locus_point(space, fam, rng) for _ in range(count)])
+    v, w = rng.standard_normal((2, count, space.dim))
+    return x0, v, w
+
+
+def _quadratic_path(space, x0, v, w):
+    def x(t):
+        t = np.asarray(t).reshape(np.shape(t) + (1,) * x0.ndim)
+        y = x0 + t * v + 0.5 * t * t * w
+        return y / np.sqrt(np.abs(space.form.quad(y)))[..., None]
+
+    return tr.PointPath(x)
+
+
+def _reference_duality_gap(x, fam, form):
+    """duality_transition_check one t at a time for one scalar path x(t),
+    with 1-d norms and dots and the dual family from np.linalg.inv."""
+    g = form.matrix
+    h = [1e-3 / 2.0 ** k for k in range(4)]
+    dx0 = richardson([(x(hk) - x(-hk)) / (2 * hk) for hk in h], ratio=4.0)
+    side_a = g @ pj.ProjPoint(fam.assemble_limit(x(0.0), dx0)).rep
+    side_a = side_a / np.linalg.norm(side_a)
+    seq = []
+    for t in DEFAULT_SCHEDULE:
+        gd = np.linalg.inv(g) @ np.linalg.inv(fam.matrix(t)).T @ g
+        gd = gd / np.min(np.abs(gd[np.abs(gd) > 1e-14 * np.max(np.abs(gd))]))
+        w = np.linalg.inv(gd).T @ (g @ x(t))
+        w = w / np.linalg.norm(w)
+        seq.append(-w if seq and np.dot(w, seq[0]) < 0 else w)
+    side_b = richardson(seq)
+    return 1.0 - abs(float(np.dot(side_a, side_b / np.linalg.norm(side_b))))
+
+
+@pytest.mark.parametrize("name,kind", [("Ell3", "point"), ("Ell3", "plane"), ("dS3", "point"),
+                                       ("Hyp3", "plane"), ("AdS3", "point")])
+def test_stacked_duality_check_matches_single_paths(name, kind):
+    space = pj.model_space(name)
+    fam = tr.transition_family(name, kind)
+    x0, v, w = _quadratic_paths(space, fam, np.random.default_rng(8), 25)
+    gaps = tr.duality_transition_check(_quadratic_path(space, x0, v, w), fam, space.form)
+    singles = [tr.duality_transition_check(_quadratic_path(space, *row), fam, space.form)
+               for row in zip(x0, v, w)]
+    reference = [_reference_duality_gap(_quadratic_path(space, *row), fam, space.form)
+                 for row in zip(x0, v, w)]
+    assert gaps.shape == (25,) and all(type(g) is float for g in singles)
+    assert np.array_equal(gaps.view(np.uint64), np.array(singles).view(np.uint64))
+    assert np.array_equal(gaps.view(np.uint64), np.array(reference).view(np.uint64))
+    assert np.max(gaps) < 1e-7
+
+
+@pytest.mark.parametrize("name,kind", [("Ell3", "point"), ("Hyp3", "plane"), ("dS3", "point"),
+                                       ("AdS2", "plane")])
+def test_dual_family_of_a_t_array_matches_each_t(name, kind):
+    space = pj.model_space(name)
+    fam = tr.transition_family(name, kind)
+    gd = tr.dual_family(fam, space.form)
+    ts = np.concatenate([DEFAULT_SCHEDULE, [1.0, 0.3]])
+    stack = gd(ts)
+    assert stack.shape == (len(ts), space.dim, space.dim)
+    assert np.array_equal(stack, [gd(t) for t in ts])
+
+
+def test_one_call_central_difference_matches_per_level_differences():
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        t = np.asarray(t)[..., None]
+        return np.concatenate([np.sin(2 * t + 0.3), np.exp(t) * np.cos(t), t ** 3], -1)
+
+    h = [1e-3 / 2.0 ** k for k in range(4)]
+    reference = richardson([(f(0.2 + hk) - f(0.2 - hk)) / (2 * hk) for hk in h], ratio=4.0)
+    calls.clear()
+    got = central_difference(f, 0.2)
+    assert calls == [(8,)]
+    assert np.array_equal(got, reference)
+    exact = [2 * np.cos(0.7), np.exp(0.2) * (np.cos(0.2) - np.sin(0.2)), 3 * 0.2 ** 2]
+    assert np.max(np.abs(got - exact)) < 1e-10
