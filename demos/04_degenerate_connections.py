@@ -39,12 +39,21 @@ coe = model_space("coEuc3")
 cc = cn.co_connection(coe)
 p = np.array([0.3, -0.2, 0.5])
 u_vec, v_vec = np.array([1.0, 0, 0, p[0]]), np.array([0, 1.0, 0, p[1]])
+
+
+def columns(*coords):
+    """A curve's points (..., 4) from its coordinates, each a t-array or a constant."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
+# a curve maps a t-array (...) to points (..., 4): one call covers every sample
 curves = {
-    "slice great circle": lambda t: np.array([np.cos(t), np.sin(t), 0, 0.0]),
-    "vertical line": lambda t: np.array([0.6, 0.8, 0.0, 0.3 + 2 * t]),
-    "line in a tilted plane": lambda t: cn.project_to_locus(coe, np.cos(t) * u_vec + np.sin(t) * v_vec),
-    "latitude circle (NOT a line)": lambda t: np.array(
-        [np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7), np.sin(0.7), 0.0]),
+    "slice great circle": lambda t: columns(np.cos(t), np.sin(t), 0, 0.0),
+    "vertical line": lambda t: columns(0.6, 0.8, 0.0, 0.3 + 2 * t),
+    "line in a tilted plane": lambda t: cn.project_to_locus(
+        coe, np.cos(t)[..., None] * u_vec + np.sin(t)[..., None] * v_vec),
+    "latitude circle (NOT a line)": lambda t: columns(
+        np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7), np.sin(0.7), 0.0),
 }
 for label, curve in curves.items():
     print(f"  {label:30s} residual {cn.geodesic_residual(cc, curve):.2e}")
@@ -69,7 +78,8 @@ def geo(a, b):
     ang = np.arccos(np.clip(np.dot(a, b), -1, 1))
     w = b - np.dot(a, b) * a
     w = w / np.linalg.norm(w)
-    return lambda t: np.cos(ang * t) * a + np.sin(ang * t) * w
+    # a leg maps a t-array (...) to points (..., 3), like every curve
+    return lambda t: np.cos(ang * t)[..., None] * a + np.sin(ang * t)[..., None] * w
 
 
 A = np.array([1.0, 0, 0])
@@ -89,7 +99,7 @@ def family(axis):
     c1 = rng.standard_normal((4, 4)) * 0.4
     c1[axis, :] = 0.0
     d0 = rng.standard_normal(4) * 0.4
-    return lambda t, x: c0 + x @ c1.T + t * d0
+    return lambda t, x: c0 + np.einsum("ij,...j->...i", c1, x) + t * d0
 
 
 for src_name, co_name in [("Ell3", "coEuc3"), ("dS3", "coEuc3"),

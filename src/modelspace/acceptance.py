@@ -179,6 +179,11 @@ def _fixed_locus_point(space, fam, rng):
             return y / np.sqrt(abs(q))
 
 
+def _columns(*coords):
+    """Stack coordinates, each a t-array or a constant, into points (..., d)."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
 def criterion_5_co_connection(seed=0):
     """Characterizing residuals of the co-space connections < 1e-6;
     lines geodesic < 1e-6, non-geodesic control > 1e-2."""
@@ -202,30 +207,30 @@ def criterion_5_co_connection(seed=0):
         normal = rng.standard_normal(4)
         normal[-1] = 1.0 + abs(normal[-1])
         worst = np.maximum(worst, cn.plane_preservation_residual(space, normal, rng))
-    # geodesics
+    # geodesics: curves map t-arrays (...) to points (..., 4)
     cc = cn.co_connection(pj.model_space("coEuc3"))
     lines = [
-        lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0]),
-        lambda t: np.array([1 / np.sqrt(2), 1 / np.sqrt(2), 0.0, 0.3 + 2 * t]),
+        lambda t: _columns(np.cos(t), np.sin(t), 0.0, 0.0),
+        lambda t: _columns(1 / np.sqrt(2), 1 / np.sqrt(2), 0.0, 0.3 + 2 * t),
     ]
-    p = np.array([0.3, -0.2, 0.5])
-    u_vec = np.array([1.0, 0, 0, p[0]])
-    v_vec = np.array([0, 1.0, 0, p[1]])
+    u_vec = np.array([1.0, 0, 0, 0.3])
+    v_vec = np.array([0, 1.0, 0, -0.2])
     lines.append(lambda t: cn.project_to_locus(
-        pj.model_space("coEuc3"), np.cos(t) * u_vec + np.sin(t) * v_vec))
+        pj.model_space("coEuc3"), np.cos(t)[..., None] * u_vec + np.sin(t)[..., None] * v_vec))
     geo = np.max([cn.geodesic_residual(cc, line) for line in lines])
     coM = pj.model_space("coMin3")
     ccm = cn.co_connection(coM)
     geo = np.maximum(geo, cn.geodesic_residual(
-        ccm, lambda t: np.array([np.sinh(t), 0.0, np.cosh(t), 0.0])))
+        ccm, lambda t: _columns(np.sinh(t), 0.0, np.cosh(t), 0.0)))
     # a tilted co-Minkowski line: the graph of a Minkowski-linear height
     um = np.array([1.0, 0, 0, 0.3])
     vm = np.array([0, 0, 1.0, -0.5])
     geo = np.maximum(geo, cn.geodesic_residual(
-        ccm, lambda t: cn.project_to_locus(coM, np.sinh(t) * um + np.cosh(t) * vm)))
+        ccm, lambda t: cn.project_to_locus(
+            coM, np.sinh(t)[..., None] * um + np.cosh(t)[..., None] * vm)))
     control = cn.geodesic_residual(
-        cc, lambda t: np.array([np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7),
-                                np.sin(0.7), 0.1]))
+        cc, lambda t: _columns(np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7),
+                               np.sin(0.7), 0.1))
     passed = worst < 1e-6 and geo < 1e-6 and control > 1e-2
     return _result(
         "5 co-space connection characterization",

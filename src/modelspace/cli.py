@@ -326,9 +326,9 @@ def cmd_check_connection(args):
         "nabla_omega": cn.parallel_volume_residual(conn, omega, Z, [X, Y, Z], pts),
     }
     if pj.space_family(space.name).chart == "S2":
-        line = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])
+        line = lambda t: np.stack([np.cos(t), np.sin(t), np.zeros_like(t), np.zeros_like(t)], -1)
     else:
-        line = lambda t: np.array([np.sinh(t), 0.0, np.cosh(t), 0.0])
+        line = lambda t: np.stack([np.sinh(t), np.zeros_like(t), np.cosh(t), np.zeros_like(t)], -1)
     residuals["geodesic_line"] = cn.geodesic_residual(conn, line)
     lines = [f"{name:>14}: {_fmt(val)}" for name, val in residuals.items()]
     _emit(args, lines, {"space": space.name, "residuals": residuals},

@@ -18,8 +18,9 @@ evaluation points on the locus.  Everything here takes point stacks: a
 field maps an ``(..., d)`` stack of points to an ``(..., d)`` stack of
 vectors, and a transition family ``f(t, x)`` does the same with t shaped
 to broadcast against x, so a whole t-schedule is one call.  A single
-point is a stack of one.  Each derivative is one field call on a
-stencil stack, and each residual is the max over its sample points.
+point is a stack of one, and a curve maps a t-array (...) to points
+(..., d).  Each derivative is one field or curve call on a stencil
+stack, and each residual is the max over its sample points.
 Matrices act on stacks through einsum rather than ``x @ m.T``: einsum
 rounds each row the same way whatever the stack's shape, so a row of a
 stack evaluates bit for bit as the lone point does.
@@ -31,7 +32,7 @@ import logging
 
 import numpy as np
 
-from ._numerics import DEFAULT_SCHEDULE, richardson
+from ._numerics import DEFAULT_SCHEDULE, central_difference, richardson
 
 logger = logging.getLogger(__name__)
 
@@ -169,16 +170,12 @@ def ambient_derivative(field, v, x):
     For a VectorField this differentiates the projected (tangent)
     extension; the projection is a smooth ambient extension of the
     on-locus field, so the tangential derivative is extension-independent.
-    The field is called once, on the (2, 3, ..., d) stencil x +- h_k v with
+    The field is called once, on the (6, ..., d) stencil x +- h_k v with
     h_k = 1e-3 (1 + |x|) / 2^k; two Richardson levels keep the truncation
     error near roundoff.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     scale = 1.0 + np.linalg.norm(x, axis=-1, keepdims=True)
-    h = 1e-3 * scale / 2.0 ** np.arange(3).reshape((3,) + (1,) * x.ndim)
-    f = field(np.stack([x + h * v, x - h * v]))
-    return richardson((f[0] - f[1]) / (2 * h), ratio=4.0)
+    return central_difference(field, x, v, base_step=1e-3 * scale, levels=3)
 
 
 class ConnectionEval:
@@ -194,11 +191,12 @@ class ConnectionEval:
         v = V(x) if callable(V) else np.asarray(V, dtype=float)
         return tangent_project(self.space, x, ambient_derivative(W, v, x))
 
-    def along_curve(self, curve, t, h=1e-4):
-        """nabla_{gamma'} gamma' at curve(t): the projected acceleration."""
-        x = np.asarray(curve(t), dtype=float)
-        acc = (np.asarray(curve(t + h)) - 2 * x + np.asarray(curve(t - h))) / h**2
-        return tangent_project(self.space, x, acc)
+    def along_curve(self, curve, t):
+        """nabla_{gamma'} gamma' at curve(t): the projected acceleration, from
+        one call of the t-array curve on the (3, ...) stack t, t +- 1e-4."""
+        t, h = np.asarray(t, dtype=float), 1e-4
+        x, plus, minus = np.asarray(curve(np.stack([t, t + h, t - h])), dtype=float)
+        return tangent_project(self.space, x, (plus - 2 * x + minus) / h**2)
 
 
 def levi_civita(space):
@@ -221,35 +219,30 @@ def co_connection(space):
     return ConnectionEval(space, "co_connection")
 
 
-def geodesic_residual(conn, curve, ts=None):
-    """sup over parameter samples of |nabla_{gamma'} gamma'|."""
-    if ts is None:
-        ts = np.linspace(0.05, 0.95, 19)
-    return float(np.max([np.linalg.norm(conn.along_curve(curve, t)) for t in ts]))
+def geodesic_residual(conn, curve):
+    """sup over 19 parameter samples in [0.05, 0.95] of |nabla_{gamma'} gamma'|,
+    from one call of the t-array curve; a NaN sample makes it NaN."""
+    acc = conn.along_curve(curve, np.linspace(0.05, 0.95, 19))
+    return float(np.max(np.sqrt(np.vecdot(acc, acc))))
 
 
 class VolumeFormEval:
-    """The volume form omega(x; v, w, u) = det[N_x, v, w, u], row by row."""
+    """The volume form omega(x; v_1, ..., v_n) = det[N_x, v_1, ..., v_n], row
+    by row, on a space of dimension n (ambient dimension n + 1)."""
 
     def __init__(self, space):
         self.space = space
 
-    def __call__(self, x, v, w, u):
-        cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, v, w, u)))
+    def __call__(self, x, *vectors):
+        if len(vectors) != self.space.dim - 1:
+            raise ValueError(f"the volume form of {self.space.name} takes "
+                             f"{self.space.dim - 1} vectors, not {len(vectors)}")
+        cols = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, *vectors)))
         return np.linalg.det(np.stack(cols, axis=-1))
 
 
 def volume_form(space):
     return VolumeFormEval(space)
-
-
-def _scalar_derivative_along(space, x, z, scalar, base_step=1e-3):
-    """d/ds scalar(locus point of x + s z) at s = 0, row by row: one scalar
-    call on the (2, 4, ..., d) stencil, Richardson in h^2."""
-    x = np.asarray(x, dtype=float)
-    h = base_step / 2.0 ** np.arange(4).reshape((4,) + (1,) * x.ndim)
-    s = scalar(project_to_locus(space, np.stack([x + h * z, x - h * z])))
-    return richardson((s[0] - s[1]) / (2 * h[..., 0]), ratio=4.0)
 
 
 def symmetry_residual(conn, X, Y, points):
@@ -268,7 +261,12 @@ def metric_compatibility_residual(conn, X, Y, Z, points):
     """
     b = conn.space.form
     x = np.asarray(points, dtype=float)
-    deriv = _scalar_derivative_along(conn.space, x, Z(x), lambda p: b(X(p), Y(p)))
+
+    def g_xy(p):  # at the locus point of p
+        q = project_to_locus(conn.space, p)
+        return b(X(q), Y(q))
+
+    deriv = central_difference(g_xy, x, Z(x))
     rhs = b(conn(Z, X, x), Y(x)) + b(X(x), conn(Z, Y, x))
     return float(np.max(np.abs(deriv - rhs)))
 
@@ -310,37 +308,39 @@ def parallel_volume_residual(conn, omega, Z, frame, points):
     x = np.asarray(points, dtype=float)
 
     def scalar(p):
-        return omega(p, *(f(p) for f in frame))
+        q = project_to_locus(conn.space, p)
+        return omega(q, *(f(q) for f in frame))
 
-    deriv = _scalar_derivative_along(conn.space, x, Z(x), scalar)
+    deriv = central_difference(scalar, x, Z(x))
     vals = [f(x) for f in frame]
-    rhs = sum(omega(x, *vals[:i], conn(Z, frame[i], x), *vals[i + 1:]) for i in range(3))
+    rhs = sum(omega(x, *vals[:i], conn(Z, f, x), *vals[i + 1:]) for i, f in enumerate(frame))
     return float(np.max(np.abs(deriv - rhs)))
 
 
-def parallel_transport(space, curve, t0, t1, X0, steps=200):
+def parallel_transport(space, curve, t0, t1, X0):
     """Parallel transport along a curve on a nondegenerate pseudo-sphere.
 
-    Integrates X' = -(b(gamma', X) / sign) gamma with RK4; the right-hand
-    side keeps b(gamma, X) = 0 and the norm of X constant.
+    Integrates X' = -(b(gamma', X) / sign) gamma with 200 RK4 steps; the
+    right-hand side keeps b(gamma, X) = 0 and the norm of X constant.  The
+    t-array curve and its velocity are called once on all stage times.
     """
     b = space.form
     eps = float(space.sign)
-    h = 1e-6
+    ts = np.linspace(t0, t1, 201)
+    dts = ts[1:] - ts[:-1]
+    stages = np.stack([ts[:-1], ts[:-1] + dts / 2, ts[:-1] + dts])
+    xs = np.asarray(curve(stages), dtype=float)
+    dxs = central_difference(curve, stages, base_step=1e-6, levels=1)
 
-    def rhs(t, X):
-        x = np.asarray(curve(t), dtype=float)
-        dx = (np.asarray(curve(t + h)) - np.asarray(curve(t - h))) / (2 * h)
-        return -(float(b(dx, X)) / eps) * x
+    def rhs(stage, i, X):
+        return -(float(b(dxs[stage, i], X)) / eps) * xs[stage, i]
 
     X = np.asarray(X0, dtype=float)
-    ts = np.linspace(t0, t1, steps + 1)
-    for i in range(steps):
-        t, dt = ts[i], ts[i + 1] - ts[i]
-        k1 = rhs(t, X)
-        k2 = rhs(t + dt / 2, X + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, X + dt / 2 * k2)
-        k4 = rhs(t + dt, X + dt * k3)
+    for i, dt in enumerate(dts):
+        k1 = rhs(0, i, X)
+        k2 = rhs(1, i, X + dt / 2 * k1)
+        k3 = rhs(1, i, X + dt / 2 * k2)
+        k4 = rhs(2, i, X + dt * k3)
         X = X + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return X
 

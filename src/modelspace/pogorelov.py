@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._numerics import central_difference
 from .forms import bpq, random_antisymmetric
 
 __all__ = [
@@ -99,16 +100,13 @@ class ChartMetric:
         eye = np.eye(n)
         return np.einsum("...i,kj->...kij", psi, eye) + np.einsum("...j,ki->...kij", psi, eye)
 
-    def christoffel_fd(self, x, h=2e-4):
+    def christoffel_fd(self, x):
         """Symbols from finite differences of the metric (independent
         route, used to keep the Weyl-formula check honest)."""
         x = np.asarray(x, dtype=float)
-        dg = []
-        for e in np.eye(self.n):
-            coarse = (self.metric(x + h * e) - self.metric(x - h * e)) / (2 * h)
-            fine = (self.metric(x + h / 2 * e) - self.metric(x - h / 2 * e)) / h
-            dg.append((4.0 * fine - coarse) / 3.0)
-        dg = np.stack(dg, axis=-3)
+        # dg[..., i, j, l] = d_i g_jl, from the stencil x +- h_k e_i
+        dg = central_difference(self.metric, x[..., None, :], np.eye(self.n),
+                                base_step=2e-4, levels=2)
         ginv = np.linalg.inv(self.metric(x))
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         return 0.5 * (
@@ -117,10 +115,10 @@ class ChartMetric:
             - np.einsum("...kl,...lij->...kij", ginv, dg)
         )
 
-    def field_gradient(self, field, x, h=1e-6):
+    def field_gradient(self, field, x):
         """The (1,1)-tensor (nabla K)^k_j = d_j K^k + Gamma^k_{jl} K^l."""
         x = np.asarray(x, dtype=float)
-        return _jacobian(field, x, h) + np.einsum(
+        return _jacobian(field, x) + np.einsum(
             "...kjl,...l->...kj", self.christoffel(x), _evaluate(field, x))
 
 
@@ -133,12 +131,11 @@ def _evaluate(field, x):
     return out
 
 
-def _jacobian(field, x, h=1e-6):
-    """Central differences jac[..., k, j] = d_j K^k, one field call on the
-    stencil x[..., None, :] +- h I."""
-    step = np.array([1.0, -1.0])[:, None, None] * (h * np.eye(x.shape[-1]))
-    values = _evaluate(field, x[..., None, None, :] + step)
-    return np.swapaxes(values[..., 0, :, :] - values[..., 1, :, :], -1, -2) / (2 * h)
+def _jacobian(field, x):
+    """Central differences jac[..., k, j] = d_j K^k, step 1e-6, one field call."""
+    values = central_difference(lambda p: _evaluate(field, p), x[..., None, :],
+                                np.eye(x.shape[-1]), base_step=1e-6, levels=1)
+    return np.swapaxes(values, -1, -2)
 
 
 def chart_pair(name, n=3):
@@ -275,13 +272,10 @@ def contraction_gap(m_a, m_b, x):
     return np.max(np.abs(trace - _log_volume_gradient(m_b, m_a, x)), axis=-1)
 
 
-def _log_volume_gradient(m_src, m_dst, x, h=1e-5):
-    """d ln lambda from central differences of the determinant ratio."""
-    return np.stack([
-        (np.log(lambda_from_volumes(m_src, m_dst, x + h * e))
-         - np.log(lambda_from_volumes(m_src, m_dst, x - h * e))) / (2 * h)
-        for e in np.eye(m_src.n)
-    ], axis=-1)
+def _log_volume_gradient(m_src, m_dst, x):
+    """d ln lambda from central differences of the determinant ratio, step 1e-5."""
+    return central_difference(lambda p: np.log(lambda_from_volumes(m_src, m_dst, p)),
+                              x[..., None, :], np.eye(m_src.n), base_step=1e-5, levels=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import forms
+from ._numerics import central_difference
 from .forms import BilinearForm, bpq, co_euclidean_form, co_minkowski_form, affine_chart_form
 
 __all__ = [
@@ -592,7 +593,6 @@ def pseudo_distance_quadrature(space, x_lift, y_lift, order=64):
     gamma, T = geodesic_on_pseudosphere(space, x_lift, y_lift)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     t = 0.5 * T * (nodes + 1.0)
-    h = 1e-6
-    dgamma = (gamma(t + h) - gamma(t - h)) / (2 * h)
+    dgamma = central_difference(gamma, t, base_step=1e-6, levels=1)
     speeds = np.sqrt(np.abs(np.einsum("ti,ij,tj->t", dgamma, space.form.matrix, dgamma)))
     return float(abs(0.5 * T) * np.dot(weights, speeds))

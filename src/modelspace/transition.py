@@ -149,14 +149,12 @@ class PointPath:
 
     ``evaluator`` maps a t-array of shape (T,) to points (T, ..., d) and a
     scalar t to (..., d), so one PointPath may hold a stack of paths.  It
-    must be defined in a neighborhood of t = 0 (central differences probe
-    both sides); ``derivative`` is optional and, when given, used at t = 0
-    instead of numerical differentiation.
+    must be defined in a neighborhood of t = 0: central differences probe
+    both sides.
     """
 
-    def __init__(self, evaluator, derivative=None):
+    def __init__(self, evaluator):
         self.evaluator = evaluator
-        self.derivative = derivative
 
     def __call__(self, t):
         return np.asarray(self.evaluator(t), dtype=float)
@@ -173,11 +171,7 @@ def _point_limit(path, fam):
     x0 = path(0.0)
     if not np.all(fam.base_condition(x0)):
         raise ValueError("path violates the base condition; limit diverges")
-    if path.derivative is not None:
-        dx0 = np.asarray(path.derivative(0.0), dtype=float)
-    else:
-        dx0 = central_difference(path, 0.0)
-    return fam.assemble_limit(x0, dx0)
+    return fam.assemble_limit(x0, central_difference(path, 0.0))
 
 
 def rescaled_point_limit(path, fam):

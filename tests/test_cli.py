@@ -147,7 +147,18 @@ def test_json_and_csv_are_byte_identical(tmp_path, capsys):
     transition = ["transition", "--family", "point", "--space", "Ell3", "--path", path]
     ball = _write(tmp_path, "ball.json", {"kind": "ball", "radius": 1.7})
     hyperboloid = _write(tmp_path, "hyperboloid.json", {"kind": "hyperboloid", "radius": 1.7})
-    for args in (["check-surface", "--space", "coEuc3", "--grid", "17", "--emit", "json"],
+    rng = np.random.default_rng(6)
+    fields = _write(tmp_path, "fields.json", {"fields": [
+        {"c0": rng.standard_normal(4).tolist(), "c1": (0.4 * rng.standard_normal((4, 4))).tolist()}
+        for _ in range(3)]})
+    pair = ["--space", "Hyp2", "--x", "[0.1,0.2,1.2]", "--y", "[0.3,-0.4,1.5]"]
+    for args in (["check-connection", "--space", "coEuc3", "--seed", "5", "--emit", "json"],
+                 ["check-connection", "--space", "coMin3", "--seed", "5", "--emit", "csv"],
+                 ["check-connection", "--space", "coEuc3", "--fields", fields, "--emit", "json"],
+                 ["distance", *pair, "--emit", "json"],
+                 ["distance", *pair, "--emit", "csv"],
+                 ["classify-line", *pair, "--emit", "json"],
+                 ["check-surface", "--space", "coEuc3", "--grid", "17", "--emit", "json"],
                  ["dual-surface", "--space", "coMin3", "--grid", "17", "--emit", "json"],
                  ["dualize", "--flavor", "euclidean", "--body", ball, "--emit", "json"],
                  ["dualize", "--flavor", "minkowski", "--body", hyperboloid, "--emit", "json"],
@@ -160,6 +171,8 @@ def test_json_and_csv_are_byte_identical(tmp_path, capsys):
             assert json.loads(out1)["gauss_residual"] > 0
         if args[0] == "dualize":
             assert len(json.loads(out1)["support"]) == 64 * 64
+        if args[0] == "check-connection" and args[-1] == "json":
+            assert len(json.loads(out1)["residuals"]) == 5
     assert len(out1.splitlines()) == 11
 
 

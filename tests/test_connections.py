@@ -35,14 +35,14 @@ def test_connection_constructor_guards():
 def test_geodesics_nondegenerate():
     ell3 = model_space("Ell3")
     conn = cn.levi_civita(ell3)
-    circle = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])
+    circle = lambda t: ac._columns(np.cos(t), np.sin(t), 0.0, 0.0)
     assert cn.geodesic_residual(conn, circle) < 1e-6
     hyp3 = model_space("Hyp3")
     connh = cn.levi_civita(hyp3)
-    branch = lambda t: np.array([np.sinh(t), 0.0, 0.0, np.cosh(t)])
+    branch = lambda t: ac._columns(np.sinh(t), 0.0, 0.0, np.cosh(t))
     assert cn.geodesic_residual(connh, branch) < 1e-6
-    latitude = lambda t: np.array(
-        [np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7), np.sin(0.7), 0.0])
+    latitude = lambda t: ac._columns(
+        np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7), np.sin(0.7), 0.0)
     assert cn.geodesic_residual(conn, latitude) > 1e-2
 
 
@@ -51,10 +51,106 @@ def test_geodesic_residual_keeps_a_nan_sample():
     cc = cn.co_connection(model_space("coEuc3"))
 
     def circle(t):
-        return np.array([np.cos(t), np.sin(t), 0.0, 0.0]) * (np.nan if abs(t - 0.5) < 0.01 else 1.0)
+        return (ac._columns(np.cos(t), np.sin(t), 0.0, 0.0)
+                * np.where(np.abs(t - 0.5) < 0.01, np.nan, 1.0)[..., None])
 
-    assert cn.geodesic_residual(cc, lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])) < 1e-6
+    assert cn.geodesic_residual(cc, lambda t: ac._columns(np.cos(t), np.sin(t), 0.0, 0.0)) < 1e-6
     assert np.isnan(cn.geodesic_residual(cc, circle))
+
+
+def _per_sample_geodesic_residual(conn, curve):
+    """The residual one sample at a time: three scalar curve calls each."""
+    h = 1e-4
+    norms = []
+    for t in np.linspace(0.05, 0.95, 19):
+        x = curve(t)
+        acc = (curve(t + h) - 2 * x + curve(t - h)) / h**2
+        norms.append(np.linalg.norm(cn.tangent_project(conn.space, x, acc)))
+    return float(np.max(norms))
+
+
+def _criterion_5_curves():
+    """Criterion 5's great circle, tilted co-Euclidean line, tilted
+    co-Minkowski line and control circle, with their connections."""
+    coe, com = model_space("coEuc3"), model_space("coMin3")
+    u_vec, v_vec = np.array([1.0, 0, 0, 0.3]), np.array([0, 1.0, 0, -0.2])
+    um, vm = np.array([1.0, 0, 0, 0.3]), np.array([0, 0, 1.0, -0.5])
+    cc, ccm = cn.co_connection(coe), cn.co_connection(com)
+    return [
+        (cc, lambda t: ac._columns(np.cos(t), np.sin(t), 0.0, 0.0)),
+        (cc, lambda t: cn.project_to_locus(
+            coe, np.cos(t)[..., None] * u_vec + np.sin(t)[..., None] * v_vec)),
+        (ccm, lambda t: cn.project_to_locus(
+            com, np.sinh(t)[..., None] * um + np.cosh(t)[..., None] * vm)),
+        (cc, lambda t: ac._columns(np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7),
+                                   np.sin(0.7), 0.1)),
+    ]
+
+
+def test_geodesic_residual_matches_a_per_sample_loop():
+    for conn, curve in _criterion_5_curves():
+        got = cn.geodesic_residual(conn, curve)
+        expected = _per_sample_geodesic_residual(conn, curve)
+        assert np.array_equal(np.float64(got).view(np.uint64),
+                              np.float64(expected).view(np.uint64)), (got, expected)
+
+
+def test_each_residual_makes_one_curve_call():
+    shapes = []
+
+    def counted(curve):
+        def call(t):
+            shapes.append(np.shape(t))
+            return curve(t)
+        return call
+
+    for conn, curve in _criterion_5_curves():
+        shapes.clear()
+        cn.geodesic_residual(conn, counted(curve))
+        assert shapes == [(3, 19)]
+    # parallel transport: the points, then the velocity stencil, at 3 stage times per step
+    ell2 = model_space("Ell2")
+    shapes.clear()
+    cn.parallel_transport(ell2, counted(lambda t: ac._columns(np.cos(t), np.sin(t), 0.0)),
+                          0.0, 1.0, [0, 0, 1.0])
+    assert shapes == [(3, 200), (2, 3, 200)]
+
+
+def _scalar_curve_transport(space, curve, t0, t1, X0, steps=200):
+    """RK4 parallel transport with scalar curve calls at every stage."""
+    b, eps, h = space.form, float(space.sign), 1e-6
+
+    def rhs(t, X):
+        x = curve(t)
+        dx = (curve(t + h) - curve(t - h)) / (2 * h)
+        return -(float(b(dx, X)) / eps) * x
+
+    X = np.asarray(X0, dtype=float)
+    ts = np.linspace(t0, t1, steps + 1)
+    for i in range(steps):
+        t, dt = ts[i], ts[i + 1] - ts[i]
+        k1 = rhs(t, X)
+        k2 = rhs(t + dt / 2, X + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, X + dt / 2 * k2)
+        k4 = rhs(t + dt, X + dt * k3)
+        X = X + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return X
+
+
+def test_parallel_transport_matches_a_scalar_curve_loop():
+    ell2, hyp2 = model_space("Ell2"), model_space("Hyp2")
+    a, w = np.array([1.0, 0, 0]), np.array([0, 0.6, 0.8])
+    legs = [
+        (ell2, lambda t: np.cos(0.4 * t)[..., None] * a + np.sin(0.4 * t)[..., None] * w,
+         [0, 0.8, -0.6]),
+        (hyp2, lambda t: ac._columns(np.sinh(0.3 * t), 0.2 * t, np.sqrt(1 + np.sinh(0.3 * t) ** 2
+                                                                         + (0.2 * t) ** 2)),
+         [1.0, 0.5, 0.1]),
+    ]
+    for space, curve, X0 in legs:
+        got = cn.parallel_transport(space, curve, 0.0, 1.0, X0)
+        expected = _scalar_curve_transport(space, curve, 0.0, 1.0, X0)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (got, expected)
 
 
 def test_nondegenerate_levi_civita_axioms():
@@ -124,19 +220,36 @@ def test_volume_form_normalization():
     assert omega(x0, e3, e2, T) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("name", ["Ell2", "coEuc2", "Hyp4", "coMin4"])
+def test_volume_form_takes_one_vector_per_dimension(name):
+    sp = model_space(name)
+    rng = np.random.default_rng(3)
+    x = sp.sample_points(rng, 5)
+    vectors = [rng.standard_normal(x.shape) for _ in range(sp.dim - 1)]
+    omega = cn.volume_form(sp)
+    expected = [np.linalg.det(np.column_stack([x[i], *(v[i] for v in vectors)]))
+                for i in range(len(x))]
+    assert np.array_equal(omega(x, *vectors), expected)
+    with pytest.raises(ValueError, match=f"takes {sp.dim - 1} vectors, not {sp.dim - 2}"):
+        omega(x, *vectors[:-1])
+    with pytest.raises(ValueError, match=f"not {sp.dim}"):
+        omega(x, *vectors, vectors[0])
+
+
 def test_co_geodesics():
     coe = model_space("coEuc3")
     cc = cn.co_connection(coe)
-    assert cn.geodesic_residual(cc, lambda t: np.array([np.cos(t), np.sin(t), 0, 0.0])) < 1e-6
-    vertical = lambda t: np.array([0.6, 0.8, 0.0, 0.3 + 2.0 * t])
+    assert cn.geodesic_residual(cc, lambda t: ac._columns(np.cos(t), np.sin(t), 0, 0.0)) < 1e-6
+    vertical = lambda t: ac._columns(0.6, 0.8, 0.0, 0.3 + 2.0 * t)
     assert cn.geodesic_residual(cc, vertical) < 1e-6
     p = np.array([0.3, -0.2, 0.5])
     u_vec = np.array([1.0, 0, 0, p[0]])
     v_vec = np.array([0, 1.0, 0, p[1]])
-    tilted = lambda t: cn.project_to_locus(coe, np.cos(t) * u_vec + np.sin(t) * v_vec)
+    tilted = lambda t: cn.project_to_locus(
+        coe, np.cos(t)[..., None] * u_vec + np.sin(t)[..., None] * v_vec)
     assert cn.geodesic_residual(cc, tilted) < 1e-6
     # a constant-height circle is not a line unless the height is zero
-    lifted_circle = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.4])
+    lifted_circle = lambda t: ac._columns(np.cos(t), np.sin(t), 0.0, 0.4)
     assert cn.geodesic_residual(cc, lifted_circle) > 1e-2
 
 
@@ -153,7 +266,7 @@ def test_holonomy_measures_curvature():
         ang = np.arccos(np.clip(np.dot(a, b), -1, 1))
         w = b - np.dot(a, b) * a
         w = w / np.linalg.norm(w)
-        return lambda t: np.cos(ang * t) * a + np.sin(ang * t) * w
+        return lambda t: np.cos(ang * t)[..., None] * a + np.sin(ang * t)[..., None] * w
 
     A = np.array([1.0, 0, 0])
     B = step(A, np.array([0, 1.0, 0]))
@@ -174,7 +287,7 @@ def test_transition_of_connection_and_volume():
         c1 = rng.standard_normal((4, 4)) * 0.4
         c1[axis, :] = 0.0
         d0 = rng.standard_normal(4) * 0.4
-        return lambda t, x: c0 + x @ c1.T + t * d0
+        return lambda t, x: c0 + np.einsum("ij,...j->...i", c1, x) + t * d0
 
     for src_name, co_name in [("Ell3", "coEuc3"), ("Hyp3", "coMin3")]:
         src = model_space(src_name)
@@ -251,9 +364,9 @@ def test_transition_families_see_t_shaped_like_their_points():
 
     cn.connection_transition_check(src, cosp, fam, family, family, xi)
     # the t = 0 tangency guard, the (T, d) base points, their derivative
-    # stencil, and the limit fields' stencil at xi
-    assert shapes == {((), (4,)), ((7, 1), (7, 4)), ((7, 1), (2, 3, 7, 4)),
-                      ((7, 1, 1, 1), (7, 2, 3, 4))}
+    # stencil (2 signs x 3 levels), and the limit fields' stencil at xi
+    assert shapes == {((), (4,)), ((7, 1), (7, 4)), ((7, 1), (6, 7, 4)),
+                      ((7, 1, 1), (7, 6, 4))}
     shapes.clear()
     cn.volume_transition_check(src, cosp, fam, [family] * 3, xi)
     assert shapes == {((7, 1), (7, 4))}

@@ -56,6 +56,41 @@ def test_christoffel_closed_vs_fd(pairs):
         assert np.max(np.abs(src.christoffel(cloud[:10]) - stacked)) < 1e-9
 
 
+def test_stencils_match_per_axis_loops(pairs):
+    # per-axis loops, one call per axis and sign, are the bit-for-bit
+    # reference for the one-call stencils
+    cloud = pg.halton_cloud(32)[:20]
+    rng = np.random.default_rng(4)
+    for name, (src, dst) in pairs.items():
+        for m in (src, dst):
+            h, dg = 2e-4, []
+            for e in np.eye(3):
+                coarse = (m.metric(cloud + h * e) - m.metric(cloud - h * e)) / (2 * h)
+                fine = (m.metric(cloud + h / 2 * e) - m.metric(cloud - h / 2 * e)) / h
+                dg.append((4.0 * fine - coarse) / 3.0)
+            dg = np.stack(dg, axis=-3)
+            ginv = np.linalg.inv(m.metric(cloud))
+            expected = 0.5 * (np.einsum("...kl,...ijl->...kij", ginv, dg)
+                              + np.einsum("...kl,...jil->...kij", ginv, dg)
+                              - np.einsum("...kl,...lij->...kij", ginv, dg))
+            assert np.array_equal(m.christoffel_fd(cloud).view(np.uint64),
+                                  expected.view(np.uint64)), (name, m.kind)
+        K = pg.chart_killing_field(pg.random_killing_generator(name, rng))
+        h = 1e-6
+        expected = np.stack([(K(cloud + h * e) - K(cloud - h * e)) / (2 * h)
+                             for e in np.eye(3)], axis=-1)
+        assert np.array_equal(pg._jacobian(K, cloud).view(np.uint64),
+                              expected.view(np.uint64)), name
+        for a, b in ((src, dst), (dst, src)):
+            h = 1e-5
+            expected = np.stack([
+                (np.log(pg.lambda_from_volumes(a, b, cloud + h * e))
+                 - np.log(pg.lambda_from_volumes(a, b, cloud - h * e))) / (2 * h)
+                for e in np.eye(3)], axis=-1)
+            assert np.array_equal(pg._log_volume_gradient(a, b, cloud).view(np.uint64),
+                                  expected.view(np.uint64)), name
+
+
 def test_killing_fields_and_transport(pairs):
     rng = np.random.default_rng(0)
     cloud = pg.halton_cloud(96)

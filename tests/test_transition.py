@@ -307,3 +307,27 @@ def test_one_call_central_difference_matches_per_level_differences():
     assert np.array_equal(got, reference)
     exact = [2 * np.cos(0.7), np.exp(0.2) * (np.cos(0.2) - np.sin(0.2)), 3 * 0.2 ** 2]
     assert np.max(np.abs(got - exact)) < 1e-10
+
+    # a point stack, one direction and one step per row
+    def g(p):
+        calls.append(p.shape)
+        return np.stack([np.sin(p[..., 0]) * p[..., 1], np.exp(p[..., 2]) + p[..., 0] ** 2], -1)
+
+    x = np.array([[0.3, -0.2, 0.5], [1.1, 0.4, -0.7]])
+    v = np.array([[0.6, 0.0, -0.8], [0.0, 1.0, 0.0]])
+    step = 1e-3 * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
+    h = [step / 2.0 ** k for k in range(3)]
+    reference = richardson([(g(x + hk * v) - g(x - hk * v)) / (2 * hk) for hk in h], ratio=4.0)
+    calls.clear()
+    got = central_difference(g, x, v, base_step=step, levels=3)
+    assert calls == [(6, 2, 3)]
+    assert np.array_equal(got, reference)
+    exact = np.stack([np.cos(x[:, 0]) * x[:, 1] * v[:, 0] + np.sin(x[:, 0]) * v[:, 1],
+                      np.exp(x[:, 2]) * v[:, 2] + 2 * x[:, 0] * v[:, 0]], -1)
+    assert np.max(np.abs(got - exact)) < 1e-10
+
+    # one level is the plain central difference, with no extrapolation
+    calls.clear()
+    got = central_difference(f, 0.2, base_step=1e-6, levels=1)
+    assert calls == [(2,)]
+    assert np.array_equal(got, (f(0.2 + 1e-6) - f(0.2 - 1e-6)) / 2e-6)
