@@ -77,9 +77,11 @@ w = rng.standard_normal(3) * 0.05
 
 
 def fam_ell(t, U, V):
+    # t is a scalar or a t-array (T, 1, 1): the chart points broadcast
+    # against the height, giving (T, m, m, 4)
     m_ = sf.sphere_chart(U, V)
     h = t * ufn(m_) + t * t * (0.3 + m_ @ w)
-    vec = np.concatenate([m_, h[..., None]], axis=-1)
+    vec = np.concatenate([np.broadcast_to(m_, h.shape + (3,)), h[..., None]], axis=-1)
     return vec / np.sqrt(1 + h**2)[..., None]
 
 

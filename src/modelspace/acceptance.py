@@ -240,16 +240,21 @@ def criterion_5_co_connection(seed=0):
     )
 
 
-def _field_family(rng, axis, dim=4):
+def _field_coefficients(rng, axis, dim=4):
+    """(c0, c1, d0) of a field family tangent to {x_axis = 0} at t = 0."""
     c0 = rng.standard_normal(dim) * 0.5
     c0[axis] = 0.0
     c1 = rng.standard_normal((dim, dim)) * 0.4
     c1[axis, :] = 0.0
     c1[axis, axis] = rng.standard_normal() * 0.4
     d0 = rng.standard_normal(dim) * 0.4
+    return c0, c1, d0
 
+
+def _affine_family(c0, c1, d0):
+    """(t, x) -> c0 + c1 x + t d0, for one family or a stack of them."""
     def fam_fn(t, x):
-        return c0 + np.einsum("ij,...j->...i", c1, x) + t * d0
+        return c0 + np.einsum("...ij,...j->...i", c1, x) + t * d0
 
     return fam_fn
 
@@ -264,13 +269,17 @@ def criterion_6_connection_transition(seed=0):
         src = pj.model_space(src_name)
         cosp = pj.model_space(co_name)
         fam = tr.transition_family(src_name, "plane")
+        # each family draws xi, then X, Y and Z, in that order
+        xi, draws = [], []
         for _ in range(20):
-            xi = cosp.sample_points(rng, 1, radius=0.8)[0]
-            Xf = _field_family(rng, fam.axis)
-            Yf = _field_family(rng, fam.axis)
-            Zf = _field_family(rng, fam.axis)
-            worst_c = np.maximum(worst_c, cn.connection_transition_check(src, cosp, fam, Xf, Yf, xi))
-            worst_v = np.maximum(worst_v, cn.volume_transition_check(src, cosp, fam, [Xf, Yf, Zf], xi))
+            xi.append(cosp.sample_points(rng, 1, radius=0.8)[0])
+            draws.append([_field_coefficients(rng, fam.axis) for _ in range(3)])
+        # one check of each kind on the 20 families, stacked per field as
+        # c0 (20, 4), c1 (20, 4, 4), d0 (20, 4) with xi (20, 4)
+        Xf, Yf, Zf = (_affine_family(*map(np.stack, zip(*field))) for field in zip(*draws))
+        xi = np.stack(xi)
+        worst_c = np.maximum(worst_c, np.max(cn.connection_transition_check(src, cosp, fam, Xf, Yf, xi)))
+        worst_v = np.maximum(worst_v, np.max(cn.volume_transition_check(src, cosp, fam, [Xf, Yf, Zf], xi)))
     passed = worst_c < 1e-6 and worst_v < 1e-6
     return _result(
         "6 connection/volume transition",

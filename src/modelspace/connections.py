@@ -17,10 +17,12 @@ Vector fields are ambient callables; tangency is enforced by projection at
 evaluation points on the locus.  Everything here takes point stacks: a
 field maps an ``(..., d)`` stack of points to an ``(..., d)`` stack of
 vectors, and a transition family ``f(t, x)`` does the same with t shaped
-to broadcast against x, so a whole t-schedule is one call.  A single
-point is a stack of one, and a curve maps a t-array (...) to points
-(..., d).  Each derivative is one field or curve call on a stencil
-stack, and each residual is the max over its sample points.
+to broadcast against x, so a whole t-schedule is one call; the
+transition checks give one gap per target point of a stack, and a stack
+of families is one family whose coefficients carry the stack's axes.  A
+single point is a stack of one, and a curve maps a t-array (...) to
+points (..., d).  Each derivative is one field or curve call on a
+stencil stack, and each residual is the max over its sample points.
 Matrices act on stacks through einsum rather than ``x @ m.T``: einsum
 rounds each row the same way whatever the stack's shape, so a row of a
 stack evaluates bit for bit as the lone point does.
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 TANGENCY_WARN = 1e-8
+# the t-schedule of the connection and volume transition checks
+_SCHEDULE = DEFAULT_SCHEDULE[:7]
 
 
 def tangent_project(space, x, v):
@@ -181,9 +185,8 @@ def ambient_derivative(field, v, x):
 class ConnectionEval:
     """A connection as an evaluation rule (V, W, x) -> ambient vector."""
 
-    def __init__(self, space, kind):
+    def __init__(self, space):
         self.space = space
-        self.kind = kind
 
     def __call__(self, V, W, x):
         """nabla_V W at each row of x; V is a field or a vector stack."""
@@ -203,7 +206,7 @@ def levi_civita(space):
     """Levi-Civita connection of a nondegenerate model space."""
     if space.degenerate:
         raise ValueError("space is degenerate: use co_connection")
-    return ConnectionEval(space, "levi_civita")
+    return ConnectionEval(space)
 
 
 def co_connection(space):
@@ -216,7 +219,7 @@ def co_connection(space):
     """
     if not space.degenerate:
         raise ValueError("space is nondegenerate: use levi_civita")
-    return ConnectionEval(space, "co_connection")
+    return ConnectionEval(space)
 
 
 def geodesic_residual(conn, curve):
@@ -363,18 +366,14 @@ def holonomy_angle(space, corner_loop, X0):
 # transition of connections and volume forms
 
 
-def _base_point_path(src_space, fam, xi):
-    """The source points over a t-array of shape (T,): g_t^-1 eta scaled
-    onto the locus, (T, ..., d) for a target stack eta of shape (..., d)
-    (by default xi)."""
-    def x_t(t, eta=None):
-        target = xi if eta is None else eta
-        return project_to_locus(src_space, np.einsum("tij,...j->t...i", fam.inverse(t), target))
-
-    return x_t
+def _source_points(src_space, fam, eta, ts=_SCHEDULE):
+    """g_t^-1 eta scaled onto the source locus, (T, ..., d) for a target
+    stack eta (..., d), and t shaped (T, 1, ..., 1) to broadcast against it."""
+    x = project_to_locus(src_space, np.einsum("tij,...j->t...i", fam.inverse(ts), eta))
+    return x, ts.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-def _limit_field(src_space, fam, family_fn, xi, schedule):
+def _limit_field(src_space, fam, family_fn):
     """Pushforward limit of a t-family of source fields, as a co-field.
 
     family_fn(t, x) is an ambient field on the source for each t; the
@@ -382,65 +381,58 @@ def _limit_field(src_space, fam, family_fn, xi, schedule):
     Richardson extrapolation at each row of a target point stack eta,
     with one family call over the whole schedule.
     """
-    x_t = _base_point_path(src_space, fam, xi)
-
     def hat(eta):
-        x = x_t(schedule, eta)
-        t = schedule.reshape((-1,) + (1,) * (x.ndim - 1))
+        x, t = _source_points(src_space, fam, eta)
         v = tangent_project(src_space, x, family_fn(t, x))
-        return richardson(np.einsum("tij,t...j->t...i", fam.matrix(schedule), v))
+        return richardson(np.einsum("tij,t...j->t...i", fam.matrix(_SCHEDULE), v))
 
     return hat
 
 
-def connection_transition_check(src_space, co_space, fam, X_family, Y_family, xi,
-                                schedule=None):
+def connection_transition_check(src_space, co_space, fam, X_family, Y_family, xi):
     """Gap between the rescaled source connection and the co-connection.
 
-    X_family, Y_family: (t, (..., d) points) -> (..., d) vectors, smooth
-    families whose t = 0 fields are tangent to the blown-up plane.  The
-    schedule's t reaches a family shaped to broadcast against its points:
-    (T, 1) over the (T, d) base points and their stencils, (T, 1, ..., 1)
-    inside the limit fields.  Returns
-    |lim g_t nabla^src_{X_t} Y_t  -  nabla^co_{hatX} hatY| at xi.
+    X_family, Y_family: (t, (T, ..., d) points) -> vectors, smooth families
+    whose t = 0 fields are tangent to the blown-up plane.  t reaches them
+    as (T, 1, ..., 1), one 1 per axis of xi.  Returns
+    |lim g_t nabla^src_{X_t} Y_t  -  nabla^co_{hatX} hatY| at each row of
+    the target stack xi (..., d): a float for one point.
     """
-    schedule = DEFAULT_SCHEDULE[:7] if schedule is None else np.asarray(schedule, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    x_t = _base_point_path(src_space, fam, xi)
-    x0 = x_t(np.array([1e-14]))[0]
-    # the t = 0 fields must be tangent to the blown-up plane, otherwise
-    # the pushforward limits diverge
+    x0 = _source_points(src_space, fam, xi, np.array([1e-14]))[0][0]
+    # the t = 0 fields must be tangent to the blown-up plane at every row,
+    # otherwise the pushforward limits diverge
     for fx in (X_family, Y_family):
         v0 = tangent_project(src_space, x0, fx(0.0, x0))
-        if abs(v0[fam.axis]) > 1e-6 * (1.0 + np.linalg.norm(v0)):
+        if np.any(np.abs(v0[..., fam.axis]) > 1e-6 * (1.0 + np.linalg.norm(v0, axis=-1))):
             raise ValueError("family is not tangent to the blown-up plane at t=0")
-    t = schedule[:, None]
+    (x, t), gt = _source_points(src_space, fam, xi), fam.matrix(_SCHEDULE)
     Xf = VectorField(src_space, lambda p: X_family(t, p), warn=False)
     Yf = VectorField(src_space, lambda p: Y_family(t, p), warn=False)
-    x, gt = x_t(schedule), fam.matrix(schedule)
     v = Xf(x)
-    lhs = richardson(np.einsum("tij,tj->ti", gt, levi_civita(src_space)(v, Yf, x)))
+    lhs = richardson(np.einsum("tij,t...j->t...i", gt, levi_civita(src_space)(v, Yf, x)))
     # hatX at xi is the limit of the pushed-forward vectors X_t(x_t) themselves
-    hatX = richardson(np.einsum("tij,tj->ti", gt, v))
-    rhs = co_connection(co_space)(hatX, _limit_field(src_space, fam, Y_family, xi, schedule), xi)
-    return float(np.linalg.norm(lhs - rhs))
+    hatX = richardson(np.einsum("tij,t...j->t...i", gt, v))
+    diff = lhs - co_connection(co_space)(hatX, _limit_field(src_space, fam, Y_family), xi)
+    gap = np.sqrt(np.vecdot(diff, diff))
+    return float(gap) if gap.ndim == 0 else gap
 
 
-def volume_transition_check(src_space, co_space, fam, families, xi, schedule=None):
+def volume_transition_check(src_space, co_space, fam, families, xi):
     """Gap between lim (1/t) omega^src(X_t, Y_t, Z_t) and omega^co of the
-    pushforward limits.
+    pushforward limits, per row of xi as in connection_transition_check.
 
     The 1/t factor is the volume-form face of the transverse stretching:
     the family multiplies volumes by det g_t = 1/t, and the limit of the
     rescaled volumes is the degenerate space's parallel volume form.
     """
-    schedule = DEFAULT_SCHEDULE[:7] if schedule is None else np.asarray(schedule, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    x, gt = _base_point_path(src_space, fam, xi)(schedule), fam.matrix(schedule)
-    vals = [tangent_project(src_space, x, f(schedule[:, None], x)) for f in families]
+    (x, t), gt = _source_points(src_space, fam, xi), fam.matrix(_SCHEDULE)
+    vals = [tangent_project(src_space, x, f(t, x)) for f in families]
     # det(g_t) ~ 1/t is the volume face of the transverse stretch:
     # det[g_t N, g_t X, g_t Y, g_t Z] = det(g_t) det[N, X, Y, Z]
-    lhs = richardson(np.linalg.det(gt) * volume_form(src_space)(x, *vals))
+    lhs = richardson(np.linalg.det(gt).reshape(t.shape[:-1]) * volume_form(src_space)(x, *vals))
     # the limit fields at xi are the limits of the same pushed-forward vectors
-    rhs = volume_form(co_space)(xi, *(richardson(np.einsum("tij,tj->ti", gt, v)) for v in vals))
-    return abs(float(lhs) - rhs)
+    hats = [richardson(np.einsum("tij,t...j->t...i", gt, v)) for v in vals]
+    gap = np.abs(lhs - volume_form(co_space)(xi, *hats))
+    return float(gap) if gap.ndim == 0 else gap

@@ -120,9 +120,6 @@ class ModelSpace:
         value = float(self.form(point.rep, point.rep))
         return self.sign * value > 0
 
-    def membership_value(self, point):
-        return self.sign * float(self.form(point.rep, point.rep))
-
     def lift(self, point, positive_axis=None):
         """Scale a representative onto the pseudo-sphere b(x,x) = sign.
 

@@ -12,6 +12,8 @@ fundamental form III = B^T I B.
 Gauss-Codazzi residuals are measured with grid finite differences: the
 intrinsic curvature comes from the Brioschi formula, the Codazzi tensor
 from the I-Levi-Civita covariant derivative of B.
+embedding_data takes stacks: an immersion that returns (T, m, m, d) over
+the grid gives (T, m, m, 2, 2) fields, so a surface transition is one call.
 """
 
 from __future__ import annotations
@@ -720,7 +722,8 @@ def transition_surface_family(src_name, height):
     ``height(t, m, U, V)`` is the coordinate across the blown-up plane above
     the point m = chart(U, V) of the co-space's base (S^2 or H^2) and must
     vanish at t = 0.  Returns ``family(t, U, V)``: m with the height
-    inserted in the blown-up slot, scaled onto b(x, x) = sign.
+    inserted in the blown-up slot, scaled onto b(x, x) = sign; a t-array
+    (T, 1, 1) gives points (T, m, m, 4).
     """
     space = model_space(src_name)
     axis = transition_family(src_name, "plane").axis
@@ -730,7 +733,7 @@ def transition_surface_family(src_name, height):
     def family(t, U, V):
         m = chart(U, V)
         h = height(t, m, U, V)
-        vec = np.insert(m, axis, h, axis=-1)
+        vec = np.insert(np.broadcast_to(m, h.shape + m.shape[-1:]), axis, h, axis=-1)
         return vec / np.sqrt(np.abs(space.sign + g * h**2))[..., None]
 
     return family
@@ -741,8 +744,10 @@ def surface_transition(family, src_name, m=17, ts=None, domain=None):
 
     ``family(t, U, V)`` immerses the patch into Ell3/dS3 (limit coEuc3)
     or Hyp3/AdS3 (limit coMin3) with the t = 0 surface inside the blown-up
-    plane.  Returns a dict with the limit data (I, II/t, B/t, K_ext/t^2
-    extrapolated), the EmbeddingData of the rescaled limit graph computed
+    plane; it takes a scalar t and the schedule as a t-array (T, 1, 1),
+    returning (T, m, m, 4).  Returns a dict with the limit data (I, II/t,
+    B/t, K_ext/t^2 extrapolated) from one embedding_data call on the
+    (T, m, m) stack, the EmbeddingData of the rescaled limit graph computed
     independently in the co-space, their sup gaps, and the linearity
     diagnostics of the convergence rate.
     """
@@ -750,8 +755,7 @@ def surface_transition(family, src_name, m=17, ts=None, domain=None):
     src = model_space(src_name)
     cosp = model_space(co_name)
     fam = transition_family(src_name, "plane")
-    if ts is None:
-        ts = 0.5 ** np.arange(3, 10)
+    ts = 0.5 ** np.arange(3, 10) if ts is None else np.asarray(ts, dtype=float)
     if domain is None:
         domain = ((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2)) \
             if space_family(co_name).chart == "S2" else ((0.1, 1.0), (0.2, 2 * np.pi - 0.2))
@@ -763,31 +767,21 @@ def surface_transition(family, src_name, m=17, ts=None, domain=None):
     if np.max(np.abs(base0[..., fam.axis])) > 1e-8:
         raise ValueError("the t=0 surface is not contained in the blown-up plane")
 
-    hint = np.zeros(4)
-    hint[fam.axis] = 1.0
-    seq_I, seq_II, seq_B, seq_K = [], [], [], []
-    grids = None
-    for t in ts:
-        patch = SurfacePatch(src, lambda U, V, t=t: family(t, U, V), domain,
-                             normal_hint=hint)
-        data = embedding_data(patch, m=m)
-        grids = (data.U, data.V, data.du, data.dv)
-        seq_I.append(data.I)
-        seq_II.append(data.II / t)
-        seq_B.append(data.B / t)
-        seq_K.append(np.linalg.det(data.B) / t**2)
-    I_lim = richardson(seq_I)
+    # the schedule is the leading axis of one (T, m, m) patch
+    t = ts[:, None, None]
+    patch = SurfacePatch(src, lambda U, V: family(t, U, V), domain,
+                         normal_hint=np.eye(4)[fam.axis])
+    data = embedding_data(patch, m=m)
+    seq_II = data.II / t[..., None, None]
+    I_lim = richardson(data.I)
     II_lim = richardson(seq_II)
-    B_lim = richardson(seq_B)
-    K_lim = richardson(seq_K)
+    B_lim = richardson(data.B / t[..., None, None])
+    K_lim = richardson(np.linalg.det(data.B) / t**2)
 
     # independent side: the limit graph in the co-space
     def limit_immersion(U, V):
-        seq = []
-        for t in ts:
-            seq.append(np.einsum("ab,...b->...a", fam.matrix(t),
-                                 np.asarray(family(t, U, V), dtype=float)))
-        return richardson(seq)
+        x = np.asarray(family(t, U, V), dtype=float)
+        return richardson(np.einsum("tab,t...b->t...a", fam.matrix(ts), x))
 
     co_patch = SurfacePatch(cosp, limit_immersion, domain)
     co_data = embedding_data_co(co_patch, m=m)
@@ -801,17 +795,16 @@ def surface_transition(family, src_name, m=17, ts=None, domain=None):
     # linear-in-t convergence of II_t/t towards the independent co-route,
     # fitted on the asymptotic (small-t) end of the schedule where the
     # quadratic remainder is negligible
-    errs = np.array([float(np.max(np.abs(s - co_data.II))) for s in seq_II])
+    errs = np.max(np.abs(seq_II - co_data.II), axis=(1, 2, 3, 4))
     tail = min(5, len(ts))
-    tf, ef = np.asarray(ts[-tail:]), errs[-tail:]
+    tf, ef = ts[-tail:], errs[-tail:]
     A = np.vstack([tf, np.ones_like(tf)]).T
     coef, *_ = np.linalg.lstsq(A, ef, rcond=None)
     pred = A @ coef
     ss_res = float(np.sum((ef - pred) ** 2))
     ss_tot = float(np.sum((ef - ef.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    U, V, du, dv = grids
-    limit_data = EmbeddingData(co_name, U, V, du, dv, I_lim, II_lim, B_lim,
+    limit_data = EmbeddingData(co_name, data.U, data.V, data.du, data.dv, I_lim, II_lim, B_lim,
                                np.swapaxes(B_lim, -1, -2) @ I_lim @ B_lim,
                                meta={"source": src_name})
     return {

@@ -26,6 +26,20 @@ def test_criterion(criterion):
     assert result["passed"], line
 
 
+def test_criterion_6_makes_one_check_per_transition(monkeypatch):
+    # the 20 families of a transition are one stack: 4 connection and 4
+    # volume checks, each returning 20 gaps
+    gaps = {"connection_transition_check": [], "volume_transition_check": []}
+    for name, seen in gaps.items():
+        def counted(*args, _real=getattr(cn, name), _seen=seen):
+            _seen.append(_real(*args))
+            return _seen[-1]
+
+        monkeypatch.setattr(cn, name, counted)
+    assert ac.criterion_6_connection_transition(seed=0)["passed"]
+    assert [[g.shape for g in seen] for seen in gaps.values()] == [[(20,)] * 4] * 2
+
+
 def test_nan_residual_fails_criterion_5(monkeypatch):
     # Python's max(worst, nan) returns worst; the criterion must not
     calls = []

@@ -162,13 +162,19 @@ def test_json_and_csv_are_byte_identical(tmp_path, capsys):
                  ["dual-surface", "--space", "coMin3", "--grid", "17", "--emit", "json"],
                  ["dualize", "--flavor", "euclidean", "--body", ball, "--emit", "json"],
                  ["dualize", "--flavor", "minkowski", "--body", hyperboloid, "--emit", "json"],
+                 ["transition-surface", "--space", "Hyp3", "--emit", "json"],
+                 ["transition-surface", "--space", "Ell3", "--emit", "csv"],
                  transition + ["--emit", "json"],
                  transition + ["--emit", "csv"]):
         code1, out1, _ = run_cli(args, capsys)
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0 and out1 == out2
-        if args[0].endswith("surface"):
+        if args[0] in ("check-surface", "dual-surface"):
             assert json.loads(out1)["gauss_residual"] > 0
+        if args[0] == "transition-surface" and args[-1] == "json":
+            assert len(json.loads(out1)["gaps"]) == 4
+        if args[0] == "transition-surface" and args[-1] == "csv":
+            assert len(out1.splitlines()) == 8
         if args[0] == "dualize":
             assert len(json.loads(out1)["support"]) == 64 * 64
         if args[0] == "check-connection" and args[-1] == "json":

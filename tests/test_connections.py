@@ -337,19 +337,25 @@ def _per_t_transition_gaps(src, cosp, fam, X, Y, Z, xi, schedule=DEFAULT_SCHEDUL
 
 
 def test_transition_checks_match_a_per_t_loop():
-    # criterion 6's draw at seed 0, bit for bit
+    # criterion 6's draw at seed 0: one stacked call per transition and
+    # check, each of its 20 gaps bit for bit the per-t, per-family loop's
     rng = np.random.default_rng(0)
     for src_name, co_name in transitions("plane", 3):
         src, cosp = model_space(src_name), model_space(co_name)
         fam = tr.transition_family(src_name, "plane")
+        xi, draws = [], []
         for _ in range(20):
-            xi = cosp.sample_points(rng, 1, radius=0.8)[0]
-            X, Y, Z = (ac._field_family(rng, fam.axis) for _ in range(3))
-            got = (cn.connection_transition_check(src, cosp, fam, X, Y, xi),
-                   cn.volume_transition_check(src, cosp, fam, [X, Y, Z], xi))
-            expected = _per_t_transition_gaps(src, cosp, fam, X, Y, Z, xi)
-            assert np.array_equal(np.array(got).view(np.uint64),
-                                  np.array(expected).view(np.uint64)), (src_name, got, expected)
+            xi.append(cosp.sample_points(rng, 1, radius=0.8)[0])
+            draws.append([ac._field_coefficients(rng, fam.axis) for _ in range(3)])
+        xi = np.stack(xi)
+        X, Y, Z = (ac._affine_family(*map(np.stack, zip(*field))) for field in zip(*draws))
+        got = np.stack([cn.connection_transition_check(src, cosp, fam, X, Y, xi),
+                        cn.volume_transition_check(src, cosp, fam, [X, Y, Z], xi)], axis=-1)
+        assert got.shape == (20, 2)
+        expected = np.array([
+            _per_t_transition_gaps(src, cosp, fam, *(ac._affine_family(*c) for c in draw), row)
+            for row, draw in zip(xi, draws)])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), src_name
 
 
 def test_transition_families_see_t_shaped_like_their_points():
@@ -362,14 +368,24 @@ def test_transition_families_see_t_shaped_like_their_points():
         shapes.add((np.shape(t), x.shape))
         return np.broadcast_to(np.array([0.3, -0.2, 0.1, 0.0]), x.shape) + 0.0 * t
 
-    cn.connection_transition_check(src, cosp, fam, family, family, xi)
+    assert isinstance(cn.connection_transition_check(src, cosp, fam, family, family, xi), float)
     # the t = 0 tangency guard, the (T, d) base points, their derivative
     # stencil (2 signs x 3 levels), and the limit fields' stencil at xi
     assert shapes == {((), (4,)), ((7, 1), (7, 4)), ((7, 1), (6, 7, 4)),
                       ((7, 1, 1), (7, 6, 4))}
     shapes.clear()
-    cn.volume_transition_check(src, cosp, fam, [family] * 3, xi)
+    assert isinstance(cn.volume_transition_check(src, cosp, fam, [family] * 3, xi), float)
     assert shapes == {((7, 1), (7, 4))}
+    # a stack of three target points: t gains one axis, and each check
+    # returns one gap per point
+    xi3 = cosp.sample_points(np.random.default_rng(4), 3, radius=0.8)
+    shapes.clear()
+    assert cn.connection_transition_check(src, cosp, fam, family, family, xi3).shape == (3,)
+    assert shapes == {((), (3, 4)), ((7, 1, 1), (7, 3, 4)), ((7, 1, 1), (6, 7, 3, 4)),
+                      ((7, 1, 1, 1), (7, 6, 3, 4))}
+    shapes.clear()
+    assert cn.volume_transition_check(src, cosp, fam, [family] * 3, xi3).shape == (3,)
+    assert shapes == {((7, 1, 1), (7, 3, 4))}
 
 
 def test_transition_tangency_guard():
@@ -381,6 +397,18 @@ def test_transition_tangency_guard():
     bad = lambda t, x: np.broadcast_to(np.array([0.0, 0, 0, 1.0]), x.shape)  # transverse at t = 0
     with pytest.raises(ValueError):
         cn.connection_transition_check(src, cosp, fam, bad, bad, xi)
+    # a stack of three families: the guard raises when only the middle
+    # one is transverse
+    xi3 = cosp.sample_points(rng, 3, radius=0.8)
+    c0, c1, d0 = np.zeros((3, 4)), np.zeros((3, 4, 4)), np.zeros((3, 4))
+    c0[:, 0] = 0.3
+    tangent = ac._affine_family(c0, c1, d0)
+    assert cn.connection_transition_check(src, cosp, fam, tangent, tangent, xi3).shape == (3,)
+    c0_bad = c0.copy()
+    c0_bad[1, fam.axis] = 1.0
+    with pytest.raises(ValueError, match="not tangent"):
+        cn.connection_transition_check(src, cosp, fam, tangent, ac._affine_family(c0_bad, c1, d0),
+                                       xi3)
 
 
 def test_shipped_field_forms_take_stacks():
@@ -389,7 +417,7 @@ def test_shipped_field_forms_take_stacks():
     rng = np.random.default_rng(11)
     sp = model_space("coEuc3")
     x = sp.sample_points(rng, 4)
-    family = ac._field_family(rng, tr.transition_family("Ell3", "plane").axis)
+    family = ac._affine_family(*ac._field_coefficients(rng, tr.transition_family("Ell3", "plane").axis))
     record = {"fields": [{"c0": rng.standard_normal(4).tolist(),
                           "c1": rng.standard_normal((4, 4)).tolist()}] * 3}
     forms = {

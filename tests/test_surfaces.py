@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from modelspace import acceptance as ac
 from modelspace import surfaces as sf
-from modelspace.projective import model_space
+from modelspace import transition as tr
+from modelspace._numerics import richardson
+from modelspace.projective import model_space, related
 
 S2_DOM = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3))
 H2_DOM = ((0.1, 1.1), (0.3, 2 * np.pi - 0.3))
@@ -282,10 +285,11 @@ def test_surface_transition_ell_and_hyp():
     ufn = lambda x: 1.0 + x @ a + 0.05 * np.sin(2 * x[..., 0]) * np.cos(x[..., 1])
     w = rng.standard_normal(3) * 0.05
 
+    # families take a scalar t or a t-array (T, 1, 1) and return (T, m, m, 4)
     def fam_ell(t, U, V):
         m_ = sf.sphere_chart(U, V)
         h = t * ufn(m_) + t * t * (0.3 + m_ @ w)
-        vec = np.concatenate([m_, h[..., None]], axis=-1)
+        vec = np.concatenate([np.broadcast_to(m_, h.shape + (3,)), h[..., None]], axis=-1)
         return vec / np.sqrt(1 + h**2)[..., None]
 
     out = sf.surface_transition(fam_ell, "Ell3", m=13)
@@ -296,7 +300,7 @@ def test_surface_transition_ell_and_hyp():
     def fam_hyp(t, U, V):
         m_ = sf.hyperboloid_chart(U, V)
         h = t * (-1.0 + 0.05 * m_[..., 0]) + t * t * (0.2 + 0.05 * m_[..., 1])
-        vec = np.stack([m_[..., 0], m_[..., 1], h, m_[..., 2]], axis=-1)
+        vec = np.stack(np.broadcast_arrays(m_[..., 0], m_[..., 1], h, m_[..., 2]), axis=-1)
         return vec / np.sqrt(1 - h**2)[..., None]
 
     outh = sf.surface_transition(fam_hyp, "Hyp3", m=13)
@@ -308,19 +312,83 @@ def test_surface_transition_ell_and_hyp():
 def test_surface_transition_guards_and_trivial():
     def flat(t, U, V):
         m_ = sf.sphere_chart(U, V)
-        return np.concatenate([m_, np.zeros_like(U)[..., None]], axis=-1)
+        h = np.zeros(np.broadcast_shapes(np.shape(t), U.shape))
+        return np.concatenate([np.broadcast_to(m_, h.shape + (3,)), h[..., None]], axis=-1)
 
     out = sf.surface_transition(flat, "Ell3", m=9, ts=0.5 ** np.arange(3, 7))
     assert np.max(np.abs(out["limit"].B)) < 1e-10
 
     def off_plane(t, U, V):
         m_ = sf.sphere_chart(U, V)
-        h = 0.1 + 0.0 * U
-        vec = np.concatenate([m_, h[..., None]], axis=-1)
+        h = 0.1 + 0.0 * t * U
+        vec = np.concatenate([np.broadcast_to(m_, h.shape + (3,)), h[..., None]], axis=-1)
         return vec / np.sqrt(1 + h**2)[..., None]
 
     with pytest.raises(ValueError):
         sf.surface_transition(off_plane, "Ell3", m=9)
+
+
+TRANSITION_DOMAINS = {"Ell3": ((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2)),
+                      "Hyp3": ((0.1, 1.0), (0.2, 2 * np.pi - 0.2))}
+
+
+def _per_t_surface_limits(family, src_name, m, ts):
+    """surface_transition's limits one t at a time: one embedding_data
+    call per t, and the family called with a scalar t."""
+    fam = tr.transition_family(src_name, "plane")
+    domain = TRANSITION_DOMAINS[src_name]
+    seq = [sf.embedding_data(sf.SurfacePatch(model_space(src_name),
+                                             lambda U, V, t=t: family(t, U, V), domain,
+                                             normal_hint=np.eye(4)[fam.axis]), m=m)
+           for t in ts]
+    seq_II = [d.II / t for d, t in zip(seq, ts)]
+
+    def limit_immersion(U, V):
+        return richardson([np.einsum("ab,...b->...a", fam.matrix(t), family(t, U, V))
+                           for t in ts])
+
+    co = sf.embedding_data_co(sf.SurfacePatch(model_space(related(src_name, "plane_limit")),
+                                              limit_immersion, domain), m=m)
+    return {"I": richardson([d.I for d in seq]), "II": richardson(seq_II),
+            "B": richardson([d.B / t for d, t in zip(seq, ts)]),
+            "K_ext": richardson([np.linalg.det(d.B) / t**2 for d, t in zip(seq, ts)]),
+            "co_B": co.B, "rate_errors": np.array([np.max(np.abs(s - co.II)) for s in seq_II])}
+
+
+def test_surface_transition_matches_a_per_t_loop(monkeypatch):
+    # criterion 8's Ell3 and Hyp3 families at seed 0, bit for bit
+    calls, real = [], sf.surface_transition
+
+    def record(family, src_name, **kwargs):
+        out = real(family, src_name, **kwargs)
+        calls.append((family, src_name, kwargs, out))
+        return out
+
+    monkeypatch.setattr(sf, "surface_transition", record)
+    ac.criterion_8_surfaces(seed=0)
+    assert [c[1] for c in calls] == ["Ell3", "Hyp3"]
+    for family, src_name, kwargs, out in calls:
+        expected = _per_t_surface_limits(family, src_name, kwargs["m"], kwargs["ts"])
+        got = {"I": out["limit"].I, "II": out["limit"].II, "B": out["limit"].B,
+               "K_ext": out["K_ext_limit"], "co_B": out["co_data"].B,
+               "rate_errors": out["rate_errors"]}
+        for key, value in expected.items():
+            assert got[key].shape == value.shape, (src_name, key)
+            assert np.array_equal(got[key].view(np.uint64), value.view(np.uint64)), (src_name, key)
+
+
+def test_surface_transition_makes_one_embedding_call_per_side(monkeypatch):
+    counts = {"embedding_data": 0, "embedding_data_co": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(sf, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sf, name, counted)
+    family = sf.transition_surface_family("Ell3", lambda t, m_, U, V: t * (1.0 + 0.1 * m_[..., 0]))
+    out = sf.surface_transition(family, "Ell3", m=9)
+    assert counts == {"embedding_data": 1, "embedding_data_co": 1}
+    assert out["limit"].I.shape == (9, 9, 2, 2) and out["rate_errors"].shape == (7,)
 
 
 def test_embedding_data_invariants_random_patch():
