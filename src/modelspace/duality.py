@@ -1,11 +1,20 @@
 """Dual cones, point/hyperplane duality, convex bodies and support functions.
 
 Everything here runs through one exact primitive: facet enumeration of a
-pointed full-dimensional polyhedral cone (Qhull).  Convex bodies are
+pointed full-dimensional polyhedral cone, ``cone_facet_normals``.  It
+hulls (Qhull) the cone's section by an affine hyperplane e . x = 1, a
+polytope one dimension down whose facets are exactly the cone's facets,
+so no apex fan and no cap on the unit sphere get triangulated.  The
+functional e is the normalized sum of the unit generators when every
+generator makes a cosine of at least 0.1 with it, and otherwise the
+functional of largest margin min e . g (a linear program); a cone where
+that margin is not positive is not pointed.  Convex bodies are
 polyhedral, encoded by the cone over them in one dimension up:
 
 * a Euclidean body K (compact, origin interior) lifts to the cone over
-  K x {1}, dualized with the ambient positive form;
+  K x {1}, dualized with the ambient positive form.  Its homogenizing
+  axis is such an e and its section is K, so the polar vertices -n / c
+  come straight from the facets n . x + c <= 0 of K's own hull;
 * a Minkowski body K (future convex, inside the future cone) lifts to the
   cone over {-1} x K, dualized with the ambient Lorentzian form.  Its
   recession cone is stored explicitly as a finite set of future rays, so
@@ -65,6 +74,39 @@ def _unit_rows(rows):
     return rows / norms[:, None]
 
 
+# the normalized generator sum serves as e when it makes at least this
+# cosine with every generator, so the section stays within 1/_MARGIN of e
+_MARGIN = 0.1
+
+
+def _interior_functional(g):
+    """A unit e with g . e > 0 for every unit row g, or None.
+
+    The normalized generator sum when its least cosine with a generator
+    is at least ``_MARGIN``.  Otherwise the functional of largest margin,
+    max t subject to g . e >= t and -1 <= e_i <= 1 (a linear program),
+    so the section's scale is the cone's own and not an artifact of how
+    e was found.  None means that margin is not positive (up to 1e-9):
+    the cone is not pointed.
+    """
+    e = g.sum(axis=0)
+    norm = np.linalg.norm(e)
+    if norm > 0 and np.min(g @ e) >= _MARGIN * norm:
+        return e / norm
+    from scipy.optimize import linprog
+
+    n, d = g.shape
+    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-g, np.ones((n, 1))]),
+                  b_ub=np.zeros(n), bounds=[(-1.0, 1.0)] * d + [(None, None)])
+    if res.status != 0:
+        raise ValueError(f"no interior functional found: {res.message}")
+    e = res.x[:d]
+    norm = np.linalg.norm(e)
+    if not np.min(g @ e) > 1e-9 * norm:
+        return None
+    return e / norm
+
+
 def cone_facet_normals(rays):
     """Outward facet normals of the cone generated by ``rays``.
 
@@ -72,20 +114,39 @@ def cone_facet_normals(rays):
     normal n satisfies n . g <= 0 for every generator g, and the cone is
     exactly the intersection of those halfspaces.  Equivalently this
     enumerates the extreme rays of the polar cone.
+
+    The cone is cut by the hyperplane e . x = 1, for a functional e
+    positive on every generator (see ``_interior_functional``).  The
+    section is a polytope one dimension down, hulled in the coordinates
+    y = Q^T g / (e . g) of an orthonormal basis Q of e-perp; its facet
+    n . y + c <= 0 is the cone's facet with normal Q n + c e.
     """
-    rays = _unit_rows(rays)
-    d = rays.shape[1]
-    pts = np.vstack([np.zeros(d), rays])
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise ValueError(
-            "cone is not full-dimensional (facet enumeration failed)"
-        ) from exc
-    if 0 not in hull.vertices:
+    g = _unit_rows(rays)
+    d = g.shape[1]
+    e = _interior_functional(g)
+    if e is None:
         raise ValueError("cone contains a line (not pointed)")
-    eqs = hull.equations  # n . x + c <= 0 inside
-    return _dedupe_rays(_unit_rows(eqs[np.abs(eqs[:, -1]) <= 1e-9, :-1]))
+    # the Householder reflection taking e to a coordinate axis k: its
+    # other columns are an orthonormal basis of e-perp
+    k = int(np.argmax(np.abs(e)))
+    w = e.copy()
+    w[k] += np.copysign(1.0, e[k])
+    Q = np.delete(np.eye(d) - np.outer(w, w) * (2.0 / (w @ w)), k, axis=1)
+    y = (g @ Q) / (g @ e)[:, None]
+    if d == 2:
+        # a segment [lo, hi]: the facets y <= hi and -y <= -lo
+        lo, hi = y.min(), y.max()
+        if not hi - lo > 1e-12:
+            raise ValueError("cone is not full-dimensional (facet enumeration failed)")
+        eqs = np.array([[1.0, -hi], [-1.0, lo]])
+    else:
+        try:
+            eqs = ConvexHull(y).equations  # n . y + c <= 0 inside
+        except QhullError as exc:
+            raise ValueError(
+                "cone is not full-dimensional (facet enumeration failed)"
+            ) from exc
+    return _dedupe_rays(_unit_rows(eqs[:, :-1] @ Q.T + eqs[:, -1:] * e))
 
 
 def _dedupe_rays(rows, tol=1e-9):
@@ -185,29 +246,38 @@ class EuclideanBody:
     def __init__(self, vertices, check=True):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         self.n = self.vertices.shape[1]
+        self._facets = None
         if check:
-            try:
-                hull = ConvexHull(self.vertices)
-            except QhullError as exc:
-                raise ValueError("body is not full-dimensional (hull enumeration failed)") from exc
-            offsets = hull.equations[:, -1]
-            if np.any(offsets >= -1e-12):
+            hull = self._hull()
+            if np.any(self._facets[:, -1] >= -1e-12):
                 raise ValueError("body is not admissible: origin not interior")
             # keep only extreme points, in hull order
             self.vertices = self.vertices[hull.vertices]
+
+    def _hull(self):
+        """Qhull's hull of the vertices; keeps its facet equations."""
+        try:
+            hull = ConvexHull(self.vertices)
+        except QhullError as exc:
+            raise ValueError("body is not full-dimensional (hull enumeration failed)") from exc
+        self._facets = hull.equations  # n . x + c <= 0 inside
+        return hull
 
     def support(self, dirs):
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         return np.max(self.vertices @ dirs.T, axis=0)
 
-    def cone(self):
-        v = self.vertices
-        return PolyCone(generators=np.hstack([v, np.ones((len(v), 1))]))
-
     def dual(self):
-        """Polar body {y : <x, y> <= 1 for all x in K}, exactly."""
-        form = bpq(self.n + 1, 0)
-        gens = self.cone().dual(form).generators
+        """Polar body {y : <x, y> <= 1 for all x in K}, exactly.
+
+        The cone over K x {1} is cut by its homogenizing axis in K itself,
+        so its facet normals are the rows (n, c) of K's hull equations
+        (see ``cone_facet_normals``), and each gives the polar vertex
+        -n / c.
+        """
+        if self._facets is None:
+            self._hull()
+        gens = _dedupe_rays(_unit_rows(self._facets))
         return EuclideanBody(_cone_vertices(
             gens, -1, -1, "dual body is unbounded (origin not interior?)", compact=True))
 

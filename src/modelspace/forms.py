@@ -12,6 +12,8 @@ the co-Euclidean and co-Minkowski ambient geometries.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -94,9 +96,16 @@ def _signature(matrix):
     return (p, q, z)
 
 
+@functools.lru_cache(maxsize=None)
 def bpq(p, q, z=0):
-    """Standard diagonal form: p entries +1, then q entries -1, then z zeros."""
-    return BilinearForm(np.diag([1.0] * p + [-1.0] * q + [0.0] * z))
+    """Standard diagonal form: p entries +1, then q entries -1, then z zeros.
+
+    Memoized: every call with the same arguments returns one shared form,
+    whose matrix is read-only so that no caller can change it for another.
+    """
+    form = BilinearForm(np.diag([1.0] * p + [-1.0] * q + [0.0] * z))
+    form.matrix.setflags(write=False)
+    return form
 
 
 def co_euclidean_form(n):

@@ -466,16 +466,23 @@ def gauss_codazzi_residual_refined(build_data, m=33, trim=0.12):
     return float(np.max(gauss[inner])), float(np.max(cod[inner]))
 
 
+def _smaller_eigenvalue(B):
+    """The smaller eigenvalue of the symmetric part of each 2x2 matrix in B."""
+    a, d = B[..., 0, 0], B[..., 1, 1]
+    b = 0.5 * (B[..., 0, 1] + B[..., 1, 0])
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+
+
 def dual_embedding_data(data):
     """Data of the dual surface: (I, B) -> (III, B^{-1}).
 
     Requires B positive definite everywhere; the involution property and
     the curvature dictionary K_III = K_I / det B come with it.
     """
-    eig = np.linalg.eigvalsh(0.5 * (data.B + np.swapaxes(data.B, -1, -2)))
-    if np.any(eig <= 1e-12):
-        idx = np.argwhere(~(np.min(eig, axis=-1) > 1e-12))[0]
-        raise ValueError(f"shape operator not positive definite at node {tuple(idx)}")
+    low = _smaller_eigenvalue(data.B)
+    if np.any(low <= 1e-12):
+        idx = np.argwhere(~(low > 1e-12))[0]
+        raise ValueError(f"shape operator not positive definite at node {tuple(idx.tolist())}")
     Binv = np.linalg.inv(data.B)
     I2 = data.III
     II2 = I2 @ Binv

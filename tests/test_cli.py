@@ -147,6 +147,10 @@ def test_json_and_csv_are_byte_identical(tmp_path, capsys):
     transition = ["transition", "--family", "point", "--space", "Ell3", "--path", path]
     ball = _write(tmp_path, "ball.json", {"kind": "ball", "radius": 1.7})
     hyperboloid = _write(tmp_path, "hyperboloid.json", {"kind": "hyperboloid", "radius": 1.7})
+    cube = _write(tmp_path, "cube.json", {"vertices": [
+        [sx, sy, 0.5 * sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]})
+    future = _write(tmp_path, "future.json", {"vertices": [
+        [0.3, 0.1, 1.2], [-0.2, 0.4, 1.5], [0.0, 0.0, 1.0]]})
     rng = np.random.default_rng(6)
     fields = _write(tmp_path, "fields.json", {"fields": [
         {"c0": rng.standard_normal(4).tolist(), "c1": (0.4 * rng.standard_normal((4, 4))).tolist()}
@@ -162,6 +166,9 @@ def test_json_and_csv_are_byte_identical(tmp_path, capsys):
                  ["dual-surface", "--space", "coMin3", "--grid", "17", "--emit", "json"],
                  ["dualize", "--flavor", "euclidean", "--body", ball, "--emit", "json"],
                  ["dualize", "--flavor", "minkowski", "--body", hyperboloid, "--emit", "json"],
+                 ["dualize", "--flavor", "euclidean", "--body", cube, "--emit", "json"],
+                 ["dualize", "--flavor", "minkowski", "--body", future, "--emit", "json"],
+                 ["pogorelov", "--pair", "hyp-euc", "--emit", "json"],
                  ["transition-surface", "--space", "Hyp3", "--emit", "json"],
                  ["transition-surface", "--space", "Ell3", "--emit", "csv"],
                  transition + ["--emit", "json"],
@@ -176,7 +183,12 @@ def test_json_and_csv_are_byte_identical(tmp_path, capsys):
         if args[0] == "transition-surface" and args[-1] == "csv":
             assert len(out1.splitlines()) == 8
         if args[0] == "dualize":
-            assert len(json.loads(out1)["support"]) == 64 * 64
+            record = json.loads(out1)
+            assert len(record["support"]) == 64 * 64
+            if args[4] == cube:
+                assert len(record["vertices"]) == 6  # the cross-polytope
+        if args[0] == "pogorelov":
+            assert set(json.loads(out1)) == {"pair", "source_residual", "target_residual"}
         if args[0] == "check-connection" and args[-1] == "json":
             assert len(json.loads(out1)["residuals"]) == 5
     assert len(out1.splitlines()) == 11

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from modelspace import duality as du
 from modelspace import forms
@@ -44,6 +45,92 @@ def test_cone_errors():
         du.PolyCone()
 
 
+def _apex_hull_normals(rays):
+    """Facet normals of a cone from the hull of its apex and unit rays:
+    the facets through the apex, |c| <= 1e-9."""
+    rays = np.asarray(rays, dtype=float)
+    rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    eqs = ConvexHull(np.vstack([np.zeros(rays.shape[1]), rays])).equations
+    return eqs[np.abs(eqs[:, -1]) <= 1e-9, :-1]
+
+
+def _pointed_cone(rng, d, count):
+    axis = rng.standard_normal(d)
+    axis /= np.linalg.norm(axis)
+    rays = axis + 0.6 * rng.standard_normal((count, d))
+    return rays[rays @ axis > 0.2]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_section_route_matches_the_apex_hull(d):
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        rays = _pointed_cone(rng, d, 30)
+        normals = du.cone_facet_normals(rays)
+        assert np.max(normals @ (rays / np.linalg.norm(rays, axis=1, keepdims=True)).T) < 1e-12
+        assert du.same_ray_set(normals, _apex_hull_normals(rays))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_section_route_when_the_generator_sum_is_not_interior(d):
+    # ten rays within ~1 degree of an axis and one 170 degrees from it
+    rng = np.random.default_rng(11)
+    axis, away = np.eye(d)[-1], np.eye(d)[0]
+    near = axis + 0.01 * rng.standard_normal((10, d))
+    far = np.cos(np.radians(170)) * axis + np.sin(np.radians(170)) * away
+    rays = np.vstack([near, far])
+    g = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    assert np.min(g @ g.sum(axis=0)) < 0  # so the linear program runs
+    e = du._interior_functional(g)
+    # the largest margin is ~sin(5 deg) (the bisector of the 170-degree
+    # span), up to the box norm's factor of at most sqrt(d)
+    assert np.min(g @ e) > np.sin(np.radians(5)) / np.sqrt(d)
+    assert du.same_ray_set(du.cone_facet_normals(rays), _apex_hull_normals(rays))
+
+
+def _lopsided_cone(d, width_deg, seed):
+    """A cone width_deg wide around the last axis whose rays are bunched
+    on one side: 40 within a 0.3 rad arc and two spread out."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((42, d))
+    dirs[:, -1] = 0
+    dirs[:40, 0] += 20
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    half = np.radians(width_deg / 2)
+    return np.cos(half) * np.eye(d)[-1] + np.sin(half) * dirs
+
+
+@pytest.mark.parametrize("d, width", [(3, 1.0), (4, 1.0), (4, 0.1)])
+def test_nearly_half_space_cone_round_trips(d, width):
+    # the facet normals of a narrow lopsided cone generate a cone close to
+    # a half-space whose generator sum is far from interior; its largest
+    # margin is about sin(width / 2) or less
+    normals = du.cone_facet_normals(_lopsided_cone(d, width, seed=d))
+    g = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    assert np.min(g @ g.sum(axis=0)) < 0
+    margin = np.min(g @ du._interior_functional(g))
+    assert 0 < margin < np.sin(np.radians(width / 2))
+    back = du.PolyCone(halfspaces=normals).generators
+    assert du.same_ray_set(back, _apex_hull_normals(normals))
+    assert du.same_ray_set(du.PolyCone(generators=back).halfspaces, normals)
+
+
+def test_small_margin_cone_matches_the_apex_hull():
+    # rays 1e-3 above the plane x2 = 0 at angles 0..350 degrees: pointed,
+    # and no functional has a margin much above 1e-3
+    ang = np.radians(np.arange(0, 351, 10))
+    rays = np.c_[np.cos(ang), np.sin(ang), np.full_like(ang, 1e-3)]
+    g = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    assert 0 < np.min(g @ du._interior_functional(g)) < 2e-3
+    assert du.same_ray_set(du.cone_facet_normals(rays), _apex_hull_normals(rays))
+
+
+def test_a_line_is_not_pointed_whatever_the_generator_sum():
+    # the sum (0, 1, 0) is nonzero, but no functional is positive on +-x
+    with pytest.raises(ValueError, match="not pointed"):
+        du.cone_facet_normals([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 1, 1]])
+
+
 def test_near_parallel_facet_normals_are_kept():
     # pushing the fifth generator 3e-6 past the face through the first two
     # splits it into two facets whose normals are ~1e-5 rad apart
@@ -54,6 +141,7 @@ def test_near_parallel_facet_normals_are_kept():
     gram = normals @ normals.T
     np.fill_diagonal(gram, -1.0)
     assert 5e-6 < np.arccos(np.max(gram)) < 2e-5
+    assert du.same_ray_set(normals, _apex_hull_normals(gens))
 
 
 def test_coplanar_triangles_collapse_to_one_normal():
@@ -96,6 +184,21 @@ def test_euclidean_cube_cross_polytope():
     # double dual
     dd = dual.dual()
     assert np.max(np.abs(dd.support(dirs) - cube.support(dirs))) < 1e-12
+
+
+def test_unchecked_body_dualizes_like_a_checked_one():
+    rng = np.random.default_rng(9)
+    V = np.vstack([rng.standard_normal((25, 3)), 0.4 * np.vstack([np.eye(3), -np.eye(3)])])
+    checked, unchecked = du.EuclideanBody(V), du.EuclideanBody(V, check=False)
+    assert len(unchecked.vertices) > len(checked.vertices)  # interior points kept
+    assert np.array_equal(unchecked.dual().vertices, checked.dual().vertices)
+    # the polar vertices are -n / c of the cone's facets (n, c)
+    cone = _apex_hull_normals(np.hstack([V, np.ones((len(V), 1))]))
+    polar = -cone[:, :-1] / cone[:, -1:]
+    lift = lambda P: np.hstack([P, np.ones((len(P), 1))])
+    assert du.same_ray_set(lift(checked.dual().vertices), lift(polar))
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        du.EuclideanBody([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], check=False).dual()
 
 
 def test_euclidean_admissibility():

@@ -20,6 +20,15 @@ def test_eval_dimension_mismatch():
         forms.evaluate(forms.bpq(2, 1), [1.0, 0.0], [0.0, 1.0, 0.0])
 
 
+def test_bpq_is_one_shared_read_only_form():
+    b21 = forms.bpq(2, 1)
+    assert forms.bpq(2, 1) is b21
+    assert forms.co_minkowski_form(3) is forms.bpq(2, 1, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        b21.matrix[0, 0] = 5.0
+    assert b21.matrix[0, 0] == 1.0
+
+
 def test_classify_examples():
     b21 = forms.bpq(2, 1)
     assert forms.classify_vector(b21, [1, 0, 0]) == "spacelike"

@@ -126,6 +126,38 @@ def test_dual_embedding_data():
         sf.dual_embedding_data(sf.embedding_data_co(saddle, m=9))
 
 
+def _rotated_diagonal(low, high, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    return R @ np.diag([low, high]) @ R.T
+
+
+def test_dual_embedding_gate_names_the_first_non_convex_node():
+    U, V = np.meshgrid(np.linspace(0.5, 1.0, 3), np.linspace(0.3, 1.0, 4), indexing="ij")
+    B = np.broadcast_to(_rotated_diagonal(0.5, 2.0, 0.3), (3, 4, 2, 2)).copy()
+    I = np.broadcast_to(np.eye(2), B.shape)
+
+    def data(B):
+        return sf.EmbeddingData("coEuc3", U, V, 0.25, 0.35, I, I @ B, B,
+                                np.swapaxes(B, -1, -2) @ I @ B)
+
+    B[2, 1] = _rotated_diagonal(1e-11, 1.0, 0.7)
+    sf.dual_embedding_data(data(B))  # above the 1e-12 gate
+    B[1, 2] = _rotated_diagonal(1e-13, 1.0, 0.7)
+    with pytest.raises(ValueError, match=r"not positive definite at node \(1, 2\)"):
+        sf.dual_embedding_data(data(B))
+
+
+def test_smaller_eigenvalue_matches_eigvalsh():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((5000, 2, 2))
+    B = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(2)
+    B[:, 0, 1] += rng.uniform(-0.1, 0.1, len(B))  # an asymmetric part
+    eig = np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, -1, -2)))
+    err = np.abs(sf._smaller_eigenvalue(B) - eig[:, 0])
+    assert np.max(err / np.max(np.abs(eig), axis=-1)) <= 1e-15
+
+
 def test_dual_of_co_graph_satisfies_euclidean_gauss():
     coe = model_space("coEuc3")
     c = 0.05
