@@ -18,6 +18,7 @@ from . import pogorelov as pg
 from . import projective as pj
 from . import surfaces as sf
 from . import transition as tr
+from ._numerics import richardson
 from .forms import bpq
 
 __all__ = ["run_all", "CRITERIA"]
@@ -80,10 +81,7 @@ def criterion_2_duality_round_trips(seed=0):
         rho = rng.uniform(0, 1.0, n_v)
         phi = rng.uniform(0, 2 * np.pi, n_v)
         scale = rng.uniform(0.8, 2.0, n_v)
-        verts = np.stack(
-            [np.sinh(rho) * np.cos(phi), np.sinh(rho) * np.sin(phi), np.cosh(rho)],
-            axis=1,
-        ) * scale[:, None]
+        verts = pj.chart_jet("H2", rho, phi)[0] * scale[:, None]
         body = du.MinkowskiBody(verts)
         gap = np.max(np.abs(body.dual().dual().support(grid_m) - body.support(grid_m)))
         worst_rt = np.maximum(worst_rt, gap)
@@ -398,9 +396,7 @@ def criterion_8_surfaces(seed=0):
         ddm = sf.dual_embedding_data(dm)
         Ks[m] = sf.gauss_curvature(ddm.I, ddm.du, ddm.dv)
     det65 = np.linalg.det(d65.B)
-    k1 = (4 * Ks[129][::2, ::2] - Ks[65]) / 3
-    k2 = (4 * Ks[257][::2, ::2] - Ks[129]) / 3
-    k_ref = (16 * k2[::2, ::2] - k1) / 15
+    k_ref = richardson([Ks[65], Ks[129][::2, ::2], Ks[257][::4, ::4]], ratio=4.0)
     kk = 8
     dict_gap = float(np.max(np.abs(k_ref - 1.0 / det65)[kk:-kk, kk:-kk]))
     # surface transition

@@ -34,7 +34,7 @@ from scipy.spatial import QhullError
 
 from . import forms
 from .forms import bpq
-from .projective import ProjPoint
+from .projective import ProjPoint, chart_jet
 
 __all__ = [
     "PolyCone",
@@ -379,10 +379,7 @@ def sphere_grid(m=64):
     theta = (np.arange(m) + 0.5) * np.pi / m
     phi = 2 * np.pi * np.arange(m) / m
     T, P = np.meshgrid(theta, phi, indexing="ij")
-    dirs = np.stack(
-        [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
-    )
-    return dirs.reshape(-1, 3)
+    return chart_jet("S2", T, P)[0].reshape(-1, 3)
 
 
 def hyperboloid_grid(m=64, radius=2.0):
@@ -390,10 +387,7 @@ def hyperboloid_grid(m=64, radius=2.0):
     rho = (np.arange(m) + 0.5) * radius / m
     phi = 2 * np.pi * np.arange(m) / m
     R, P = np.meshgrid(rho, phi, indexing="ij")
-    dirs = np.stack(
-        [np.sinh(R) * np.cos(P), np.sinh(R) * np.sin(P), np.cosh(R)], axis=-1
-    )
-    return dirs.reshape(-1, 3)
+    return chart_jet("H2", R, P)[0].reshape(-1, 3)
 
 
 def rapidity_grid(m=64, radius=2.0):

@@ -27,6 +27,7 @@ import numpy as np
 
 from ._numerics import central_difference
 from .forms import bpq, random_antisymmetric
+from .projective import chart_jet
 
 __all__ = [
     "ChartMetric",
@@ -295,12 +296,9 @@ def sphere_surface_samples(radius=0.55, center=(0.0, 0.0, 0.1), m=8):
     theta = (np.arange(1, m + 1)) * np.pi / (m + 2)
     phi = 2 * np.pi * np.arange(m) / m
     T, P = np.meshgrid(theta, phi, indexing="ij")
-    st, ct, sp, cp = np.sin(T), np.cos(T), np.sin(P), np.cos(P)
-    pts = radius * np.stack([st * cp, st * sp, ct], axis=-1) + np.asarray(center)
-    d_theta = radius * np.stack([ct * cp, ct * sp, -st], axis=-1)
-    d_phi = radius * np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
-    pts = pts.reshape(-1, 3)
-    tangents = np.stack([d_theta.reshape(-1, 3), d_phi.reshape(-1, 3)], axis=1)
+    pts, jac = chart_jet("S2", T, P, 1)
+    pts = (radius * pts + np.asarray(center)).reshape(-1, 3)
+    tangents = np.swapaxes(radius * jac, -1, -2).reshape(-1, 2, 3)
     return SurfaceSamples(pts, tangents)
 
 

@@ -6,6 +6,10 @@ ways: through the cross-ratio with the line's intersection with the
 absolute (the projective route), and through arccos/arccosh inversion of
 the ambient form evaluated on pseudo-sphere lifts (the closed-form route).
 Both are exposed; they must agree and the tests hold them to that.
+
+The registry names the base chart of each co-space (S2 or H2).  ``chart_jet``
+is that chart's one implementation, points and parameter derivatives, and
+every chart-built patch, direction grid and sample set reads it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "related",
     "transitions",
     "model_space",
+    "chart_jet",
     "line_through",
     "classify_line",
     "absolute_points",
@@ -269,6 +274,39 @@ def model_space(name, n=None):
     chart_form = spec.chart_form and spec.chart_form(n)
     return ModelSpace(f"{base}{n}", spec.form(n), spec.sign,
                       degenerate=False if chart_form else None, chart_form=chart_form)
+
+
+def chart_jet(base, U, V, order=0):
+    """Points of a base chart and their parameter derivatives up to ``order``.
+
+    ``base`` is a registry ``chart``, S2 (polar angle, azimuth) or H2
+    (rapidity, azimuth), or "flat", the identity chart of the plane.
+    Returns ``[points (..., k), jacobian (..., k, 2), hessian (..., k, 2, 2)]``
+    cut after ``order`` derivatives, k = 3 (2 for the plane).  S2 and H2
+    differ only in (s, c) = (sin, cos) or (sinh, cosh) of U, with c' = -kappa s
+    for the base curvature kappa = +1 or -1.
+    """
+    if base == "flat":
+        U, V = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
+        return [np.stack([U, V], axis=-1), np.broadcast_to(np.eye(2), U.shape + (2, 2)),
+                np.zeros(U.shape + (2, 2, 2))][:order + 1]
+    kappa = {"S2": 1, "H2": -1}[base]
+    s, c = (np.sin(U), np.cos(U)) if kappa > 0 else (np.sinh(U), np.cosh(U))
+    sp, cp = np.sin(V), np.cos(V)
+    points = np.stack([s * cp, s * sp, c], axis=-1)
+    jet = [points]
+    if order >= 1:
+        zero = np.zeros_like(s)
+        d_u = np.stack([c * cp, c * sp, -kappa * s], axis=-1)
+        d_v = np.stack([-s * sp, s * cp, zero], axis=-1)
+        jet.append(np.stack([d_u, d_v], axis=-1))
+    if order >= 2:
+        hess = np.empty(points.shape + (2, 2))
+        hess[..., 0, 0] = -kappa * points
+        hess[..., 0, 1] = hess[..., 1, 0] = np.stack([-c * sp, c * cp, zero], axis=-1)
+        hess[..., 1, 1] = np.stack([-s * cp, -s * sp, zero], axis=-1)
+        jet.append(hess)
+    return jet
 
 
 class ProjLine:

@@ -11,9 +11,15 @@ fundamental form III = B^T I B.
 
 Gauss-Codazzi residuals are measured with grid finite differences: the
 intrinsic curvature comes from the Brioschi formula, the Codazzi tensor
-from the I-Levi-Civita covariant derivative of B.
+from the I-Levi-Civita covariant derivative of B.  Both residuals take the
+sup over the inner grid, and every grid-step extrapolation is one
+``richardson`` call with ratio 4 (the stencils' error is in h^2).
 embedding_data takes stacks: an immersion that returns (T, m, m, d) over
 the grid gives (T, m, m, 2, 2) fields, so a surface transition is one call.
+
+The base charts of S^2 and H^2 (and the identity chart of a flat graph)
+come from ``projective.chart_jet``; the chart patches and the default
+support-function grid share one parameter domain per chart.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._numerics import richardson
-from .projective import model_space, related, space_family
+from .projective import chart_jet, model_space, related, space_family
 from .transition import transition_family
 
 __all__ = [
@@ -62,18 +68,16 @@ def _gauss_relation(name):
 
 
 def sphere_chart(theta, phi):
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    return np.stack([st * cp, st * sp, ct], axis=-1)
+    return chart_jet("S2", theta, phi)[0]
 
 
 def hyperboloid_chart(rho, phi):
-    sr, cr = np.sinh(rho), np.cosh(rho)
-    sp, cp = np.sin(phi), np.cos(phi)
-    return np.stack([sr * cp, sr * sp, cr], axis=-1)
+    return chart_jet("H2", rho, phi)[0]
 
 
-_CHARTS = {"S2": sphere_chart, "H2": hyperboloid_chart}
+# parameter domain of each chart's patch: (polar angle or rapidity, azimuth)
+_CHART_DOMAINS = {"S2": ((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2)),
+                  "H2": ((0.1, 1.2), (0.2, 2 * np.pi - 0.2))}
 
 
 class SurfacePatch:
@@ -82,19 +86,18 @@ class SurfacePatch:
     ``immersion(u, v)`` must broadcast over array parameters and return
     points with a trailing coordinate axis.  Optional ``jacobian`` /
     ``hessian`` evaluators (shapes (..., d, 2) and (..., d, 2, 2)) make
-    the data exact; otherwise plain central differences (step ``h`` of
-    ``frames``) are used.
+    the data exact; otherwise plain central differences with step 3e-4
+    are used.  ``normal_hint`` orients the unit normal of embedding_data.
     """
 
     def __init__(self, space, immersion, domain, jacobian=None, hessian=None,
-                 normal_hint=None, flip_normal=False):
+                 normal_hint=None):
         self.space = space
         self.immersion = immersion
         self.domain = domain  # ((u0, u1), (v0, v1))
         self.jacobian = jacobian
         self.hessian = hessian
         self.normal_hint = normal_hint
-        self.flip_normal = flip_normal
 
     def grid(self, m):
         (u0, u1), (v0, v1) = self.domain
@@ -103,10 +106,11 @@ class SurfacePatch:
         U, V = np.meshgrid(u, v, indexing="ij")
         return U, V, u[1] - u[0], v[1] - v[0]
 
-    def frames(self, U, V, h=3e-4):
+    def frames(self, U, V):
         """(sigma, J, H) on the grid: points, first and second parameter
         derivatives, shapes (..., d), (..., d, 2), (..., d, 2, 2)."""
         f = self.immersion
+        h = 3e-4
         sigma = np.asarray(f(U, V), dtype=float)
         if self.jacobian is None or self.hessian is None:
             u_p, u_m = np.asarray(f(U + h, V)), np.asarray(f(U - h, V))
@@ -133,94 +137,51 @@ class SurfacePatch:
         return sigma, jac, hess
 
 
-def sphere_patch(radius=1.0, domain=((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2))):
+def sphere_patch(radius=1.0):
     """Round sphere in the Euclidean chart, with analytic derivatives."""
-    return _chart_patch(model_space("Euc3"), "S2", radius, domain)
+    return _chart_patch(model_space("Euc3"), "S2", radius)
 
 
-def hyperboloid_patch(radius=1.0, domain=((0.1, 1.2), (0.2, 2 * np.pi - 0.2))):
+def hyperboloid_patch(radius=1.0):
     """Future unit hyperboloid (times ``radius``) in the Minkowski chart."""
-    return _chart_patch(model_space("Min3"), "H2", radius, domain)
+    return _chart_patch(model_space("Min3"), "H2", radius)
 
 
-def _chart_patch(space, base, radius, domain):
-    chart = _CHARTS[base]
-    return SurfacePatch(space, lambda U, V: radius * chart(U, V), domain,
-                        jacobian=lambda U, V: radius * _chart_jacobian(base, U, V),
-                        hessian=lambda U, V: radius * _chart_hessian(base, U, V))
+def _chart_patch(space, base, radius):
+    return SurfacePatch(space, lambda U, V: radius * chart_jet(base, U, V)[0],
+                        _CHART_DOMAINS[base],
+                        jacobian=lambda U, V: radius * chart_jet(base, U, V, 1)[1],
+                        hessian=lambda U, V: radius * chart_jet(base, U, V, 2)[2])
 
 
-def _chart_jacobian(base, U, V):
-    """Parameter derivatives of the S2/H2 chart, shape (..., 3, 2)."""
-    if base == "S2":
-        st, ct = np.sin(U), np.cos(U)
-        sp, cp = np.sin(V), np.cos(V)
-        du = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        dv = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
-    else:
-        sr, cr = np.sinh(U), np.cosh(U)
-        sp, cp = np.sin(V), np.cos(V)
-        du = np.stack([cr * cp, cr * sp, sr], axis=-1)
-        dv = np.stack([-sr * sp, sr * cp, np.zeros_like(sr)], axis=-1)
-    return np.stack([du, dv], axis=-1)
-
-
-def _chart_hessian(base, U, V):
-    """Second parameter derivatives of the S2/H2 chart, shape (..., 3, 2, 2)."""
-    if base == "S2":
-        st, ct = np.sin(U), np.cos(U)
-        sp, cp = np.sin(V), np.cos(V)
-        m_uu = -np.stack([st * cp, st * sp, ct], axis=-1)
-        m_uv = np.stack([-ct * sp, ct * cp, np.zeros_like(st)], axis=-1)
-        m_vv = np.stack([-st * cp, -st * sp, np.zeros_like(st)], axis=-1)
-    else:
-        sr, cr = np.sinh(U), np.cosh(U)
-        sp, cp = np.sin(V), np.cos(V)
-        m_uu = np.stack([sr * cp, sr * sp, cr], axis=-1)
-        m_uv = np.stack([-cr * sp, cr * cp, np.zeros_like(sr)], axis=-1)
-        m_vv = np.stack([-sr * cp, -sr * sp, np.zeros_like(sr)], axis=-1)
-    h = np.empty(m_uu.shape + (2, 2))
-    h[..., 0, 0], h[..., 0, 1] = m_uu, m_uv
-    h[..., 1, 0], h[..., 1, 1] = m_uv, m_vv
-    return h
-
-
-def graph_patch(space, f, domain, base="auto", df=None, d2f=None):
+def graph_patch(space, f, domain, df=None, d2f=None):
     """Graph patch: over (x, y) for the flat charts, over S^2 / H^2 for
     the co-spaces (then the parameters are the base chart parameters).
 
     Optional ``df(U, V) -> (..., 2)`` and ``d2f(U, V) -> (..., 2, 2)``
     give analytic parameter derivatives of the height, in which case the
     whole patch carries exact derivative evaluators (the chart factors
-    are closed-form).
+    are closed-form).  A flat graph's normal points up the height axis.
     """
-    if base == "auto":
-        base = space_family(space.name).chart or "flat"
-    if base == "flat":
-        def immersion(U, V):
-            return np.stack([U, V, np.asarray(f(U, V), dtype=float)], axis=-1)
-
-        return SurfacePatch(space, immersion, domain)
-
-    chart = _CHARTS[base]
+    base = space_family(space.name).chart or "flat"
 
     def immersion(U, V):
-        m = chart(U, V)
-        return np.concatenate([m, np.asarray(f(U, V), dtype=float)[..., None]], axis=-1)
+        height = np.asarray(f(U, V), dtype=float)
+        return np.concatenate([chart_jet(base, U, V)[0], height[..., None]], axis=-1)
 
     jacobian = hessian = None
     if df is not None and d2f is not None:
         def jacobian(U, V):
-            jm = _chart_jacobian(base, U, V)
             g = np.asarray(df(U, V), dtype=float)
-            return np.concatenate([jm, g[..., None, :]], axis=-2)
+            return np.concatenate([chart_jet(base, U, V, 1)[1], g[..., None, :]], axis=-2)
 
         def hessian(U, V):
-            hm = _chart_hessian(base, U, V)
             h2 = np.asarray(d2f(U, V), dtype=float)
-            return np.concatenate([hm, h2[..., None, :, :]], axis=-3)
+            return np.concatenate([chart_jet(base, U, V, 2)[2], h2[..., None, :, :]], axis=-3)
 
-    return SurfacePatch(space, immersion, domain, jacobian=jacobian, hessian=hessian)
+    hint = (0.0, 0.0, 1.0) if base == "flat" else None
+    return SurfacePatch(space, immersion, domain, jacobian=jacobian, hessian=hessian,
+                        normal_hint=hint)
 
 
 class EmbeddingData:
@@ -229,12 +190,11 @@ class EmbeddingData:
     Invariants: II symmetric, II = I B, III = B^T I B, all pointwise.
     """
 
-    def __init__(self, space_name, U, V, du, dv, I, II, B, III, meta=None):
+    def __init__(self, space_name, U, V, du, dv, I, II, B, III):
         self.space_name = space_name
         self.U, self.V = U, V
         self.du, self.dv = du, dv
         self.I, self.II, self.B, self.III = I, II, B, III
-        self.meta = meta or {}
 
     def consistency(self):
         sym = np.max(np.abs(self.II - np.swapaxes(self.II, -1, -2)))
@@ -265,25 +225,41 @@ def _default_hint(space, sigma):
     return np.broadcast_to(e, sigma.shape)
 
 
-def embedding_data(patch, m=64, normal_hint=None):
+def _pullback(patch, m):
+    """Grid, frames and first fundamental form of a patch on an m x m grid.
+
+    I is the pullback of the ambient form g (the chart metric of a flat
+    space); returns ((U, V, du, dv), sigma, jac, hess, g, g jac, I).
+    """
+    U, V, du, dv = patch.grid(m)
+    sigma, jac, hess = patch.frames(U, V)
+    g = (patch.space.chart_form or patch.space.form).matrix
+    gj = g @ jac
+    I = np.einsum("...ai,...aj->...ij", jac, gj)
+    return (U, V, du, dv), sigma, jac, hess, g, gj, I
+
+
+def _with_shape_operator(space_name, grid, I, II):
+    """EmbeddingData of (I, II): B = I^{-1} II and III = B^T I B."""
+    B = np.linalg.solve(I, II)
+    III = np.swapaxes(B, -1, -2) @ I @ B
+    return EmbeddingData(space_name, *grid, I, II, B, III)
+
+
+def embedding_data(patch, m=64):
     """Embedding data of a space-like patch in a nondegenerate 3-space.
 
-    The unit normal is fixed by b-orthogonality; its sign follows
-    ``normal_hint`` (Euclidean dot product), defaulting to the inward
-    direction in the Euclidean chart (unit sphere gets B = +Id) and to
-    the future/vertical axis elsewhere.  Degenerate induced metrics
+    The unit normal is fixed by b-orthogonality; its sign follows the
+    patch's ``normal_hint`` (Euclidean dot product), defaulting to the
+    inward direction in the Euclidean chart (unit sphere gets B = +Id) and
+    to the future/vertical axis elsewhere.  Degenerate induced metrics
     raise, reporting the offending grid node.
     """
     space = patch.space
     if space.degenerate:
         return embedding_data_co(patch, m=m)
-    U, V, du, dv = patch.grid(m)
-    sigma, jac, hess = patch.frames(U, V)
-    d = sigma.shape[-1]
-    g = space.chart_form.matrix if d == 3 else space.form.matrix
-    gj = g @ jac
-    I = np.einsum("...ai,...aj->...ij", jac, gj)
-    if d == 3:
+    grid, sigma, jac, hess, g, gj, I = _pullback(patch, m)
+    if sigma.shape[-1] == 3:
         cross = np.cross(jac[..., 0], jac[..., 1])
         normal = np.einsum("ab,...b->...a", np.linalg.inv(g), cross)
     else:
@@ -301,21 +277,16 @@ def embedding_data(patch, m=64, normal_hint=None):
         raise ValueError(f"degenerate normal direction at grid node {tuple(idx)}")
     normal = normal / np.sqrt(np.abs(qn))[..., None]
     qn = np.sign(qn)
-    hint = normal_hint if normal_hint is not None else patch.normal_hint
+    hint = patch.normal_hint
     hint = _default_hint(space, sigma) if hint is None else np.broadcast_to(np.asarray(hint, float), sigma.shape)
     flip = np.sum(normal * hint, axis=-1) < 0
     normal[flip] *= -1.0
-    if patch.flip_normal:
-        normal = -normal
     detI = np.linalg.det(I)
     if np.any(detI <= 1e-12) or np.any(I[..., 0, 0] <= 0):
         idx = np.argwhere(~(detI > 1e-12))[0]
         raise ValueError(f"induced metric degenerate at grid node {tuple(idx)}")
     II = np.einsum("...aij,ab,...b->...ij", hess, g, normal) / qn[..., None, None]
-    B = np.linalg.solve(I, II)
-    III = np.swapaxes(B, -1, -2) @ I @ B
-    meta = {"normal_orientation": "hint-aligned", "grid": m}
-    return EmbeddingData(space.name, U, V, du, dv, I, II, B, III, meta=meta)
+    return _with_shape_operator(space.name, grid, I, II)
 
 
 def embedding_data_co(patch, m=64):
@@ -328,11 +299,7 @@ def embedding_data_co(patch, m=64):
     space = patch.space
     if not space.degenerate:
         raise ValueError("use embedding_data for nondegenerate spaces")
-    U, V, du, dv = patch.grid(m)
-    sigma, jac, hess = patch.frames(U, V)
-    b = space.form.matrix
-    gj = b @ jac
-    I = np.einsum("...ai,...aj->...ij", jac, gj)
+    grid, sigma, jac, hess, b, _, I = _pullback(patch, m)
     detI = np.linalg.det(I)
     if np.any(detI <= 1e-12):
         idx = np.argwhere(~(detI > 1e-12))[0]
@@ -353,10 +320,7 @@ def embedding_data_co(patch, m=64):
     e2 = np.broadcast_to([[0.0], [0.0], [1.0]], gram.shape[:-1] + (1,))
     vertical = (basis @ np.linalg.solve(gram, e2))[..., 0]
     II = np.einsum("...a,...aij->...ij", vertical, nabla)
-    B = np.linalg.solve(I, II)
-    III = np.swapaxes(B, -1, -2) @ I @ B
-    meta = {"vertical": "T = e_last", "grid": m}
-    return EmbeddingData(space.name, U, V, du, dv, I, II, B, III, meta=meta)
+    return _with_shape_operator(space.name, grid, I, II)
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +391,31 @@ def codazzi_residual_field(data):
     return cov[..., 0, :, 1] - cov[..., 1, :, 0]
 
 
-def gauss_codazzi_residual(data, space_name=None, trim=0.12):
+def _interior_max(field):
+    """sup |field| over the inner grid: a boundary fraction 0.12 (at least
+    two cells) is dropped, where one-sided grid differences lose an order."""
+    k = max(2, int(0.12 * field.shape[0]))
+    return float(np.max(np.abs(field[k:-k, k:-k])))
+
+
+def _residuals(space_name, K, det_B, codazzi):
+    """(gauss, codazzi) sup residuals: K_I against offset + factor det B in
+    the ambient space, and the Codazzi field."""
+    offset, factor = _gauss_relation(space_name)
+    return _interior_max(K - (offset + factor * det_B)), _interior_max(codazzi)
+
+
+def gauss_codazzi_residual(data):
     """Sup-norm residuals (gauss, codazzi) of the data on the inner grid.
 
     gauss: |K_I - (offset + factor det B)| per the ambient space;
-    codazzi: |d^{nabla_I} B|.  A boundary fraction ``trim`` is dropped,
-    where one-sided grid differences lose an order.
+    codazzi: |d^{nabla_I} B|.
     """
-    offset, factor = _gauss_relation(space_name or data.space_name)
-    K = gauss_curvature(data.I, data.du, data.dv)
-    gauss = np.abs(K - (offset + factor * np.linalg.det(data.B)))
-    cod = np.abs(codazzi_residual_field(data))
-    k = max(2, int(trim * gauss.shape[0]))
-    inner = np.s_[k:-k, k:-k]
-    return float(np.max(gauss[inner])), float(np.max(cod[inner]))
+    return _residuals(data.space_name, gauss_curvature(data.I, data.du, data.dv),
+                      np.linalg.det(data.B), codazzi_residual_field(data))
 
 
-def gauss_codazzi_residual_refined(build_data, m=33, trim=0.12):
+def gauss_codazzi_residual_refined(build_data, m=33):
     """Step-refined residuals: Richardson over grids m and 2m-1.
 
     ``build_data(m)`` must return the EmbeddingData at resolution m; the
@@ -453,17 +425,11 @@ def gauss_codazzi_residual_refined(build_data, m=33, trim=0.12):
     """
     coarse = build_data(m)
     fine = build_data(2 * m - 1)
-    offset, factor = _gauss_relation(coarse.space_name)
-    kc = gauss_curvature(coarse.I, coarse.du, coarse.dv)
-    kf = gauss_curvature(fine.I, fine.du, fine.dv)[::2, ::2]
-    k_ref = (4.0 * kf - kc) / 3.0
-    gauss = np.abs(k_ref - (offset + factor * np.linalg.det(coarse.B)))
-    cc = codazzi_residual_field(coarse)
-    cf = codazzi_residual_field(fine)[::2, ::2]
-    cod = np.abs((4.0 * cf - cc) / 3.0)
-    k = max(2, int(trim * gauss.shape[0]))
-    inner = np.s_[k:-k, k:-k]
-    return float(np.max(gauss[inner])), float(np.max(cod[inner]))
+    K = richardson([gauss_curvature(coarse.I, coarse.du, coarse.dv),
+                    gauss_curvature(fine.I, fine.du, fine.dv)[::2, ::2]], ratio=4.0)
+    codazzi = richardson([codazzi_residual_field(coarse),
+                          codazzi_residual_field(fine)[::2, ::2]], ratio=4.0)
+    return _residuals(coarse.space_name, K, np.linalg.det(coarse.B), codazzi)
 
 
 def _smaller_eigenvalue(B):
@@ -488,8 +454,7 @@ def dual_embedding_data(data):
     II2 = I2 @ Binv
     III2 = np.swapaxes(Binv, -1, -2) @ I2 @ Binv
     return EmbeddingData(related(data.space_name, "dual"), data.U, data.V, data.du, data.dv,
-                         I2, II2, Binv, III2,
-                         meta={"dual_of": data.space_name})
+                         I2, II2, Binv, III2)
 
 
 # ---------------------------------------------------------------------------
@@ -544,27 +509,22 @@ def _ambient_extension_hessian(u_fn, points, g, h=2e-4):
     for n, (i, j) in enumerate(_PAIRS):
         pp, pm, mp, mm = np.moveaxis(vals[..., 6 + 4 * n:10 + 4 * n], -1, 0)
         hmat[..., i, j] = hmat[..., j, i] = (pp - pm - mp + mm) / (4 * s2[..., 0])
-    coarse, fine = hmat
-    return (4.0 * fine - coarse) / 3.0
+    return richardson(hmat, ratio=4.0)
 
 
-def shape_from_support(u_fn, base="S2", domain=None, m=64, points=None, jac=None):
+def shape_from_support(u_fn, base="S2", domain=None, m=64):
     """Shape operator field from a support function on S^2 or H^2.
 
     Computed through the ambient Hessian of the one-homogeneous
     extension: its restriction to the tangent plane is Hess u + u Id on
     the sphere and Hess u - u Id on the hyperboloid, which is exactly the
     shape operator of the graph of u in the matching co-space.  Returns
-    (B, I) in the chart coordinate frame.
+    (B, I) in the chart coordinate frame, on an m x m grid over ``domain``
+    (by default the chart patch's).
     """
-    if points is None:
-        if domain is None:
-            domain = ((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2)) if base == "S2" \
-                else ((0.1, 1.2), (0.2, 2 * np.pi - 0.2))
-        (u0, u1), (v0, v1) = domain
-        Ug, Vg = np.meshgrid(np.linspace(u0, u1, m), np.linspace(v0, v1, m), indexing="ij")
-        points = _CHARTS[base](Ug, Vg)
-        jac = _chart_jacobian(base, Ug, Vg)
+    (u0, u1), (v0, v1) = _CHART_DOMAINS[base] if domain is None else domain
+    Ug, Vg = np.meshgrid(np.linspace(u0, u1, m), np.linspace(v0, v1, m), indexing="ij")
+    points, jac = chart_jet(base, Ug, Vg, 1)
     g = np.eye(3) if base == "S2" else np.diag([1.0, 1.0, -1.0])
     H = _ambient_extension_hessian(u_fn, points, g)
     hform = np.einsum("...ai,...ab,...bj->...ij", jac, H, jac)
@@ -587,7 +547,7 @@ def _stencil_kernels(d1, d2, du, dv):
     return k
 
 
-def recover_support_from_shape(B, I, du, dv, points, codazzi_tol=1e-5):
+def recover_support_from_shape(B, I, du, dv, points):
     """Least-squares solve of Hess_I(u) + u I = I B for the support u.
 
     ``B`` must be symmetric with respect to I and satisfy the Codazzi
@@ -602,11 +562,9 @@ def recover_support_from_shape(B, I, du, dv, points, codazzi_tol=1e-5):
     # tensor is itself O(h^2), so the threshold floors at the grid error
     IB = I @ B
     data = EmbeddingData("coEuc3", None, None, du, dv, I, IB, B, np.swapaxes(B, -1, -2) @ IB)
-    cod = np.abs(codazzi_residual_field(data))
-    k = max(2, int(0.12 * m1))
     h2 = max(du, dv) ** 2
-    threshold = max(codazzi_tol, h2 * (1.0 + float(np.max(np.abs(B)))))
-    if float(np.max(cod[k:-k, k:-k])) > threshold:
+    threshold = max(1e-5, h2 * (1.0 + float(np.max(np.abs(B)))))
+    if _interior_max(codazzi_residual_field(data)) > threshold:
         raise ValueError("shape operator violates the Codazzi equation; no support function exists")
     import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
@@ -652,8 +610,8 @@ def recover_support_from_shape(B, I, du, dv, points, codazzi_tol=1e-5):
     return sol[:-3].reshape(m1, m2)
 
 
-def apply_shape_operator(u_grid, I, du, dv, sign=+1.0):
-    """Discrete Hess_I(u) +- u I -> B, the forward map of the recovery.
+def apply_shape_operator(u_grid, I, du, dv):
+    """Discrete Hess_I(u) + u I -> B, the forward map of the recovery.
 
     Uses the deep-interior stencils of recover_support_from_shape (the
     fourth-order five-point first and second differences and their
@@ -682,7 +640,7 @@ def apply_shape_operator(u_grid, I, du, dv, sign=+1.0):
     hess[..., 0, 0], hess[..., 1, 1] = h_uu, h_vv
     hess[..., 0, 1] = hess[..., 1, 0] = h_uv
     hess = hess - np.einsum("...kij,...k->...ij", gamma[c, c], grad)
-    form = hess + sign * u_grid[c, c][..., None, None] * I[c, c]
+    form = hess + u_grid[c, c][..., None, None] * I[c, c]
     B = np.empty(u_grid.shape + (2, 2))
     B[c, c] = np.linalg.solve(I[c, c], form)
     # replicate the two-cell margin from the nearest interior values
@@ -693,10 +651,10 @@ def apply_shape_operator(u_grid, I, du, dv, sign=+1.0):
     return B
 
 
-def immersion_from_data_co_euclidean(dev, u_fn, domain, m=33, tol=1e-6):
+def immersion_from_data_co_euclidean(dev, u_fn, domain):
     """Immersion (dev, u) into co-Euclidean space from its data.
 
-    ``dev`` maps parameters into S^2 (checked to ``tol``); the embedding
+    ``dev`` maps parameters into S^2 (checked to 1e-6); the embedding
     data of the returned patch are (round pullback, Hess u + u Id).  Two
     immersions built from u and u + <dev, p0> have identical data: they
     differ by the vertical shear isometry.
@@ -705,7 +663,7 @@ def immersion_from_data_co_euclidean(dev, u_fn, domain, m=33, tol=1e-6):
     Ug, Vg = np.meshgrid(np.linspace(u0, u1, 7), np.linspace(v0, v1, 7), indexing="ij")
     pts = np.asarray(dev(Ug, Vg), dtype=float)
     norms = np.linalg.norm(pts, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > tol:
+    if np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValueError("developing map does not land on the unit sphere")
 
     space = model_space("coEuc3")
@@ -734,11 +692,11 @@ def transition_surface_family(src_name, height):
     """
     space = model_space(src_name)
     axis = transition_family(src_name, "plane").axis
-    chart = _CHARTS[space_family(related(src_name, "plane_limit")).chart]
+    base = space_family(related(src_name, "plane_limit")).chart
     g = space.form.matrix[axis, axis]
 
     def family(t, U, V):
-        m = chart(U, V)
+        m = chart_jet(base, U, V)[0]
         h = height(t, m, U, V)
         vec = np.insert(np.broadcast_to(m, h.shape + m.shape[-1:]), axis, h, axis=-1)
         return vec / np.sqrt(np.abs(space.sign + g * h**2))[..., None]
@@ -746,7 +704,7 @@ def transition_surface_family(src_name, height):
     return family
 
 
-def surface_transition(family, src_name, m=17, ts=None, domain=None):
+def surface_transition(family, src_name, m=17, ts=None):
     """Rescaled limit of the embedding data of a degenerating family.
 
     ``family(t, U, V)`` immerses the patch into Ell3/dS3 (limit coEuc3)
@@ -763,9 +721,9 @@ def surface_transition(family, src_name, m=17, ts=None, domain=None):
     cosp = model_space(co_name)
     fam = transition_family(src_name, "plane")
     ts = 0.5 ** np.arange(3, 10) if ts is None else np.asarray(ts, dtype=float)
-    if domain is None:
-        domain = ((0.35, np.pi - 0.35), (0.2, 2 * np.pi - 0.2)) \
-            if space_family(co_name).chart == "S2" else ((0.1, 1.0), (0.2, 2 * np.pi - 0.2))
+    # the S2 chart patch's domain; on H2 the rapidity stops at 1.0
+    domain = _CHART_DOMAINS["S2"] if space_family(co_name).chart == "S2" \
+        else ((0.1, 1.0), (0.2, 2 * np.pi - 0.2))
 
     # t = 0 check: the base surface must be planar (in the blown-up plane)
     (u0, u1), (v0, v1) = domain
@@ -812,8 +770,7 @@ def surface_transition(family, src_name, m=17, ts=None, domain=None):
     ss_tot = float(np.sum((ef - ef.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     limit_data = EmbeddingData(co_name, data.U, data.V, data.du, data.dv, I_lim, II_lim, B_lim,
-                               np.swapaxes(B_lim, -1, -2) @ I_lim @ B_lim,
-                               meta={"source": src_name})
+                               np.swapaxes(B_lim, -1, -2) @ I_lim @ B_lim)
     return {
         "limit": limit_data,
         "co_data": co_data,

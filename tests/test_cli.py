@@ -219,6 +219,17 @@ def test_surface_commands(tmp_path, capsys):
     assert code == 0 and "R^2" in out
 
 
+def test_euclidean_graph_normal_does_not_flip(tmp_path, capsys):
+    # a graph not star-shaped about the origin, whose normal the sphere's
+    # orientation hint -sigma would flip across the grid
+    patch = _write(tmp_path, "graph.json",
+                   {"kind": "graph", "height": {"constant": 0, "linear": [0.3, 0.2, 0.1]}})
+    code, out, err = run_cli(["check-surface", "--space", "Euc3", "--patch", patch,
+                              "--emit", "json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["codazzi_residual"] < 1e-2
+
+
 def test_scene_envelope(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({

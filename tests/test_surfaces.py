@@ -4,8 +4,10 @@ import pytest
 from modelspace import acceptance as ac
 from modelspace import surfaces as sf
 from modelspace import transition as tr
-from modelspace._numerics import richardson
-from modelspace.projective import model_space, related
+from modelspace import duality as du
+from modelspace import pogorelov as pg
+from modelspace._numerics import central_difference, richardson
+from modelspace.projective import chart_jet, model_space, related
 
 S2_DOM = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3))
 H2_DOM = ((0.1, 1.1), (0.3, 2 * np.pi - 0.3))
@@ -31,6 +33,70 @@ def test_paraboloid_graph_at_origin():
     patch = sf.graph_patch(euc, lambda U, V: (U**2 + V**2) / 2, ((-0.5, 0.5), (-0.5, 0.5)))
     data = sf.embedding_data(patch, m=21)
     assert np.max(np.abs(data.B[10, 10] - np.eye(2))) < 1e-7
+
+
+def test_flat_graph_carries_exact_derivatives():
+    # z = (x^2 + y^2) / 2 has II = Id / sqrt(1 + x^2 + y^2) in the upward normal
+    euc = model_space("Euc3")
+    patch = sf.graph_patch(euc, lambda U, V: (U**2 + V**2) / 2, ((-0.5, 0.5), (-0.5, 0.5)),
+                           df=lambda U, V: np.stack([U, V], axis=-1),
+                           d2f=lambda U, V: np.broadcast_to(np.eye(2), U.shape + (2, 2)))
+    assert patch.jacobian is not None and patch.hessian is not None
+    data = sf.embedding_data(patch, m=21)
+    II = np.eye(2) / np.sqrt(1.0 + data.U**2 + data.V**2)[..., None, None]
+    assert np.max(np.abs(data.B - np.linalg.solve(data.I, II))) < 1e-13
+
+
+@pytest.mark.parametrize("base, domain", [("S2", S2_DOM), ("H2", H2_DOM),
+                                          ("flat", ((-0.7, 0.4), (-0.2, 0.9)))])
+def test_chart_jet_matches_differenced_points(base, domain):
+    U, V = np.meshgrid(np.linspace(*domain[0], 6), np.linspace(*domain[1], 7), indexing="ij")
+    points, jac, hess = chart_jet(base, U, V, 2)
+    assert [a.shape for a in chart_jet(base, U, V)] == [points.shape]
+    assert all(np.array_equal(a, b) for a, b in zip(chart_jet(base, U, V, 1), (points, jac)))
+
+    def point(x):
+        return chart_jet(base, x[..., 0], x[..., 1])[0]
+
+    def jacobian(x):
+        return chart_jet(base, x[..., 0], x[..., 1], 1)[1]
+
+    x0 = np.stack([U, V], axis=-1)[..., None, :]
+    axes = np.eye(2)
+    # the k-th derivative along parameter j, stacked as (..., k, j)
+    fd_jac = np.moveaxis(central_difference(point, x0, axes), -2, -1)
+    fd_hess = np.moveaxis(central_difference(jacobian, x0, axes), -3, -1)
+    assert np.max(np.abs(fd_jac - jac)) < 1e-10
+    assert np.max(np.abs(fd_hess - hess)) < 1e-10
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_grids_and_samples_on_the_jet_match_the_chart_formulas(m):
+    theta = (np.arange(m) + 0.5) * np.pi / m
+    rho = (np.arange(m) + 0.5) * 2.0 / m
+    phi = 2 * np.pi * np.arange(m) / m
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    sphere = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1)
+    assert _bits_equal(du.sphere_grid(m), sphere.reshape(-1, 3))
+    R, P = np.meshgrid(rho, phi, indexing="ij")
+    hyper = np.stack([np.sinh(R) * np.cos(P), np.sinh(R) * np.sin(P), np.cosh(R)], axis=-1)
+    assert _bits_equal(du.hyperboloid_grid(m), hyper.reshape(-1, 3))
+
+    radius, center = 0.55, np.array([0.0, 0.0, 0.1])
+    T, P = np.meshgrid(np.arange(1, m + 1) * np.pi / (m + 2), phi, indexing="ij")
+    st, ct, sp, cp = np.sin(T), np.cos(T), np.sin(P), np.cos(P)
+    pts = radius * np.stack([st * cp, st * sp, ct], axis=-1) + center
+    d_theta = radius * np.stack([ct * cp, ct * sp, -st], axis=-1)
+    d_phi = radius * np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+    samples = pg.sphere_surface_samples(radius, center, m)
+    assert _bits_equal(samples.points, pts.reshape(-1, 3))
+    assert _bits_equal(samples.tangents,
+                       np.stack([d_theta.reshape(-1, 3), d_phi.reshape(-1, 3)], axis=1))
 
 
 def test_spacelike_restriction_guard():

@@ -1,0 +1,74 @@
+"""Print one md5 per surface-layer kernel output, of its float64 bits.
+
+    PYTHONPATH=src python3 tools/fingerprint.py > fingerprint.txt
+
+Each line is ``<name> <md5>``, the hash taken over the output's bytes viewed
+as uint64, so two trees print the same line only if that output is equal
+bit for bit (signed zeros and NaN payloads included).  A refactor that
+should not move a number cites the plain ``diff`` of the two trees'
+outputs.  Takes a few seconds.
+"""
+
+import hashlib
+
+import numpy as np
+
+from modelspace import duality as du
+from modelspace import pogorelov as pg
+from modelspace import surfaces as sf
+from modelspace.projective import model_space
+
+S2_DOM = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3))
+H2_DOM = ((0.1, 1.1), (0.3, 2 * np.pi - 0.3))
+
+
+def show(name, *arrays):
+    for k, a in enumerate(arrays):
+        bits = np.ascontiguousarray(np.asarray(a, dtype=float)).view(np.uint64)
+        print(f"{name}[{k}] {hashlib.md5(bits.tobytes()).hexdigest()}")
+
+
+def main():
+    coe, com, euc = (model_space(n) for n in ("coEuc3", "coMin3", "Euc3"))
+    f = lambda U, V: 1.0 + 0.05 * np.sin(2 * U) * np.cos(V)
+    df = lambda U, V: np.stack([0.1 * np.cos(2 * U) * np.cos(V),
+                                -0.05 * np.sin(2 * U) * np.sin(V)], axis=-1)
+    d2f = lambda U, V: np.stack([np.stack([-0.2 * np.sin(2 * U) * np.cos(V),
+                                           -0.1 * np.cos(2 * U) * np.sin(V)], axis=-1),
+                                 np.stack([-0.1 * np.cos(2 * U) * np.sin(V),
+                                           -0.05 * np.sin(2 * U) * np.cos(V)], axis=-1)], axis=-1)
+    ufn = lambda x: 1.0 + 0.1 * x[..., 0] + 0.05 * np.sin(2 * x[..., 0]) * np.cos(x[..., 1])
+    patches = {
+        "sphere": sf.sphere_patch(radius=1.5), "hyperboloid": sf.hyperboloid_patch(),
+        "paraboloid": sf.graph_patch(euc, lambda U, V: (U**2 + V**2) / 2, ((-0.5, 0.5),) * 2),
+        "co_exact": sf.graph_patch(coe, f, S2_DOM, df=df, d2f=d2f),
+        "co_fd": sf.graph_patch(coe, f, S2_DOM),
+        "comin_fd": sf.graph_patch(com, lambda U, V: -1.0 - 0.05 * np.sin(V) * U, H2_DOM),
+    }
+    for name, patch in patches.items():
+        for m in (33, 257):
+            d = sf.embedding_data(patch, m=m)
+            show(f"embedding_data[{name},{m}]", d.I, d.II, d.B, d.III)
+        show(f"gauss_codazzi_residual[{name}]", sf.gauss_codazzi_residual(d))
+        show(f"gauss_codazzi_residual_refined[{name}]", sf.gauss_codazzi_residual_refined(
+            lambda m, p=patch: sf.embedding_data(p, m=m), m=33))
+    for base, dom in (("S2", S2_DOM), ("H2", H2_DOM)):
+        show(f"shape_from_support[{base}]", *sf.shape_from_support(ufn, base=base, domain=dom, m=64))
+        show(f"shape_from_support_default[{base}]", *sf.shape_from_support(ufn, base=base, m=17))
+    Ug, Vg = np.meshgrid(np.linspace(*S2_DOM[0], 33), np.linspace(*S2_DOM[1], 33), indexing="ij")
+    B, I = sf.shape_from_support(ufn, base="S2", domain=S2_DOM, m=33)
+    show("recover_support_from_shape", sf.recover_support_from_shape(
+        B, I, Ug[1, 0] - Ug[0, 0], Vg[0, 1] - Vg[0, 0], sf.sphere_chart(Ug, Vg)))
+    show("sphere_grid", du.sphere_grid(64), du.sphere_grid(7))
+    show("hyperboloid_grid", du.hyperboloid_grid(64), du.hyperboloid_grid(7, radius=1.3))
+    for src, height in (("Ell3", lambda t, m_, U, V: t * ufn(m_) + 0.3 * t * t),
+                        ("Hyp3", lambda t, m_, U, V: t * (-1.0 + 0.05 * m_[..., 0]))):
+        out = sf.surface_transition(sf.transition_surface_family(src, height), src, m=17)
+        show(f"surface_transition[{src}]", out["limit"].I, out["limit"].B, out["co_data"].B,
+             out["rate_errors"])
+    s = pg.sphere_surface_samples()
+    show("sphere_surface_samples", s.points, s.tangents)
+
+
+if __name__ == "__main__":
+    main()
