@@ -408,7 +408,9 @@ def _patch_from_record(space, record):
         amp, freq = height.get("wave", [0.0, 1.0])
 
         def f(U, V):
-            base = sf.sphere_chart(U, V) if spherical else sf.hyperboloid_chart(U, V)
+            # in a flat space the parameters are (x, y), so lin reads a x + b y + c
+            base = pj.chart_jet(spec.chart, U, V)[0] if spec.chart \
+                else np.stack([U, V, np.ones_like(U)], axis=-1)
             return const + base @ lin + amp * np.sin(freq * U) * np.cos(V)
 
         domain = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3)) if spherical \

@@ -325,18 +325,18 @@ def parallel_transport(space, curve, t0, t1, X0):
 
     Integrates X' = -(b(gamma', X) / sign) gamma with 200 RK4 steps; the
     right-hand side keeps b(gamma, X) = 0 and the norm of X constant.  The
-    t-array curve and its velocity are called once on all stage times.
+    t-array curve and its velocity are called once on all stage times, and
+    the covectors b(gamma', .) / sign are formed once for all stages.
     """
-    b = space.form
-    eps = float(space.sign)
     ts = np.linspace(t0, t1, 201)
     dts = ts[1:] - ts[:-1]
     stages = np.stack([ts[:-1], ts[:-1] + dts / 2, ts[:-1] + dts])
     xs = np.asarray(curve(stages), dtype=float)
     dxs = central_difference(curve, stages, base_step=1e-6, levels=1)
+    covs = np.einsum("...i,ij->...j", dxs, space.form.matrix) / float(space.sign)
 
     def rhs(stage, i, X):
-        return -(float(b(dxs[stage, i], X)) / eps) * xs[stage, i]
+        return -(covs[stage, i] @ X) * xs[stage, i]
 
     X = np.asarray(X0, dtype=float)
     for i, dt in enumerate(dts):

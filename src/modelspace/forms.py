@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "BilinearForm",
@@ -27,6 +26,7 @@ __all__ = [
     "classify_vector",
     "restrict",
     "antisymmetric_from_draw",
+    "cayley",
     "random_antisymmetric",
     "random_isometry",
 ]
@@ -171,11 +171,27 @@ def antisymmetric_from_draw(g, s, scale=1.0):
     return np.linalg.solve(g, scale * (s - np.swapaxes(s, -1, -2)) / 2.0)
 
 
+def cayley(a):
+    """The Cayley map (I - A/2)^{-1} (I + A/2), stacked over the leading axes of ``a``.
+
+    For A in so(b) the result lies in O(b) in exact arithmetic, for a
+    degenerate b too, and has no eigenvalue -1.  It is rational in A, and
+    t -> cayley(tA) has value I and derivative A at t = 0, as exp(tA) does.
+    Raises ValueError when I - A/2 is singular.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[-1])
+    try:
+        return np.linalg.solve(eye - a / 2, eye + a / 2)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("I - A/2 is singular: A has the eigenvalue 2") from exc
+
+
 def random_antisymmetric(form, rng, scale=1.0):
     """Random generator A with A^T G + G A = 0, i.e. an element of so(b).
 
     For degenerate forms this produces generators of the isometries of the
-    form; exp(A) then preserves b exactly to machine precision.
+    form; ``cayley(A)`` then preserves b to rounding.
     """
     d = form.dim
     s = rng.standard_normal((d, d))
@@ -195,10 +211,11 @@ def random_antisymmetric(form, rng, scale=1.0):
     a[np.ix_(free, mask)] = scale * rng.standard_normal((int(free.sum()), int(mask.sum())))
     # Columns hitting the kernel must keep G A antisymmetric: (GA)[i, free]=0
     # forces A[mask, free] = 0; the free-free block is unconstrained but we
-    # keep it zero so exp(A) fixes the degenerate fiber scale.
+    # keep it zero so cayley(A) fixes the degenerate fiber scale.
     return a
 
 
 def random_isometry(form, rng, scale=1.0):
-    """A random element of the identity component of O(b)."""
-    return expm(random_antisymmetric(form, rng, scale=scale))
+    """A random element of O(b): the Cayley image of ``random_antisymmetric``,
+    near the identity for a small ``scale`` and without the eigenvalue -1."""
+    return cayley(random_antisymmetric(form, rng, scale=scale))

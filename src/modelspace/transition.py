@@ -15,7 +15,6 @@ axis) the permutation is part of the family's matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import forms
 from ._numerics import DEFAULT_SCHEDULE, central_difference, richardson
@@ -291,12 +290,15 @@ def stabilizer_isometry(form, fam, draw, scale=0.5):
     keep = np.ix_(rest, rest)
     a = np.zeros(draw.shape[:-2] + form.matrix.shape)
     a[(Ellipsis, *keep)] = forms.antisymmetric_from_draw(form.matrix[keep], draw, scale)
-    return expm(a)
+    return forms.cayley(a)
 
 
 class IsometryPath:
-    """t -> exp(t gen) h0 for ``h0``, ``gen`` of shape (*size, d, d); a
-    t-array of shape (T,) gives (T, *size, d, d) from one stacked expm."""
+    """t -> cayley(t gen) h0 for ``h0``, ``gen`` of shape (*size, d, d); a
+    t-array of shape (T,) gives (T, *size, d, d) from one stacked solve.
+
+    The path is rational in t, with h(0) = h0 and h'(0) = gen h0, and stays
+    in O(b) when h0 does and gen is in so(b)."""
 
     def __init__(self, h0, gen):
         self.h0 = h0
@@ -304,11 +306,12 @@ class IsometryPath:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return expm(t.reshape(t.shape + (1,) * self.gen.ndim) * self.gen) @ self.h0
+        return forms.cayley(t.reshape(t.shape + (1,) * self.gen.ndim) * self.gen) @ self.h0
 
 
 def random_isometry_path(space, fam, rng, scale=0.5, size=None):
-    """h(t) in O(form) with h(0) stabilizing the fixed locus, smooth in t.
+    """h(t) = cayley(t gen) h(0) in O(form), rational in t, with h(0) the
+    Cayley image of a stabilizer generator and so fixing the fixed locus.
 
     ``size`` (numpy's convention) stacks independent paths from the stream
     of that many size=None draws: per path the stabilizer's normals, then

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -220,14 +222,27 @@ def test_surface_commands(tmp_path, capsys):
 
 
 def test_euclidean_graph_normal_does_not_flip(tmp_path, capsys):
-    # a graph not star-shaped about the origin, whose normal the sphere's
-    # orientation hint -sigma would flip across the grid
+    # a curved graph not star-shaped about the origin, whose normal the
+    # sphere's orientation hint -sigma would flip across the grid
     patch = _write(tmp_path, "graph.json",
-                   {"kind": "graph", "height": {"constant": 0, "linear": [0.3, 0.2, 0.1]}})
+                   {"kind": "graph", "height": {"constant": 0, "wave": [0.3, 2.0]}})
     code, out, err = run_cli(["check-surface", "--space", "Euc3", "--patch", patch,
                               "--emit", "json"], capsys)
     assert code == 0, err
     assert json.loads(out)["codazzi_residual"] < 1e-2
+
+
+@pytest.mark.parametrize("space", ["Euc3", "Min3"])
+def test_flat_linear_graph_is_a_plane(tmp_path, capsys, space):
+    # a flat graph's parameters are (x, y), so this height is 0.3 x + 0.2 y + 0.1
+    patch = _write(tmp_path, "graph.json",
+                   {"kind": "graph", "height": {"constant": 0, "linear": [0.3, 0.2, 0.1]}})
+    code, out, err = run_cli(["check-surface", "--space", space, "--patch", patch], capsys)
+    assert code == 0, err
+    ranges = {line.split(" range ")[0]: json.loads(line.split(" range ")[1].split(" (")[0])
+              for line in out.splitlines() if " range " in line}
+    assert np.max(np.abs(ranges["K_I"])) <= 1e-8
+    assert np.max(np.abs(ranges["det B"])) <= 1e-12
 
 
 def test_scene_envelope(tmp_path, capsys):
@@ -293,6 +308,28 @@ def test_import_does_not_load_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _imported_modules(tree):
+    """Every module an ``import`` or ``from ... import`` of the tree names,
+    with ``from a import b`` giving both a and a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_linalg():
+    # the isometry paths are Cayley maps (one numpy solve), so scipy.linalg
+    # has no use in the package; scipy.spatial still loads it indirectly
+    package = pathlib.Path(cli.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        names = _imported_modules(ast.parse(path.read_text(), str(path)))
+        assert not [n for n in names if n.split(".")[:2] == ["scipy", "linalg"]], path
 
 
 def _write(tmp_path, name, record):

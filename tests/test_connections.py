@@ -118,12 +118,12 @@ def test_each_residual_makes_one_curve_call():
 
 def _scalar_curve_transport(space, curve, t0, t1, X0, steps=200):
     """RK4 parallel transport with scalar curve calls at every stage."""
-    b, eps, h = space.form, float(space.sign), 1e-6
+    g, eps, h = space.form.matrix, float(space.sign), 1e-6
 
     def rhs(t, X):
         x = curve(t)
         dx = (curve(t + h) - curve(t - h)) / (2 * h)
-        return -(float(b(dx, X)) / eps) * x
+        return -((np.einsum("i,ij->j", dx, g) / eps) @ X) * x
 
     X = np.asarray(X0, dtype=float)
     ts = np.linspace(t0, t1, steps + 1)

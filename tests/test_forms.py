@@ -1,8 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from modelspace import forms
+from modelspace.projective import model_space
 
 
 def test_eval_examples():
@@ -131,6 +135,43 @@ def test_random_isometry_preserves_form():
         for _ in range(5):
             g = forms.random_isometry(b, rng)
             assert np.max(np.abs(g.T @ b.matrix @ g - b.matrix)) < 1e-10
+
+
+def _so_draws(b, rng, k=40, scale=0.5):
+    """k generators in so(b), stacked; one solve for an invertible form."""
+    if not b.degenerate:
+        return forms.antisymmetric_from_draw(b.matrix, rng.standard_normal((k, b.dim, b.dim)), scale)
+    return np.array([forms.random_antisymmetric(b, rng, scale=scale) for _ in range(k)])
+
+
+# co_euclidean_form(3) and co_minkowski_form(3) are the forms of coEuc3 and coMin3
+CAYLEY_SPACES = [f"{name}{n}" for n in (2, 3, 4) for name in ("Ell", "Hyp", "dS", "AdS")]
+CAYLEY_SPACES += ["coEuc3", "coMin3"]
+
+
+@pytest.mark.parametrize("name", CAYLEY_SPACES)
+def test_cayley_of_so_b_preserves_the_form(name):
+    b = model_space(name).form
+    h = forms.cayley(_so_draws(b, np.random.default_rng(zlib.crc32(name.encode()))))
+    assert h.shape == (40, b.dim, b.dim)
+    assert np.max(np.abs(np.swapaxes(h, -1, -2) @ b.matrix @ h - b.matrix)) < 1e-13
+
+
+@pytest.mark.parametrize("name", CAYLEY_SPACES)
+def test_cayley_agrees_with_expm_to_second_order(name):
+    # cay(x) - exp(x) = -x^3/12 + O(x^4): the same value and derivative at 0
+    b, t = model_space(name).form, 1e-2
+    for a in _so_draws(b, np.random.default_rng(zlib.crc32(name.encode()) + 1), k=10, scale=1.0):
+        gap = np.max(np.abs(forms.cayley(t * a) - expm(t * a)))
+        assert gap <= (t * np.linalg.norm(a, 2)) ** 3
+
+
+def test_cayley_raises_where_i_minus_a_half_is_singular():
+    boost = np.array([[0.0, 2.0], [2.0, 0.0]])  # rapidity 2 in so(1, 1)
+    assert np.array_equal(boost.T @ forms.bpq(1, 1).matrix, -forms.bpq(1, 1).matrix @ boost)
+    for a in (boost, np.stack([0.5 * boost, boost])):
+        with pytest.raises(ValueError, match="singular"):
+            forms.cayley(a)
 
 
 def test_json_round_trip():

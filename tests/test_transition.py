@@ -2,7 +2,6 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from modelspace import acceptance as ac
 from modelspace import forms
@@ -104,7 +103,7 @@ def _reference_draw(space, fam, rng, scale=0.5):
     a = np.zeros((space.dim, space.dim))
     sub = forms.BilinearForm(space.form.matrix[np.ix_(keep, keep)])
     a[np.ix_(keep, keep)] = forms.random_antisymmetric(sub, rng, scale=scale)
-    return expm(a), forms.random_antisymmetric(space.form, rng, scale=scale)
+    return forms.cayley(a), forms.random_antisymmetric(space.form, rng, scale=scale)
 
 
 def _reference_limit(h, fam):
