@@ -1,13 +1,17 @@
 """The acceptance suite: one property-based check per shipped guarantee.
 
-Each criterion function returns a dict with ``name``, ``passed``,
-``detail`` and ``seconds``; run_all executes them in order and prints one
-pass/fail line each.  Tolerances are fixed here, not configurable: they
-are the package's contract.
+Each criterion returns its residuals as ``check`` records, a value and
+the closed interval [lo, hi] it must lie in, and the ``_criterion``
+decorator turns them into a timed verdict: a dict with ``name``,
+``passed`` (every check passed), ``detail`` (the check texts),
+``seconds`` and ``checks``.  run_all executes them in order and prints
+one pass/fail line each.  Tolerances are fixed here, not configurable:
+they are the package's contract.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -24,15 +28,30 @@ from .forms import bpq
 __all__ = ["run_all", "CRITERIA"]
 
 
-def _result(name, passed, detail, t0):
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "detail": detail,
-        "seconds": time.perf_counter() - t0,
-    }
+def check(text, value, lo=-np.inf, hi=np.inf):
+    """The record of one bounded quantity: ``text`` is a format string for
+    the value, and the check passes iff lo <= value <= hi, so a NaN fails."""
+    return {"text": text.format(value), "value": float(value), "lo": lo, "hi": hi,
+            "passed": bool(lo <= value <= hi)}
 
 
+def _criterion(name):
+    """Run a criterion that returns its checks, timed, as a verdict dict."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(seed=0):
+            t0 = time.perf_counter()
+            checks = fn(seed=seed)
+            return {"name": name, "passed": all(c["passed"] for c in checks),
+                    "detail": ", ".join(c["text"] for c in checks),
+                    "seconds": time.perf_counter() - t0, "checks": checks}
+
+        return run
+
+    return decorate
+
+
+@_criterion("1 cross-ratio distance vs closed forms")
 def criterion_1_distance_consistency(seed=0):
     """Cross-ratio distance equals the arccos/arccosh inversion, 1e-9."""
     t0 = time.perf_counter()
@@ -48,20 +67,14 @@ def criterion_1_distance_consistency(seed=0):
         mask = ~np.isnan(d_closed)
         counts.append(int(mask.sum()))
         worst = np.maximum(worst, np.max(np.abs(d_cross[mask] - d_closed[mask])))
-    elapsed = time.perf_counter() - t0
-    passed = worst < 1e-9 and elapsed < 5.0
-    return _result(
-        "1 cross-ratio distance vs closed forms",
-        passed,
-        f"sup |d_cr - d_closed| = {worst:.2e} over {counts} comparable pairs, {elapsed:.2f}s",
-        t0,
-    )
+    return [check(f"sup |d_cr - d_closed| = {{:.2e}} over {counts} comparable pairs", worst, hi=1e-9),
+            check("{:.2f}s", time.perf_counter() - t0, hi=5.0)]
 
 
+@_criterion("2 duality round trips")
 def criterion_2_duality_round_trips(seed=0):
     """(K*)* = K at grid 64; ball and hyperboloid duals and the
     truncation apex exact to 1e-9."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     grid_e = du.sphere_grid(64)
     grid_m = du.hyperboloid_grid(64)
@@ -100,36 +113,27 @@ def criterion_2_duality_round_trips(seed=0):
         vhat = v / np.sqrt(-bpq(2, 1).quad(v))
         apex = du.truncation_dual(v, r)
         worst_trunc = np.maximum(worst_trunc, np.max(np.abs(apex - vhat / r)))
-    passed = worst_rt < 1e-6 and worst_smooth < 1e-9 and worst_trunc < 1e-9
-    return _result(
-        "2 duality round trips",
-        passed,
-        f"double-dual gap {worst_rt:.2e}, smooth duals {worst_smooth:.2e}, truncation {worst_trunc:.2e}",
-        t0,
-    )
+    return [check("double-dual gap {:.2e}", worst_rt, hi=1e-6),
+            check("smooth duals {:.2e}", worst_smooth, hi=1e-9),
+            check("truncation {:.2e}", worst_trunc, hi=1e-9)]
 
 
+@_criterion("3 one-dimensional conjugacy limits")
 def criterion_3_one_d_transition(seed=0):
     """g_k R_{a/k} g_k^{-1} -> T_a and the same for boosts, 1e-6."""
-    t0 = time.perf_counter()
     worst = 0.0
     for a in (-2.0, 0.5, 3.0):
         for kind in ("rotation", "boost"):
             lim, _ = tr.one_d_limit(kind, a)
             worst = np.maximum(worst, np.max(np.abs(lim - tr.translation_1d(a))))
-    return _result(
-        "3 one-dimensional conjugacy limits",
-        worst < 1e-6,
-        f"sup gap to the translation {worst:.2e}",
-        t0,
-    )
+    return [check("sup gap to the translation {:.2e}", worst, hi=1e-6)]
 
 
+@_criterion("4 three-dimensional transitions")
 def criterion_4_three_d_transition(seed=0):
     """Conjugated isometry paths land in the limit block patterns
     (1e-6, 1000 paths); the duality/transition diagrams commute (1e-7,
     100 paths)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = 0
     per = 125  # 8 transitions x 125 paths
@@ -155,13 +159,8 @@ def criterion_4_three_d_transition(seed=0):
 
         gaps = tr.duality_transition_check(tr.PointPath(x_path), fam, space.form)
         worst_gap = np.maximum(worst_gap, np.max(gaps))
-    passed = failures == 0 and worst_gap < 1e-7
-    return _result(
-        "4 three-dimensional transitions",
-        passed,
-        f"{failures}/1000 pattern failures, duality diagram gap {worst_gap:.2e}",
-        t0,
-    )
+    return [check("{:d}/1000 pattern failures", failures, hi=0),
+            check("duality diagram gap {:.2e}", worst_gap, hi=1e-7)]
 
 
 def _fixed_locus_point(space, fam, rng):
@@ -182,10 +181,10 @@ def _columns(*coords):
     return np.stack(np.broadcast_arrays(*coords), axis=-1)
 
 
+@_criterion("5 co-space connection characterization")
 def criterion_5_co_connection(seed=0):
-    """Characterizing residuals of the co-space connections < 1e-6;
-    lines geodesic < 1e-6, non-geodesic control > 1e-2."""
-    t0 = time.perf_counter()
+    """Characterizing residuals of the co-space connections <= 1e-6;
+    lines geodesic <= 1e-6, non-geodesic control >= 1e-2."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name in ("coEuc3", "coMin3"):
@@ -229,13 +228,9 @@ def criterion_5_co_connection(seed=0):
     control = cn.geodesic_residual(
         cc, lambda t: _columns(np.cos(t) * np.cos(0.7), np.sin(t) * np.cos(0.7),
                                np.sin(0.7), 0.1))
-    passed = worst < 1e-6 and geo < 1e-6 and control > 1e-2
-    return _result(
-        "5 co-space connection characterization",
-        passed,
-        f"axiom residuals {worst:.2e}, line residual {geo:.2e}, control {control:.2e}",
-        t0,
-    )
+    return [check("axiom residuals {:.2e}", worst, hi=1e-6),
+            check("line residual {:.2e}", geo, hi=1e-6),
+            check("control {:.2e}", control, lo=1e-2)]
 
 
 def _field_coefficients(rng, axis, dim=4):
@@ -257,10 +252,10 @@ def _affine_family(c0, c1, d0):
     return fam_fn
 
 
+@_criterion("6 connection/volume transition")
 def criterion_6_connection_transition(seed=0):
     """Rescaled connections and volumes of Ell3/dS3/Hyp3/AdS3 converge to
-    the co-space ones, extrapolated gap < 1e-6 on 20 families each."""
-    t0 = time.perf_counter()
+    the co-space ones, extrapolated gap <= 1e-6 on 20 families each."""
     rng = np.random.default_rng(seed)
     worst_c, worst_v = 0.0, 0.0
     for src_name, co_name in pj.transitions("plane", 3):
@@ -278,19 +273,14 @@ def criterion_6_connection_transition(seed=0):
         xi = np.stack(xi)
         worst_c = np.maximum(worst_c, np.max(cn.connection_transition_check(src, cosp, fam, Xf, Yf, xi)))
         worst_v = np.maximum(worst_v, np.max(cn.volume_transition_check(src, cosp, fam, [Xf, Yf, Zf], xi)))
-    passed = worst_c < 1e-6 and worst_v < 1e-6
-    return _result(
-        "6 connection/volume transition",
-        passed,
-        f"connection gap {worst_c:.2e}, volume gap {worst_v:.2e}",
-        t0,
-    )
+    return [check("connection gap {:.2e}", worst_c, hi=1e-6),
+            check("volume gap {:.2e}", worst_v, hi=1e-6)]
 
 
+@_criterion("7 infinitesimal Pogorelov map")
 def criterion_7_pogorelov(seed=0):
     """Killing transport, the (rho^2, rho^4) eigenvalue dictionary, and
     the Weyl/contraction identities."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     cloud = pg.halton_cloud(512, seed=seed)
     worst_img, worst_src = 0.0, 0.0
@@ -324,13 +314,10 @@ def criterion_7_pogorelov(seed=0):
         X, Y = np.moveaxis(rng.standard_normal((20, 2, 3)), 1, 0)
         worst_weyl = np.max([worst_weyl, np.max(pg.weyl_gap(m_dst, m_src, cloud[:20], X, Y)),
                              np.max(pg.contraction_gap(m_dst, m_src, cloud[:20]))])
-    passed = worst_src < 1e-7 and worst_img < 1e-6 and worst_eig < 1e-9 and worst_weyl < 1e-6
-    return _result(
-        "7 infinitesimal Pogorelov map",
-        passed,
-        f"src {worst_src:.2e}, image {worst_img:.2e}, eigen {worst_eig:.2e}, weyl {worst_weyl:.2e}",
-        t0,
-    )
+    return [check("src {:.2e}", worst_src, hi=1e-7),
+            check("image {:.2e}", worst_img, hi=1e-6),
+            check("eigen {:.2e}", worst_eig, hi=1e-9),
+            check("weyl {:.2e}", worst_weyl, hi=1e-6)]
 
 
 def _b_orthogonal(g0, x, rng):
@@ -345,11 +332,11 @@ def _b_orthogonal(g0, x, rng):
     return v
 
 
+@_criterion("8 surfaces")
 def criterion_8_surfaces(seed=0):
     """Canonical data exact; grid-h^2 residual scaling; support-function
     shape operators; dual involution and curvature dictionary; surface
     transition limits."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     # canonical data exact to 1e-9
     d_s = sf.embedding_data(sf.sphere_patch(), m=33)
@@ -410,31 +397,19 @@ def criterion_8_surfaces(seed=0):
     out_h = sf.surface_transition(fam_hyp, "Hyp3", m=17, ts=0.5 ** np.arange(3, 10))
     trans_gap = np.max([*out_e["gaps"].values(), *out_h["gaps"].values()])
     r2 = np.min([out_e["rate_r2"], out_h["rate_r2"]])
-    passed = (
-        canon < 1e-9
-        and 3.5 <= ratio <= 4.5
-        and sup_gap < 1e-4
-        and invol < 1e-8
-        and dict_gap < 1e-6
-        and trans_gap < 1e-5
-        and r2 > 0.99
-    )
-    return _result(
-        "8 surfaces",
-        passed,
-        (
-            f"canonical {canon:.1e}, h2-ratio {ratio:.2f}, support-gap {sup_gap:.1e}, "
-            f"involution {invol:.1e}, K-dictionary {dict_gap:.1e}, "
-            f"transition {trans_gap:.1e}, R2 {r2:.4f}"
-        ),
-        t0,
-    )
+    return [check("canonical {:.1e}", canon, hi=1e-9),
+            check("h2-ratio {:.2f}", ratio, lo=3.5, hi=4.5),
+            check("support-gap {:.1e}", sup_gap, hi=1e-4),
+            check("involution {:.1e}", invol, hi=1e-8),
+            check("K-dictionary {:.1e}", dict_gap, hi=1e-6),
+            check("transition {:.1e}", trans_gap, hi=1e-5),
+            check("R2 {:.4f}", r2, lo=0.99)]
 
 
+@_criterion("9 rigidity transport")
 def criterion_9_rigidity(seed=0):
     """Isometric deformations transport to isometric deformations;
     trivial ones stay trivial, for 10 ambient Killing restrictions."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     surf = pg.sphere_surface_samples()
     worst_src, worst_dst, worst_triv = 0.0, 0.0, 0.0
@@ -448,13 +423,9 @@ def criterion_9_rigidity(seed=0):
             PZ, res_dst = pg.rigidity_transport(Z, m_src, m_dst, surf)
             worst_dst = np.maximum(worst_dst, res_dst)
             worst_triv = np.maximum(worst_triv, pg.fit_flat_killing(m_dst, PZ, surf.points[::4]))
-    passed = worst_src < 1e-7 and worst_dst < 1e-6 and worst_triv < 1e-6
-    return _result(
-        "9 rigidity transport",
-        passed,
-        f"src {worst_src:.2e}, dst {worst_dst:.2e}, triviality fit {worst_triv:.2e}",
-        t0,
-    )
+    return [check("src {:.2e}", worst_src, hi=1e-7),
+            check("dst {:.2e}", worst_dst, hi=1e-6),
+            check("triviality fit {:.2e}", worst_triv, hi=1e-6)]
 
 
 CRITERIA = [

@@ -111,6 +111,14 @@ def _surface_grid(args):
     return grid
 
 
+def _judge(checks, context=""):
+    """Raise a ToleranceError naming the first failing check record (see
+    acceptance.check) and the bound it broke; a NaN value fails."""
+    for c in checks:
+        if not c["passed"]:
+            raise ToleranceError(f"{context}{c['text']} not in [{c['lo']}, {c['hi']}]")
+
+
 def _strict_json(value):
     """The record with non-finite floats as the strings "nan", "inf" and
     "-inf", which strict JSON parsers accept."""
@@ -447,10 +455,8 @@ def cmd_check_surface(args):
         "gauss_residual": gauss,
         "codazzi_residual": codazzi,
     }, csv_rows=rows, csv_header=["u", "v", "K_I", "det_B"])
-    if gauss > args.tol or codazzi > args.tol:
-        raise ToleranceError(
-            f"gauss/codazzi residuals {_fmt(gauss)}/{_fmt(codazzi)} exceed {args.tol}"
-        )
+    _judge([ac.check("gauss residual {:.12g}", gauss, hi=args.tol),
+            ac.check("codazzi residual {:.12g}", codazzi, hi=args.tol)])
 
 
 def cmd_dual_surface(args):
@@ -479,8 +485,7 @@ def cmd_dual_surface(args):
         "codazzi_residual": codazzi,
         "involution": invol,
     })
-    if invol > 1e-8:
-        raise ToleranceError(f"involution defect {_fmt(invol)} exceeds 1e-8")
+    _judge([ac.check("involution defect {:.12g}", invol, hi=1e-8)])
 
 
 def cmd_transition_surface(args):
@@ -506,16 +511,13 @@ def cmd_transition_surface(args):
         "rate_r2": out["rate_r2"],
     }, csv_rows=np.stack([out["ts"], out["rate_errors"]], axis=1),
         csv_header=["t", "rate_error"])
-    worst = max(out["gaps"].values())
-    if worst > args.tol:
-        raise ToleranceError(f"transition gap {_fmt(worst)} exceeds {args.tol}")
+    _judge([ac.check(f"transition gap {k}: {{:.12g}}", v, hi=args.tol)
+            for k, v in out["gaps"].items()])
 
 
 def cmd_acceptance(args):
-    results = ac.run_all(seed=args.seed)
-    if not all(r["passed"] for r in results):
-        worst = next(r for r in results if not r["passed"])
-        raise ToleranceError(f"criterion failed: {worst['name']}: {worst['detail']}")
+    for res in ac.run_all(seed=args.seed):
+        _judge(res["checks"], f"criterion failed: {res['name']}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -287,12 +287,20 @@ class EuclideanBody:
 
 
 def lightlike_rays(n=3, count=64):
-    """Future lightlike directions spanning the boundary of the cone F."""
+    """Future lightlike directions spanning the boundary of the cone F of
+    Min^n: (u, 1)/sqrt 2 for ``count`` unit directions u on S^(n-2)."""
     if n == 2:
         # boundary of the 2d future cone
         return np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-    phi = 2 * np.pi * np.arange(count) / count
-    return np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)], axis=1) / np.sqrt(2.0)
+    if n == 3:
+        phi = 2 * np.pi * np.arange(count) / count
+        u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    else:
+        # a fixed normal draw: deterministic, and isotropic on S^(n-2) in
+        # every dimension
+        u = np.random.default_rng(n).standard_normal((count, n - 1))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.hstack([u, np.ones((count, 1))]) / np.sqrt(2.0)
 
 
 class MinkowskiBody:
@@ -312,6 +320,9 @@ class MinkowskiBody:
         if rays is None:
             rays = lightlike_rays(self.n)
         self.rays = _unit_rows(rays)
+        if self.rays.shape[1] != self.n:
+            raise ValueError(f"recession rays have {self.rays.shape[1]} coordinates, "
+                             f"vertices have {self.n}")
         if check:
             q = self.form.quad(self.vertices)
             if np.any(q >= 0) or np.any(self.vertices[:, -1] <= 0):

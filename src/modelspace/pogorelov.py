@@ -149,16 +149,33 @@ def chart_pair(name, n=3):
 
 
 def halton_cloud(n_points=512, n=3, radius=0.9, seed=0):
-    """Deterministic quasi-random cloud in the ball of the given radius."""
-    from scipy.stats import qmc
+    """Deterministic quasi-random cloud in the ball of the given radius.
 
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
-    pts = []
-    while len(pts) < n_points:
-        batch = 2 * radius * (sampler.random(256) - 0.5)
-        keep = np.linalg.norm(batch, axis=1) <= radius
-        pts.extend(batch[keep])
-    return np.array(pts[:n_points])
+    The Halton sequence in the first n primes (Halton, Numer. Math. 2,
+    1960), shifted modulo 1 by a uniform draw of ``default_rng(seed)`` (a
+    Cranley-Patterson rotation, so each seed gives its own cloud), scaled
+    to the cube [-radius, radius]^n and kept where it falls in the ball.
+    """
+    primes, p = [], 2
+    while len(primes) < n:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    shift = np.random.default_rng(seed).random(n)
+    count = 2 * n_points
+    while True:
+        u = np.zeros((count, n))
+        for j, base in enumerate(primes):
+            # radical inverse: the digits of k mirrored about the radix point
+            k, scale = np.arange(count), 1.0 / base
+            while np.any(k):
+                u[:, j] += scale * (k % base)
+                k, scale = k // base, scale / base
+        pts = 2 * radius * ((u + shift) % 1.0 - 0.5)
+        pts = pts[np.linalg.norm(pts, axis=1) <= radius]
+        if len(pts) >= n_points:
+            return pts[:n_points]
+        count *= 2
 
 
 def operator_l(m_src, m_dst, x, X=None):

@@ -274,7 +274,7 @@ def embedding_data(patch, m=64):
     bad = np.abs(qn) < 1e-12
     if np.any(bad):
         idx = np.argwhere(bad)[0]
-        raise ValueError(f"degenerate normal direction at grid node {tuple(idx)}")
+        raise ValueError(f"degenerate normal direction at grid node {tuple(idx.tolist())}")
     normal = normal / np.sqrt(np.abs(qn))[..., None]
     qn = np.sign(qn)
     hint = patch.normal_hint
@@ -284,7 +284,7 @@ def embedding_data(patch, m=64):
     detI = np.linalg.det(I)
     if np.any(detI <= 1e-12) or np.any(I[..., 0, 0] <= 0):
         idx = np.argwhere(~(detI > 1e-12))[0]
-        raise ValueError(f"induced metric degenerate at grid node {tuple(idx)}")
+        raise ValueError(f"induced metric degenerate at grid node {tuple(idx.tolist())}")
     II = np.einsum("...aij,ab,...b->...ij", hess, g, normal) / qn[..., None, None]
     return _with_shape_operator(space.name, grid, I, II)
 
@@ -303,7 +303,7 @@ def embedding_data_co(patch, m=64):
     detI = np.linalg.det(I)
     if np.any(detI <= 1e-12):
         idx = np.argwhere(~(detI > 1e-12))[0]
-        raise ValueError(f"patch is not space-like at grid node {tuple(idx)}")
+        raise ValueError(f"patch is not space-like at grid node {tuple(idx.tolist())}")
     # co-connection value: remove the N = x component as measured by b
     qx = np.einsum("...a,ab,...b->...", sigma, b, sigma)
     bx_h = np.einsum("...a,...aij->...ij", sigma @ b, hess)

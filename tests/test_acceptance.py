@@ -17,6 +17,34 @@ from modelspace import surfaces as sf
 from modelspace import transition as tr
 
 
+INF = float("inf")
+
+# the contract: each criterion's checks in order, as (text before the
+# value, lo, hi); loosening or dropping a bound fails test_criterion
+BOUNDS = {
+    "criterion_1_distance_consistency": [("sup |d_cr - d_closed| = ", -INF, 1e-9),
+                                         ("", -INF, 5.0)],
+    "criterion_2_duality_round_trips": [("double-dual gap ", -INF, 1e-6),
+                                        ("smooth duals ", -INF, 1e-9),
+                                        ("truncation ", -INF, 1e-9)],
+    "criterion_3_one_d_transition": [("sup gap to the translation ", -INF, 1e-6)],
+    "criterion_4_three_d_transition": [("", -INF, 0), ("duality diagram gap ", -INF, 1e-7)],
+    "criterion_5_co_connection": [("axiom residuals ", -INF, 1e-6),
+                                  ("line residual ", -INF, 1e-6),
+                                  ("control ", 1e-2, INF)],
+    "criterion_6_connection_transition": [("connection gap ", -INF, 1e-6),
+                                          ("volume gap ", -INF, 1e-6)],
+    "criterion_7_pogorelov": [("src ", -INF, 1e-7), ("image ", -INF, 1e-6),
+                              ("eigen ", -INF, 1e-9), ("weyl ", -INF, 1e-6)],
+    "criterion_8_surfaces": [("canonical ", -INF, 1e-9), ("h2-ratio ", 3.5, 4.5),
+                             ("support-gap ", -INF, 1e-4), ("involution ", -INF, 1e-8),
+                             ("K-dictionary ", -INF, 1e-6), ("transition ", -INF, 1e-5),
+                             ("R2 ", 0.99, INF)],
+    "criterion_9_rigidity": [("src ", -INF, 1e-7), ("dst ", -INF, 1e-6),
+                             ("triviality fit ", -INF, 1e-6)],
+}
+
+
 @pytest.mark.parametrize("criterion", ac.CRITERIA, ids=lambda c: c.__name__)
 def test_criterion(criterion):
     result = criterion(seed=0)
@@ -24,6 +52,18 @@ def test_criterion(criterion):
     line = f"[{status}] {result['name']}: {result['detail']} ({result['seconds']:.1f}s)"
     print(line)
     assert result["passed"], line
+    bounds = BOUNDS[criterion.__name__]
+    assert len(result["checks"]) == len(bounds)
+    for c, (prefix, lo, hi) in zip(result["checks"], bounds):
+        assert c["text"].startswith(prefix) and (c["lo"], c["hi"]) == (lo, hi), c
+
+
+def test_check_bounds_are_inclusive_and_nan_fails():
+    assert ac.check("{}", 1e-6, hi=1e-6)["passed"]
+    assert ac.check("{}", 3.5, lo=3.5, hi=4.5)["passed"]
+    assert not ac.check("{}", 4.5000001, lo=3.5, hi=4.5)["passed"]
+    nan = ac.check("gap {:.2e}", float("nan"), hi=1.0)
+    assert not nan["passed"] and nan["text"] == "gap nan"
 
 
 def test_criterion_6_makes_one_check_per_transition(monkeypatch):

@@ -130,6 +130,36 @@ def test_check_connection_overflowing_fields_fail(tmp_path, capsys):
     assert code == 3 and "residual nan exceeds" in err
 
 
+@pytest.mark.parametrize("space", ["coEuc3", "Euc3"])
+def test_check_surface_overflowing_height_fails(tmp_path, capsys, space):
+    # a finite record whose height overflows gives NaN residuals, which
+    # fail the tolerance like any other value past it
+    patch = _write(tmp_path, "p.json",
+                   {"kind": "graph", "height": {"constant": 1e300, "wave": [1e300, 1.0]}})
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(["check-surface", "--space", space, "--grid", "9",
+                                  "--patch", patch], capsys)
+    assert "gauss residual nan" in out
+    assert code == 3 and "gauss residual nan not in [-inf, 0.1]" in err
+
+
+def test_acceptance_names_the_failing_check_and_its_bound(monkeypatch, capsys):
+    from modelspace import acceptance as ac
+    from modelspace import transition as tr
+
+    real = tr.one_d_limit
+    monkeypatch.setattr(ac, "CRITERIA", [ac.criterion_3_one_d_transition])
+
+    def nan_limit(*args):
+        lim, err = real(*args)
+        return lim * np.nan, err
+
+    monkeypatch.setattr(tr, "one_d_limit", nan_limit)
+    code, out, err = run_cli(["acceptance"], capsys)
+    assert code == 3 and out.startswith("[FAIL] 3 one-dimensional")
+    assert "sup gap to the translation nan not in [-inf, 1e-06]" in err
+
+
 def test_json_output_is_strict_for_nan_residuals(tmp_path, capsys):
     big = {"c0": [1e200, 1e200, 0, 0], "c1": (1e200 * np.eye(4)).tolist()}
     path = _write(tmp_path, "big.json", {"fields": [big] * 3})
@@ -299,8 +329,8 @@ def test_console_script_help():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats (and the optimize/integrate modules it pulls in) is only
-    # needed by halton_cloud, which imports it on first use
+    # scipy.stats pulls in the optimize and integrate modules, and no
+    # module of the package needs it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, modelspace; print('scipy.stats' in sys.modules)"],
@@ -321,15 +351,17 @@ def _imported_modules(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_no_module_imports_scipy_linalg():
-    # the isometry paths are Cayley maps (one numpy solve), so scipy.linalg
-    # has no use in the package; scipy.spatial still loads it indirectly
+@pytest.mark.parametrize("banned", ["scipy.linalg", "scipy.stats"])
+def test_no_module_imports(banned):
+    # the isometry paths are Cayley maps (one numpy solve) and the Pogorelov
+    # cloud is a numpy Halton sequence, so neither module has a use in the
+    # package; scipy.spatial still loads scipy.linalg indirectly
     package = pathlib.Path(cli.__file__).parent
     modules = sorted(package.rglob("*.py"))
     assert len(modules) > 5
     for path in modules:
         names = _imported_modules(ast.parse(path.read_text(), str(path)))
-        assert not [n for n in names if n.split(".")[:2] == ["scipy", "linalg"]], path
+        assert not [n for n in names if n.split(".")[:2] == banned.split(".")], path
 
 
 def _write(tmp_path, name, record):
@@ -345,7 +377,7 @@ def _write(tmp_path, name, record):
                                   "patch-without-kind", "fields-not-a-list",
                                   "random-negative", "random-2", "c0-of-length-3",
                                   "c1-of-2x2", "nan-coefficient", "dualize-grid-0",
-                                  "dualize-grid-negative"])
+                                  "dualize-grid-negative", "overflowing-transition-height"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
@@ -382,6 +414,8 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                                               for z in (-1, 1)]})],
         "dualize-grid-negative": ["dualize", "--flavor", "minkowski", "--grid", "-3", "--body",
                                   _write(tmp_path, "h.json", {"kind": "hyperboloid", "radius": 2})],
+        "overflowing-transition-height": ["transition-surface", "--space", "Ell3", "--patch",
+                                          _write(tmp_path, "t.json", {"height": {"amp": 1e308}})],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -397,7 +431,8 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "c1-of-2x2": "field 'c1' has shape (2, 2), expected (4, 4)",
                 "nan-coefficient": "field 'c0' must hold finite numbers",
                 "dualize-grid-0": "--grid must be at least 1, got 0",
-                "dualize-grid-negative": "--grid must be at least 1, got -3"}
+                "dualize-grid-negative": "--grid must be at least 1, got -3",
+                "overflowing-transition-height": "grid node (0, 0, 0)"}
     assert expected.get(case, "") in err
 
 

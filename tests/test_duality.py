@@ -218,6 +218,21 @@ def test_minkowski_body_and_dual():
         du.MinkowskiBody([[1.0, 0.0, 0.5]])  # spacelike vertex
 
 
+def test_minkowski_round_trip_in_min4():
+    # the default recession rays live in Min^4 too: 64 lightlike directions
+    rng = np.random.default_rng(4)
+    v = 0.5 * rng.standard_normal((10, 3))
+    verts = np.hstack([v, np.sqrt(1 + np.sum(v**2, axis=1, keepdims=True))])
+    body = du.MinkowskiBody(verts * rng.uniform(1.0, 2.0, (10, 1)))
+    assert body.rays.shape == (64, 4)
+    u = du.sphere_grid(8)
+    dirs = np.hstack([0.8 * u, np.full((64, 1), np.sqrt(1.64))])
+    h = body.support(dirs)
+    assert np.max(np.abs(body.dual().dual().support(dirs) - h)) < 1e-12
+    with pytest.raises(ValueError, match="rays have 3 coordinates, vertices have 4"):
+        du.MinkowskiBody(verts, rays=du.lightlike_rays(3))
+
+
 def test_minkowski_dual_admissible():
     # dual vertices are future causal up to the polygonal-recession fringe
     rng = np.random.default_rng(1)
