@@ -441,14 +441,14 @@ CRITERIA = [
 ]
 
 
-def run_all(seed=0, out=print):
+def run_all(seed=0):
     results = []
     for crit in CRITERIA:
         res = crit(seed=seed)
         results.append(res)
         status = "PASS" if res["passed"] else "FAIL"
-        out(f"[{status}] {res['name']}: {res['detail']} ({res['seconds']:.1f}s)")
+        print(f"[{status}] {res['name']}: {res['detail']} ({res['seconds']:.1f}s)")
     total = sum(r["seconds"] for r in results)
     n_pass = sum(r["passed"] for r in results)
-    out(f"{n_pass}/{len(results)} criteria passed in {total:.1f}s")
+    print(f"{n_pass}/{len(results)} criteria passed in {total:.1f}s")
     return results

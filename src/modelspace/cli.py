@@ -206,6 +206,8 @@ def cmd_dualize(args):
         raise ValidationError(f"--grid must be at least 1, got {grid}")
     record = _load_record(args.body, "body")
     body = _body_from_record(record, args.flavor)
+    if not isinstance(body, float) and body.n != 3:
+        raise ValidationError(f"body has {body.n} coordinates; the direction grid needs 3")
     if args.flavor == "euclidean":
         dirs = du.sphere_grid(grid)
     else:
@@ -387,8 +389,11 @@ def cmd_pogorelov(args):
         "source_residual": res_src,
         "target_residual": res_dst,
     }, csv_rows=rows, csv_header=["r", "rho", "lat_src", "lat_dst"])
-    if res_src < 1e-7 and res_dst > args.tol:
-        raise ToleranceError(f"target residual {_fmt(res_dst)} exceeds {args.tol}")
+    # a NaN source residual fails; the target is judged unless the source field is not Killing
+    checks = [ac.check("source Killing residual {:.12g}", res_src)]
+    if not (np.isfinite(res_src) and res_src >= 1e-7):
+        checks.append(ac.check("target Killing residual {:.12g}", res_dst, hi=args.tol))
+    _judge(checks)
 
 
 # patch kinds with a fixed home space: kind -> (space name, constructor)
@@ -610,7 +615,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # NaN and overflow are judged explicitly: numpy's warnings would be noise
+        with np.errstate(all="ignore"):
+            args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -151,11 +151,11 @@ def random_tangent_field(space, rng, scale=1.0):
     return VectorField(space, _poly_field(rng, space.dim, scale), warn=False)
 
 
-def plane_tangent_field(space, normal, rng, scale=1.0):
+def plane_tangent_field(space, normal, rng):
     """A random field tangent both to the locus and to the linear-plane
     section {<normal, x> = 0} at points of that section."""
     normal = np.asarray(normal, dtype=float)
-    base = _poly_field(rng, space.dim, scale)
+    base = _poly_field(rng, space.dim)
 
     def fn(x):
         v = tangent_project(space, x, base(x))
@@ -285,8 +285,8 @@ def t_parallel_residual(conn, points):
     return float(np.max(np.linalg.norm(conn(v, t_field, x), axis=-1)))
 
 
-def plane_preservation_residual(space, normal, rng, samples=6):
-    """sup over samples of the off-plane component of nabla_V W.
+def plane_preservation_residual(space, normal, rng):
+    """sup over 6 samples of the off-plane component of nabla_V W.
 
     V, W are random fields tangent to the plane section {<normal,x> = 0};
     the co-space connection must keep their derivative in the plane.
@@ -297,7 +297,7 @@ def plane_preservation_residual(space, normal, rng, samples=6):
     normal = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
     V = plane_tangent_field(space, normal, rng)
     W = plane_tangent_field(space, normal, rng)
-    raw = rng.standard_normal((samples, space.dim))
+    raw = rng.standard_normal((6, space.dim))
     raw -= (raw @ normal)[:, None] * normal
     keep = space.sign * space.form.quad(raw) > 0
     if not keep.any():

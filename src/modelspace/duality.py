@@ -32,7 +32,6 @@ import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial import QhullError
 
-from . import forms
 from .forms import bpq
 from .projective import ProjPoint, chart_jet
 
@@ -149,22 +148,22 @@ def cone_facet_normals(rays):
     return _dedupe_rays(_unit_rows(eqs[:, :-1] @ Q.T + eqs[:, -1:] * e))
 
 
-def _dedupe_rays(rows, tol=1e-9):
-    """Drop each unit row within distance ``tol`` of an earlier one."""
-    pairs = cKDTree(rows).query_pairs(tol, output_type="ndarray")
+def _dedupe_rays(rows):
+    """Drop each unit row within distance 1e-9 of an earlier one."""
+    pairs = cKDTree(rows).query_pairs(1e-9, output_type="ndarray")
     keep = np.ones(len(rows), dtype=bool)
     keep[pairs[:, 1]] = False
     return rows[keep]
 
 
-def same_ray_set(a, b, tol=1e-8):
-    """Whether two generator sets agree up to positive scale and order."""
+def same_ray_set(a, b):
+    """Whether two generator sets agree up to positive scale and order, to 1e-8."""
     a = _dedupe_rays(_unit_rows(a))
     b = _dedupe_rays(_unit_rows(b))
     if len(a) != len(b):
         return False
     dist, _ = cKDTree(b).query(a)
-    return bool(np.all(dist < tol))
+    return bool(np.all(dist < 1e-8))
 
 
 def _cone_vertices(gens, axis, sign, message, compact=False):
@@ -215,11 +214,6 @@ class PolyCone:
         if self._halfspaces is None:
             self._halfspaces = cone_facet_normals(self._generators)
         return self._halfspaces
-
-    def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, np.linalg.norm(x))
-        return bool(np.all(self.halfspaces @ x <= tol * scale))
 
     def dual(self, form):
         """The cone {y : b(g, y) <= 0 for all generators g}, as generators.
@@ -286,21 +280,21 @@ class EuclideanBody:
         return EuclideanBody(sums)
 
 
-def lightlike_rays(n=3, count=64):
+def lightlike_rays(n=3):
     """Future lightlike directions spanning the boundary of the cone F of
-    Min^n: (u, 1)/sqrt 2 for ``count`` unit directions u on S^(n-2)."""
+    Min^n: (u, 1)/sqrt 2 for 64 unit directions u on S^(n-2), or both of S^0."""
     if n == 2:
         # boundary of the 2d future cone
         return np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
     if n == 3:
-        phi = 2 * np.pi * np.arange(count) / count
+        phi = 2 * np.pi * np.arange(64) / 64
         u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     else:
         # a fixed normal draw: deterministic, and isotropic on S^(n-2) in
         # every dimension
-        u = np.random.default_rng(n).standard_normal((count, n - 1))
+        u = np.random.default_rng(n).standard_normal((64, n - 1))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return np.hstack([u, np.ones((count, 1))]) / np.sqrt(2.0)
+    return np.hstack([u, np.ones((64, 1))]) / np.sqrt(2.0)
 
 
 class MinkowskiBody:
@@ -401,8 +395,8 @@ def hyperboloid_grid(m=64, radius=2.0):
     return chart_jet("H2", R, P)[0].reshape(-1, 3)
 
 
-def rapidity_grid(m=64, radius=2.0):
-    rho = (np.arange(m) - (m - 1) / 2) * (2 * radius / m)
+def rapidity_grid(m=64):
+    rho = (np.arange(m) - (m - 1) / 2) * (4.0 / m)
     return np.stack([np.sinh(rho), np.cosh(rho)], axis=1)
 
 
@@ -638,9 +632,6 @@ class Hyperplane:
         self.normal = self.normal / np.linalg.norm(self.normal)
         self.form = form
 
-    def contains(self, point, tol=1e-9):
-        return abs(float(forms.evaluate(self.form, self.normal, point.rep))) <= tol
-
     def basis(self):
         """An orthonormal basis (Euclidean) of the b-orthogonal complement."""
         a = self.form.matrix @ self.normal
@@ -665,17 +656,15 @@ def dual_hyperplane(space, plane):
     return ProjPoint(plane.normal)
 
 
-def truncation_dual(v, r, form=None):
+def truncation_dual(v, r):
     """Apex of the cone dual to the admissible truncation at distance r.
 
-    The truncation is the part of the future cone F on the future side of
-    the space-like plane with unit normal v at Lorentzian distance r from
-    the origin; its dual is the future cone with apex v / r.
+    The truncation is the part of the future cone F of Min^len(v) on the
+    future side of the space-like plane with unit normal v at Lorentzian
+    distance r from the origin; its dual is the future cone with apex v / r.
     """
     v = np.asarray(v, dtype=float)
-    if form is None:
-        form = bpq(len(v) - 1, 1)
-    q = float(form.quad(v))
+    q = float(bpq(len(v) - 1, 1).quad(v))
     if q >= 0 or v[-1] <= 0:
         raise ValueError("truncation normal must be future time-like")
     v = v / np.sqrt(-q)

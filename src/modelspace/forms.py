@@ -215,7 +215,7 @@ def random_antisymmetric(form, rng, scale=1.0):
     return a
 
 
-def random_isometry(form, rng, scale=1.0):
-    """A random element of O(b): the Cayley image of ``random_antisymmetric``,
-    near the identity for a small ``scale`` and without the eigenvalue -1."""
-    return cayley(random_antisymmetric(form, rng, scale=scale))
+def random_isometry(form, rng):
+    """A random element of O(b), without the eigenvalue -1: the Cayley image
+    of ``random_antisymmetric`` at its default scale."""
+    return cayley(random_antisymmetric(form, rng))

@@ -148,13 +148,13 @@ def chart_pair(name, n=3):
     raise ValueError("pair must be 'hyp-euc' or 'ads-min'")
 
 
-def halton_cloud(n_points=512, n=3, radius=0.9, seed=0):
-    """Deterministic quasi-random cloud in the ball of the given radius.
+def halton_cloud(n_points=512, n=3, seed=0):
+    """Deterministic quasi-random cloud in the ball of radius 0.9.
 
     The Halton sequence in the first n primes (Halton, Numer. Math. 2,
     1960), shifted modulo 1 by a uniform draw of ``default_rng(seed)`` (a
     Cranley-Patterson rotation, so each seed gives its own cloud), scaled
-    to the cube [-radius, radius]^n and kept where it falls in the ball.
+    to the cube [-0.9, 0.9]^n and kept where it falls in the ball.
     """
     primes, p = [], 2
     while len(primes) < n:
@@ -171,8 +171,8 @@ def halton_cloud(n_points=512, n=3, radius=0.9, seed=0):
             while np.any(k):
                 u[:, j] += scale * (k % base)
                 k, scale = k // base, scale / base
-        pts = 2 * radius * ((u + shift) % 1.0 - 0.5)
-        pts = pts[np.linalg.norm(pts, axis=1) <= radius]
+        pts = 2 * 0.9 * ((u + shift) % 1.0 - 0.5)
+        pts = pts[np.linalg.norm(pts, axis=1) <= 0.9]
         if len(pts) >= n_points:
             return pts[:n_points]
         count *= 2
@@ -227,10 +227,10 @@ def infinitesimal_pogorelov(K, m_src, m_dst):
     return mapped
 
 
-def random_killing_generator(pair_name, rng, scale=1.0, n=3):
+def random_killing_generator(pair_name, rng, n=3):
     """A random generator of the ambient isometry group of the curved chart."""
     form = bpq(n, 1) if pair_name == "hyp-euc" else bpq(n - 1, 2)
-    return random_antisymmetric(form, rng, scale=scale)
+    return random_antisymmetric(form, rng)
 
 
 def chart_killing_field(generator):
@@ -336,14 +336,14 @@ def deformation_residual(metric, Z, surface):
     return float(np.max(_deformation_values(metric, Z, surface), initial=0.0))
 
 
-def rigidity_transport(Z, m_src, m_dst, surface, tol=1e-7):
+def rigidity_transport(Z, m_src, m_dst, surface):
     """Map an infinitesimal isometric deformation through P.
 
-    Raises (reporting the worst sample) when Z fails the deformation
-    condition in the source metric; returns (P(Z), target residual).
+    Raises (reporting the worst sample) when Z's source deformation
+    residual exceeds 1e-7; returns (P(Z), target residual).
     """
     values = _deformation_values(m_src, Z, surface)
-    if np.max(values, initial=0.0) > tol:
+    if np.max(values, initial=0.0) > 1e-7:
         worst = int(np.argmax(values))
         raise ValueError(
             f"not an isometric deformation: residual {values[worst]:.3e} "

@@ -97,16 +97,17 @@ class ProjPoint:
 class ModelSpace:
     """A bilinear form together with a sign selecting b^{-1}(+1) or b^{-1}(-1)."""
 
-    def __init__(self, name, form, sign, degenerate=None, chart_form=None):
+    def __init__(self, name, form, sign, chart_form=None):
         self.name = name
         self.form = form
         self.sign = int(sign)
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        self.degenerate = form.degenerate if degenerate is None else degenerate
         # For Euc/Min the rank-one defining form carries no metric; the chart
-        # metric on {x_{n+1}=1} is recorded separately.
+        # metric on {x_{n+1}=1} is recorded separately, and they are not
+        # degenerate spaces.
         self.chart_form = chart_form
+        self.degenerate = chart_form is None and form.degenerate
         self.dim = form.dim  # ambient dimension n+1
 
     @property
@@ -125,20 +126,14 @@ class ModelSpace:
         value = float(self.form(point.rep, point.rep))
         return self.sign * value > 0
 
-    def lift(self, point, positive_axis=None):
-        """Scale a representative onto the pseudo-sphere b(x,x) = sign.
-
-        ``positive_axis`` optionally picks the lift with positive coordinate
-        along that axis (e.g. the future sheet of a hyperboloid).
-        """
+    def lift(self, point):
+        """Scale the normalized representative onto the pseudo-sphere
+        b(x,x) = sign; the lift keeps its positive last nonzero coordinate."""
         x = point.rep if isinstance(point, ProjPoint) else _normalize_rep(point)
         q = float(self.form(x, x))
         if self.sign * q <= 0:
             raise ValueError(f"point {x} is not in {self.name}")
-        x = x / np.sqrt(abs(q))
-        if positive_axis is not None and x[positive_axis] < 0:
-            x = -x
-        return x
+        return x / np.sqrt(abs(q))
 
     def random_points(self, rng, count):
         """Random points of the space, uniform-ish on the pseudo-sphere.
@@ -263,17 +258,16 @@ def transitions(kind, n):
             if getattr(spec, f"{kind}_limit") == t]
 
 
-def model_space(name, n=None):
-    """Named model spaces.  ``name`` like 'Ell2', 'Hyp3', 'dS2', 'AdS3',
-    'coEuc3', 'coMin3', 'Euc3', 'Min3'; or pass the base name plus ``n``."""
+def model_space(name):
+    """Named model spaces: a registry name and its dimension n, like 'Ell2',
+    'Hyp3', 'dS2', 'AdS3', 'coEuc3', 'coMin3', 'Euc3', 'Min3'."""
     base, digits = _split(name)
-    n = int(digits) if digits else n
-    if n is None:
-        raise ValueError("dimension missing: use e.g. 'Ell2' or model_space('Ell', n=2)")
+    if not digits:
+        raise ValueError("dimension missing: use e.g. 'Ell2'")
+    n = int(digits)
     spec = SPACES[base]
     chart_form = spec.chart_form and spec.chart_form(n)
-    return ModelSpace(f"{base}{n}", spec.form(n), spec.sign,
-                      degenerate=False if chart_form else None, chart_form=chart_form)
+    return ModelSpace(f"{base}{n}", spec.form(n), spec.sign, chart_form)
 
 
 def chart_jet(base, U, V, order=0):
@@ -548,7 +542,7 @@ def closed_form_distance(space, X, Y):
     return out
 
 
-def pseudo_distance_lift(space, x_lift, y_lift, branch_tol=1e-9):
+def pseudo_distance_lift(space, x_lift, y_lift):
     """Pseudo-distance between two pseudo-sphere lifts (scalar).
 
     Inverts b(x,y) through the circle/hyperbola case table.  On a
@@ -572,9 +566,9 @@ def pseudo_distance_lift(space, x_lift, y_lift, branch_tol=1e-9):
         return 0.0
     if (p, q) == (1, 1):
         # hyperbola: b.3 needs b(x,y) >= 1, b.4 needs b(x,y) <= -1
-        if space.sign > 0 and c < 1.0 - branch_tol:
+        if space.sign > 0 and c < 1.0 - 1e-9:
             raise ValueError("lifts lie on different hyperbola branches")
-        if space.sign < 0 and c > -1.0 + branch_tol:
+        if space.sign < 0 and c > -1.0 + 1e-9:
             raise ValueError("lifts lie on different hyperbola branches")
         return float(np.arccosh(max(abs(c), 1.0)))
     # circle: b.1 has cos(d) = b(x,y), b.2 has cos(d) = -b(x,y)
@@ -619,14 +613,14 @@ def geodesic_on_pseudosphere(space, x_lift, y_lift):
     return gamma, T
 
 
-def pseudo_distance_quadrature(space, x_lift, y_lift, order=64):
-    """Arc length of the connecting geodesic by Gauss-Legendre quadrature.
+def pseudo_distance_quadrature(space, x_lift, y_lift):
+    """Arc length of the connecting geodesic by 64-point Gauss-Legendre quadrature.
 
     Independent check of the arccos/arccosh inversion: integrates
     sqrt(|b(gamma', gamma')|) along the parametrized arc.
     """
     gamma, T = geodesic_on_pseudosphere(space, x_lift, y_lift)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     t = 0.5 * T * (nodes + 1.0)
     dgamma = central_difference(gamma, t, base_step=1e-6, levels=1)
     speeds = np.sqrt(np.abs(np.einsum("ti,ij,tj->t", dgamma, space.form.matrix, dgamma)))

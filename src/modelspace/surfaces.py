@@ -479,13 +479,13 @@ _HESS_OFFSETS = np.array(
 )
 
 
-def _ambient_extension_hessian(u_fn, points, g, h=2e-4):
+def _ambient_extension_hessian(u_fn, points, g):
     """Hessian of the one-homogeneous extension of u at base points.
 
     U(y) = |y|_g u(y/|y|_g), with g the base form: Euclidean for S^2,
-    Lorentzian for H^2.  Central differences with one Richardson level;
-    points shape (..., 3).  Each stencil offset costs one evaluation of
-    U, on both step levels at once.
+    Lorentzian for H^2.  Central differences of steps 2e-4 and 1e-4 with
+    one Richardson level; points shape (..., 3).  Each stencil offset costs
+    one evaluation of U, on both step levels at once.
     """
     def U(y):
         q = np.einsum("...i,ij,...j->...", y, g, y)
@@ -493,7 +493,7 @@ def _ambient_extension_hessian(u_fn, points, g, h=2e-4):
         return s * np.asarray(u_fn(y / s[..., None]))
 
     pts = np.asarray(points, dtype=float)
-    steps = np.array([h, h / 2]).reshape((2,) + (1,) * pts.ndim)
+    steps = np.array([2e-4, 1e-4]).reshape((2,) + (1,) * pts.ndim)
     u0 = U(pts)[..., None]
     # one offset at a time keeps U's temporaries at twice the points (all
     # 36 shifted copies at once would grow with the grid); with the levels

@@ -76,13 +76,13 @@ class RescalingFamily:
         m = np.where(np.eye(self.dim, dtype=bool), 1.0 / self.diag(t)[..., None], 0.0)
         return m if self.perm is None else m @ self.perm.T
 
-    def base_condition(self, x0, tol=1e-9):
-        """Whether g_t x(t) can converge: x(0) on the fixed locus, row by row."""
+    def base_condition(self, x0):
+        """Whether g_t x(t) can converge: x(0) on the fixed locus to 1e-9, row by row."""
         x0 = np.asarray(x0, dtype=float)
         scale = np.linalg.norm(x0, axis=-1)
         if self.kind == "blow_up_point":
-            return np.linalg.norm(np.delete(x0, self.axis, axis=-1), axis=-1) <= tol * scale
-        return np.abs(x0[..., self.axis]) <= tol * scale
+            return np.linalg.norm(np.delete(x0, self.axis, axis=-1), axis=-1) <= 1e-9 * scale
+        return np.abs(x0[..., self.axis]) <= 1e-9 * scale
 
     def assemble_limit(self, x0, dx0):
         """Limit of g_t x(t) from x(0) and x'(0), row by row: fixed-slot
@@ -94,12 +94,12 @@ class RescalingFamily:
         return out if self.perm is None else np.einsum("ij,...j->...i", self.perm, out)
 
 
-def blow_up_point(dim, axis=None, perm=None):
-    return RescalingFamily("blow_up_point", dim, axis=axis, perm=perm)
+def blow_up_point(dim):
+    return RescalingFamily("blow_up_point", dim)
 
 
-def blow_up_hyperplane(dim, axis=None, perm=None):
-    return RescalingFamily("blow_up_hyperplane", dim, axis=axis, perm=perm)
+def blow_up_hyperplane(dim):
+    return RescalingFamily("blow_up_hyperplane", dim)
 
 
 def transition_family(space_name, kind):
@@ -183,9 +183,10 @@ def rescaled_point_limit(path, fam):
     return ProjPoint(_point_limit(path, fam))
 
 
-def rescaled_point_images(path, fam, schedule=DEFAULT_SCHEDULE):
-    """The normalized images g_t x(t) / |g_t x(t)| over the schedule, (T, ..., d)."""
-    return _unit(np.einsum("tij,t...j->t...i", fam.matrix(schedule), path(schedule)))
+def rescaled_point_images(path, fam):
+    """The normalized images g_t x(t) / |g_t x(t)| over DEFAULT_SCHEDULE, (T, ..., d)."""
+    return _unit(np.einsum("tij,t...j->t...i", fam.matrix(DEFAULT_SCHEDULE),
+                           path(DEFAULT_SCHEDULE)))
 
 
 def _signed_like_first(rows):
@@ -194,9 +195,9 @@ def _signed_like_first(rows):
     return np.where((np.vecdot(rows, rows[0]) < 0)[..., None], -rows, rows)
 
 
-def rescaled_point_limit_sequence(path, fam, schedule=DEFAULT_SCHEDULE):
+def rescaled_point_limit_sequence(path, fam):
     """Independent route: extrapolate the normalized images g_t x(t)."""
-    seq = _signed_like_first(rescaled_point_images(path, fam, schedule))
+    seq = _signed_like_first(rescaled_point_images(path, fam))
     limit, err = richardson(seq, return_error=True)
     return ProjPoint(limit), err
 
@@ -221,15 +222,15 @@ def _matrix_normalize(m):
     return np.where((np.sum(m * m[0], axis=(-2, -1)) < 0)[..., None, None], -m, m)
 
 
-def conjugate_limit(h_path, fam, schedule=DEFAULT_SCHEDULE):
-    """Extrapolated limit of g_t h(t) g_t^{-1} over the t-schedule.
+def conjugate_limit(h_path, fam):
+    """Extrapolated limit of g_t h(t) g_t^{-1} over DEFAULT_SCHEDULE.
 
     ``h_path`` maps a t-array of shape (T,) to isometries of the source,
     (T, ..., d, d), as an IsometryPath does.  The result is the normalized
     limit stack (..., d, d) and the largest extrapolation error estimate
     over it.
     """
-    seq = _matrix_normalize(conjugate_isometry(h_path(schedule), fam, schedule))
+    seq = _matrix_normalize(conjugate_isometry(h_path(DEFAULT_SCHEDULE), fam, DEFAULT_SCHEDULE))
     return richardson(seq, return_error=True)
 
 
@@ -261,35 +262,36 @@ def limit_group_membership(m, target, tol=1e-8):
     return ok & (np.max(np.abs(zero_block), axis=-1) <= tol)
 
 
-def duality_transition_check(path, fam, form, schedule=DEFAULT_SCHEDULE):
+def duality_transition_check(path, fam, form):
     """Commutation of rescaled limits with the ambient duality.
 
     Side A assembles the limit of g_t x(t) from derivatives and dualizes
     it (the dual hyperplane's Euclidean normal is G x).  Side B pushes the
     dual hyperplanes x(t)* through the compatible dual family and
-    extrapolates their normals.  Returns the angular gap between the two,
+    extrapolates their normals over DEFAULT_SCHEDULE.  Returns the angular gap between the two,
     a float for one path and an array over a stack of paths; the
     commuting-diagram property makes it vanish.
     """
     g = form.matrix
     side_a = _unit(np.einsum("ij,...j->...i", g, _unit(_point_limit(path, fam))))
     # x(t)*'s normal G x(t) moves by the dual family's inverse transpose
-    dual_inv = np.linalg.inv(dual_family(fam, form)(schedule))
-    gx = np.einsum("ij,t...j->t...i", g, path(schedule))
+    dual_inv = np.linalg.inv(dual_family(fam, form)(DEFAULT_SCHEDULE))
+    gx = np.einsum("ij,t...j->t...i", g, path(DEFAULT_SCHEDULE))
     normals = _unit(np.einsum("tji,t...j->t...i", dual_inv, gx))
     side_b = _unit(richardson(_signed_like_first(normals)))
     gap = 1.0 - np.abs(np.vecdot(side_a, side_b))
     return float(gap) if gap.ndim == 0 else gap
 
 
-def stabilizer_isometry(form, fam, draw, scale=0.5):
+def stabilizer_isometry(form, fam, draw):
     """Isometries of a non-degenerate ``form`` fixing the family's axis line
     (for the diagonal forms here, the stabilizer of the fixed point and of
-    the fixed plane), one per standard normal block (d-1, d-1) of ``draw``."""
+    the fixed plane), one per standard normal block (d-1, d-1) of ``draw``,
+    the Cayley images of generators drawn at scale 0.5."""
     rest = [i for i in range(form.dim) if i != fam.axis]
     keep = np.ix_(rest, rest)
     a = np.zeros(draw.shape[:-2] + form.matrix.shape)
-    a[(Ellipsis, *keep)] = forms.antisymmetric_from_draw(form.matrix[keep], draw, scale)
+    a[(Ellipsis, *keep)] = forms.antisymmetric_from_draw(form.matrix[keep], draw, 0.5)
     return forms.cayley(a)
 
 
@@ -309,9 +311,10 @@ class IsometryPath:
         return forms.cayley(t.reshape(t.shape + (1,) * self.gen.ndim) * self.gen) @ self.h0
 
 
-def random_isometry_path(space, fam, rng, scale=0.5, size=None):
+def random_isometry_path(space, fam, rng, size=None):
     """h(t) = cayley(t gen) h(0) in O(form), rational in t, with h(0) the
-    Cayley image of a stabilizer generator and so fixing the fixed locus.
+    Cayley image of a stabilizer generator and so fixing the fixed locus;
+    both generators are drawn at scale 0.5.
 
     ``size`` (numpy's convention) stacks independent paths from the stream
     of that many size=None draws: per path the stabilizer's normals, then
@@ -320,9 +323,9 @@ def random_isometry_path(space, fam, rng, scale=0.5, size=None):
     d = space.dim
     shape = () if size is None else tuple(np.atleast_1d(size))
     stab, gen = np.split(rng.standard_normal(shape + ((d - 1) ** 2 + d * d,)), [(d - 1) ** 2], -1)
-    h0 = stabilizer_isometry(space.form, fam, stab.reshape(shape + (d - 1, d - 1)), scale)
+    h0 = stabilizer_isometry(space.form, fam, stab.reshape(shape + (d - 1, d - 1)))
     return IsometryPath(h0, forms.antisymmetric_from_draw(space.form.matrix,
-                                                          gen.reshape(shape + (d, d)), scale))
+                                                          gen.reshape(shape + (d, d)), 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +354,11 @@ def scaling_1d(k):
     return np.array([[float(k), 0.0], [0.0, 1.0]])
 
 
-def one_d_limit(kind, a, ks=None):
+def one_d_limit(kind, a):
     """Extrapolated limit of g_k X_{a/k} g_k^{-1} for X = R or S, where
-    g_k = diag(k, 1) is the line's point blow-up at t = 1/k."""
-    ks = 2.0 ** np.arange(3, 13) if ks is None else np.asarray(ks, dtype=float)
+    g_k = diag(k, 1) is the line's point blow-up at t = 1/k, over
+    k = 2^3, ..., 2^12."""
+    ks = 2.0 ** np.arange(3, 13)
     x = np.moveaxis((rotation_1d if kind == "rotation" else boost_1d)(a / ks), -1, 0)
     return richardson(conjugate_isometry(x, blow_up_point(2), 1.0 / ks), ratio=2.0,
                       return_error=True)

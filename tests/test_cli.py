@@ -121,24 +121,24 @@ def test_check_connection_and_tolerance(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_connection_overflowing_fields_fail(tmp_path, capsys):
     # finite coefficients whose products overflow give NaN residuals
     big = {"c0": [1e200, 1e200, 0, 0], "c1": (1e200 * np.eye(4)).tolist()}
     path = _write(tmp_path, "big.json", {"fields": [big] * 3})
-    with np.errstate(all="ignore"):
-        code, _, err = run_cli(["check-connection", "--space", "coEuc3", "--fields", path], capsys)
+    code, _, err = run_cli(["check-connection", "--space", "coEuc3", "--fields", path], capsys)
     assert code == 3 and "residual nan exceeds" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("space", ["coEuc3", "Euc3"])
 def test_check_surface_overflowing_height_fails(tmp_path, capsys, space):
     # a finite record whose height overflows gives NaN residuals, which
     # fail the tolerance like any other value past it
     patch = _write(tmp_path, "p.json",
                    {"kind": "graph", "height": {"constant": 1e300, "wave": [1e300, 1.0]}})
-    with np.errstate(all="ignore"):
-        code, out, err = run_cli(["check-surface", "--space", space, "--grid", "9",
-                                  "--patch", patch], capsys)
+    code, out, err = run_cli(["check-surface", "--space", space, "--grid", "9",
+                              "--patch", patch], capsys)
     assert "gauss residual nan" in out
     assert code == 3 and "gauss residual nan not in [-inf, 0.1]" in err
 
@@ -160,12 +160,12 @@ def test_acceptance_names_the_failing_check_and_its_bound(monkeypatch, capsys):
     assert "sup gap to the translation nan not in [-inf, 1e-06]" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_json_output_is_strict_for_nan_residuals(tmp_path, capsys):
     big = {"c0": [1e200, 1e200, 0, 0], "c1": (1e200 * np.eye(4)).tolist()}
     path = _write(tmp_path, "big.json", {"fields": [big] * 3})
-    with np.errstate(all="ignore"):
-        code, out, _ = run_cli(["check-connection", "--space", "coEuc3", "--fields", path,
-                                "--emit", "json"], capsys)
+    code, out, _ = run_cli(["check-connection", "--space", "coEuc3", "--fields", path,
+                            "--emit", "json"], capsys)
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -234,6 +234,16 @@ def test_pogorelov_command(tmp_path, capsys):
     code, out, _ = run_cli(
         ["pogorelov", "--pair", "hyp-euc", "--killing", str(gen)], capsys)
     assert code == 0
+
+
+def test_pogorelov_nan_residual_fails(tmp_path, capsys):
+    # inf - inf in the antisymmetry test is NaN, which that test lets
+    # through; the NaN Killing residual must fail the run instead
+    big = [[0, 1e308, 0, 1e308], [-1e308, 0, 0, 0], [0, 0, 0, 0], [1e308, 0, 0, 0]]
+    gen = _write(tmp_path, "gen.json", {"generator": big})
+    code, out, err = run_cli(["pogorelov", "--pair", "hyp-euc", "--killing", gen], capsys)
+    assert "source Killing residual: nan" in out
+    assert code == 3 and "source Killing residual nan not in [-inf, inf]" in err
 
 
 def test_surface_commands(tmp_path, capsys):
@@ -377,7 +387,8 @@ def _write(tmp_path, name, record):
                                   "patch-without-kind", "fields-not-a-list",
                                   "random-negative", "random-2", "c0-of-length-3",
                                   "c1-of-2x2", "nan-coefficient", "dualize-grid-0",
-                                  "dualize-grid-negative", "overflowing-transition-height"])
+                                  "dualize-grid-negative", "overflowing-transition-height",
+                                  "dualize-min4-body", "dualize-2d-body", "space-without-digits"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
@@ -416,6 +427,11 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                                   _write(tmp_path, "h.json", {"kind": "hyperboloid", "radius": 2})],
         "overflowing-transition-height": ["transition-surface", "--space", "Ell3", "--patch",
                                           _write(tmp_path, "t.json", {"height": {"amp": 1e308}})],
+        "dualize-min4-body": ["dualize", "--flavor", "minkowski", "--body", _write(
+            tmp_path, "m.json", {"vertices": [[0.1, 0.2, 0.0, 1.2], [0, 0, 0.3, 1.5]]})],
+        "dualize-2d-body": body + [_write(tmp_path, "e.json", {"vertices": [
+            [1, 0], [0, 1], [-1, 0], [0, -1]]})],
+        "space-without-digits": ["distance", "--space", "Ell", "--x", "[1,0,0]", "--y", "[0,1,0]"],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -432,7 +448,10 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "nan-coefficient": "field 'c0' must hold finite numbers",
                 "dualize-grid-0": "--grid must be at least 1, got 0",
                 "dualize-grid-negative": "--grid must be at least 1, got -3",
-                "overflowing-transition-height": "grid node (0, 0, 0)"}
+                "overflowing-transition-height": "grid node (0, 0, 0)",
+                "dualize-min4-body": "body has 4 coordinates; the direction grid needs 3",
+                "dualize-2d-body": "body has 2 coordinates; the direction grid needs 3",
+                "space-without-digits": "dimension missing: use e.g. 'Ell2'\n"}
     assert expected.get(case, "") in err
 
 
