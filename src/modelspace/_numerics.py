@@ -1,4 +1,5 @@
-"""Shared numerical helpers: Richardson extrapolation and differencing.
+"""Shared numerical helpers: Richardson extrapolation, differencing and the
+bounded-value check record that the acceptance suite and the CLI judge.
 
 Every first derivative is one ``central_difference`` call; its sites, with
 base step and levels, follow.  A cross-check is an independent route and
@@ -25,6 +26,13 @@ __all__ = ["richardson", "central_difference", "DEFAULT_SCHEDULE"]
 
 # t-schedule used by all numeric limits t -> 0.
 DEFAULT_SCHEDULE = 0.5 ** np.arange(3, 13)
+
+
+def check(text, value, lo=-np.inf, hi=np.inf):
+    """The record of one bounded quantity: ``text`` is a format string for
+    the value, and the check passes iff lo <= value <= hi, so a NaN fails."""
+    return {"text": text.format(value), "value": float(value), "lo": lo, "hi": hi,
+            "passed": bool(lo <= value <= hi)}
 
 
 def richardson(values, ratio=2.0, return_error=False):

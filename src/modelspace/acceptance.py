@@ -22,17 +22,10 @@ from . import pogorelov as pg
 from . import projective as pj
 from . import surfaces as sf
 from . import transition as tr
-from ._numerics import richardson
+from ._numerics import check, richardson
 from .forms import bpq
 
 __all__ = ["run_all", "CRITERIA"]
-
-
-def check(text, value, lo=-np.inf, hi=np.inf):
-    """The record of one bounded quantity: ``text`` is a format string for
-    the value, and the check passes iff lo <= value <= hi, so a NaN fails."""
-    return {"text": text.format(value), "value": float(value), "lo": lo, "hi": hi,
-            "passed": bool(lo <= value <= hi)}
 
 
 def _criterion(name):

@@ -4,11 +4,12 @@ One JSON scene format is shared by the subcommands: a scene is an object
 whose entities are tagged records (points as coordinate lists, bodies as
 vertex/ray arrays, paths as jet coefficients, fields as polynomial
 coefficients, patches as named shapes with parameters).  Outputs are
-deterministic for fixed inputs and seed.
+deterministic for fixed inputs and seed.  Each subcommand imports the
+kernel modules it uses in its own body, so a process loads only those.
 
-Exit codes: 0 success, 2 validation error (including malformed JSON,
-reported with line and column), 3 numeric-tolerance failure (reported
-with the worst offender).
+Exit codes: 0 success, 2 validation error (any ValueError, including
+malformed JSON, reported with line and column), 3 numeric-tolerance
+failure (reported with the first failing check and its bound).
 """
 
 from __future__ import annotations
@@ -19,21 +20,15 @@ import sys
 
 import numpy as np
 
-from . import acceptance as ac
-from . import connections as cn
-from . import duality as du
-from . import pogorelov as pg
 from . import projective as pj
-from . import surfaces as sf
-from . import transition as tr
-from ._numerics import DEFAULT_SCHEDULE
+from ._numerics import DEFAULT_SCHEDULE, check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     pass
 
 
@@ -50,14 +45,22 @@ def _parse_vector(text):
         vec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed vector {text!r}: {exc.msg}") from exc
-    arr = _finite(vec, "vector")
+    arr = _finite(vec, "vector", None)
     if arr.ndim != 1:
         raise ValidationError("vector must be a flat JSON list")
     return arr
 
 
-def _finite(value, what):
-    arr = np.asarray(value, dtype=float)
+def _finite(value, what, shape):
+    """``value`` as a float array of ``shape`` (any shape if None) that
+    holds finite numbers."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a numeric array"
+                              + ("" if shape is None else f" of shape {shape}")) from exc
+    if shape is not None and arr.shape != shape:
+        raise ValidationError(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} must hold finite numbers")
     return arr
@@ -113,7 +116,7 @@ def _surface_grid(args):
 
 def _judge(checks, context=""):
     """Raise a ToleranceError naming the first failing check record (see
-    acceptance.check) and the bound it broke; a NaN value fails."""
+    _numerics.check) and the bound it broke; a NaN value fails."""
     for c in checks:
         if not c["passed"]:
             raise ToleranceError(f"{context}{c['text']} not in [{c['lo']}, {c['hi']}]")
@@ -153,10 +156,7 @@ def cmd_distance(args):
     space = pj.model_space(args.space)
     x = pj.ProjPoint(_parse_vector(args.x))
     y = pj.ProjPoint(_parse_vector(args.y))
-    try:
-        d, kind = pj.projective_distance(space, x, y, return_line_type=True)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    d, kind = pj.projective_distance(space, x, y, return_line_type=True)
     _emit(
         args,
         [f"{_fmt(d)}", f"{kind or 'coincident'}"],
@@ -170,10 +170,7 @@ def cmd_classify_line(args):
     space = pj.model_space(args.space)
     x = pj.ProjPoint(_parse_vector(args.x))
     y = pj.ProjPoint(_parse_vector(args.y))
-    try:
-        line = pj.line_through(x, y)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    line = pj.line_through(x, y)
     kind = pj.classify_line(space, line)
     absolute = pj.absolute_points(space, line)
     _emit(
@@ -184,23 +181,25 @@ def cmd_classify_line(args):
 
 
 def _body_from_record(record, flavor):
+    from . import duality as du
+
     if "vertices" in record:
-        verts = np.asarray(record["vertices"], dtype=float)
-        try:
-            if flavor == "euclidean":
-                return du.EuclideanBody(verts)
-            rays = record.get("rays")
-            return du.MinkowskiBody(verts, rays=None if rays is None else np.asarray(rays, float))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        verts = _finite(record["vertices"], "body vertices", None)
+        if flavor == "euclidean":
+            return du.EuclideanBody(verts)
+        rays = record.get("rays")
+        rays = None if rays is None else _finite(rays, "body rays", None)
+        return du.MinkowskiBody(verts, rays=rays)
     if record.get("kind") in ("ball", "hyperboloid"):
         if "radius" not in record:
             raise ValidationError(f"{record['kind']} body record needs a 'radius'")
-        return float(record["radius"])
+        return float(_finite(record["radius"], f"{record['kind']} radius", ()))
     raise ValidationError("body record needs 'vertices' or kind ball/hyperboloid")
 
 
 def cmd_dualize(args):
+    from . import duality as du
+
     grid = args.grid
     if grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {grid}")
@@ -243,11 +242,13 @@ def cmd_dualize(args):
 
 
 def _path_from_record(space, record):
+    from . import transition as tr
+
     if "base" not in record:
         raise ValidationError("path record needs a 'base' point")
-    base = _finite(record["base"], "path base")
-    vel = _finite(record.get("velocity", np.zeros_like(base)), "path velocity")
-    acc = _finite(record.get("acceleration", np.zeros_like(base)), "path acceleration")
+    base = _finite(record["base"], "path base", None)
+    vel = _finite(record.get("velocity", np.zeros_like(base)), "path velocity", base.shape)
+    acc = _finite(record.get("acceleration", np.zeros_like(base)), "path acceleration", base.shape)
 
     def x(t):
         t = np.asarray(t)[..., None]
@@ -261,14 +262,13 @@ def _path_from_record(space, record):
 
 
 def cmd_transition(args):
+    from . import transition as tr
+
     space = pj.model_space(args.space)
     fam = tr.transition_family(space.name, args.family)
     record = _load_record(args.path, "path")
     path = _path_from_record(space, record)
-    try:
-        limit = tr.rescaled_point_limit(path, fam)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    limit = tr.rescaled_point_limit(path, fam)
     seq_limit, err = tr.rescaled_point_limit_sequence(path, fam)
     rows = np.column_stack([DEFAULT_SCHEDULE, tr.rescaled_point_images(path, fam)])
     lines = [
@@ -286,19 +286,11 @@ def cmd_transition(args):
     _emit(args, lines, rec, csv_rows=rows, csv_header=header)
 
 
-def _coefficients(spec, key, shape):
-    try:
-        arr = np.asarray(spec.get(key, np.zeros(shape)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field '{key}' must be a numeric array of shape {shape}") from exc
-    if arr.shape != shape:
-        raise ValidationError(f"field '{key}' has shape {arr.shape}, expected {shape}")
-    return _finite(arr, f"field '{key}'")
-
-
 def _fields_from_record(space, record, rng):
     """{"random": n} gives n >= 3 random tangent fields; {"fields": [...]}
     gives the affine fields c0 + c1 x, c0 of shape (d,), c1 of shape (d, d)."""
+    from . import connections as cn
+
     if "random" in record:
         count = record["random"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 3:
@@ -309,8 +301,9 @@ def _fields_from_record(space, record, rng):
         raise ValidationError("'fields' must be a list of objects")
     fields = []
     for spec_rec in specs:
-        c0 = _coefficients(spec_rec, "c0", (space.dim,))
-        c1 = _coefficients(spec_rec, "c1", (space.dim, space.dim))
+        c0 = _finite(spec_rec.get("c0", np.zeros(space.dim)), "field 'c0'", (space.dim,))
+        c1 = _finite(spec_rec.get("c1", np.zeros((space.dim, space.dim))), "field 'c1'",
+                     (space.dim, space.dim))
         fields.append(cn.VectorField(
             space, lambda x, c0=c0, c1=c1: c0 + np.einsum("ij,...j->...i", c1, x)))
     if len(fields) < 3:
@@ -319,6 +312,8 @@ def _fields_from_record(space, record, rng):
 
 
 def cmd_check_connection(args):
+    from . import connections as cn
+
     space = pj.model_space(args.space)
     if not space.degenerate:
         raise ValidationError("check-connection expects a co-space (coEuc3/coMin3)")
@@ -343,21 +338,22 @@ def cmd_check_connection(args):
     lines = [f"{name:>14}: {_fmt(val)}" for name, val in residuals.items()]
     _emit(args, lines, {"space": space.name, "residuals": residuals},
           csv_rows=[(v,) for v in residuals.values()], csv_header=["residual"])
-    # a NaN residual (overflowing fields) is the worst and fails the check
-    worst = max(residuals, key=lambda k: np.inf if np.isnan(residuals[k]) else residuals[k])
-    if not residuals[worst] <= args.tol:
-        raise ToleranceError(f"{worst} residual {_fmt(residuals[worst])} exceeds {args.tol}")
+    # a NaN residual (overflowing fields) fails
+    _judge([check(f"{name} residual {{:.12g}}", val, hi=args.tol)
+            for name, val in residuals.items()])
 
 
 def cmd_pogorelov(args):
+    from . import pogorelov as pg
+
     m_src, m_dst = pg.chart_pair(args.pair)
     if args.killing:
         record = _load_record(args.killing, "generator")
-        gen = np.asarray(record["generator"], dtype=float)
+        if "generator" not in record:
+            raise ValidationError("generator record needs a 'generator' matrix")
+        gen = _finite(record["generator"], "generator", (4, 4))
         form = m_src.base
         amb = np.diag(np.append(np.diag(form.matrix), -1.0))
-        if gen.shape != (4, 4):
-            raise ValidationError("generator must be a 4x4 matrix")
         anti = amb @ gen + gen.T @ amb
         if np.max(np.abs(anti)) > 1e-10 * max(1.0, np.max(np.abs(gen))):
             raise ValidationError("generator is not antisymmetric for the ambient form")
@@ -390,35 +386,44 @@ def cmd_pogorelov(args):
         "target_residual": res_dst,
     }, csv_rows=rows, csv_header=["r", "rho", "lat_src", "lat_dst"])
     # a NaN source residual fails; the target is judged unless the source field is not Killing
-    checks = [ac.check("source Killing residual {:.12g}", res_src)]
+    checks = [check("source Killing residual {:.12g}", res_src)]
     if not (np.isfinite(res_src) and res_src >= 1e-7):
-        checks.append(ac.check("target Killing residual {:.12g}", res_dst, hi=args.tol))
+        checks.append(check("target Killing residual {:.12g}", res_dst, hi=args.tol))
     _judge(checks)
 
 
-# patch kinds with a fixed home space: kind -> (space name, constructor)
-_CHART_PATCHES = {"sphere": ("Euc3", sf.sphere_patch),
-                  "hyperboloid": ("Min3", sf.hyperboloid_patch)}
+# patch kinds with a fixed home space
+_CHART_PATCHES = {"sphere": "Euc3", "hyperboloid": "Min3"}
+
+
+def _height(record):
+    height = record.get("height", {})
+    if not isinstance(height, dict):
+        raise ValidationError("patch 'height' must be an object")
+    return height
 
 
 def _patch_from_record(space, record):
+    from . import surfaces as sf
+
     if "kind" not in record:
         raise ValidationError("patch record needs a 'kind': sphere, hyperboloid or graph")
     kind = record["kind"]
     if kind in _CHART_PATCHES:
-        home, make = _CHART_PATCHES[kind]
+        home = _CHART_PATCHES[kind]
         if space.name != home:
             raise ValidationError(f"{kind} patches live in {home}, not {space.name}")
-        return make(radius=float(record.get("radius", 1.0)))
+        make = sf.sphere_patch if kind == "sphere" else sf.hyperboloid_patch
+        return make(radius=float(_finite(record.get("radius", 1.0), f"{kind} radius", ())))
     if kind == "graph":
         spec = pj.space_family(space.name)
         if spec.chart is None and spec.chart_form is None:
             raise ValidationError(f"graph patches live in a flat chart or a co-space, not {space.name}")
         spherical = spec.chart == "S2"
-        height = record.get("height", {})
-        const = float(height.get("constant", space.sign))
-        lin = np.asarray(height.get("linear", [0.0, 0.0, 0.0]), dtype=float)
-        amp, freq = height.get("wave", [0.0, 1.0])
+        height = _height(record)
+        const = float(_finite(height.get("constant", space.sign), "height constant", ()))
+        lin = _finite(height.get("linear", [0.0, 0.0, 0.0]), "height linear", (3,))
+        amp, freq = _finite(height.get("wave", [0.0, 1.0]), "height wave", (2,))
 
         def f(U, V):
             # in a flat space the parameters are (x, y), so lin reads a x + b y + c
@@ -433,14 +438,13 @@ def _patch_from_record(space, record):
 
 
 def cmd_check_surface(args):
+    from . import surfaces as sf
+
     space = pj.model_space(args.space)
     record = _load_record(args.patch, "patch") if args.patch else {"kind": "graph"}
     patch = _patch_from_record(space, record)
     grid = _surface_grid(args)
-    try:
-        data = sf.embedding_data(patch, m=grid)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    data = sf.embedding_data(patch, m=grid)
     gauss, codazzi = sf.gauss_codazzi_residual(data)
     K = sf.gauss_curvature(data.I, data.du, data.dv)
     detb = data.det_B
@@ -460,20 +464,19 @@ def cmd_check_surface(args):
         "gauss_residual": gauss,
         "codazzi_residual": codazzi,
     }, csv_rows=rows, csv_header=["u", "v", "K_I", "det_B"])
-    _judge([ac.check("gauss residual {:.12g}", gauss, hi=args.tol),
-            ac.check("codazzi residual {:.12g}", codazzi, hi=args.tol)])
+    _judge([check("gauss residual {:.12g}", gauss, hi=args.tol),
+            check("codazzi residual {:.12g}", codazzi, hi=args.tol)])
 
 
 def cmd_dual_surface(args):
+    from . import surfaces as sf
+
     space = pj.model_space(args.space)
     record = _load_record(args.patch, "patch") if args.patch else {"kind": "graph"}
     patch = _patch_from_record(space, record)
     grid = _surface_grid(args)
     data = sf.embedding_data(patch, m=grid)
-    try:
-        dual = sf.dual_embedding_data(data)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    dual = sf.dual_embedding_data(data)
     gauss, codazzi = sf.gauss_codazzi_residual(dual)
     back = sf.dual_embedding_data(dual)
     invol = max(
@@ -490,13 +493,14 @@ def cmd_dual_surface(args):
         "codazzi_residual": codazzi,
         "involution": invol,
     })
-    _judge([ac.check("involution defect {:.12g}", invol, hi=1e-8)])
+    _judge([check("involution defect {:.12g}", invol, hi=1e-8)])
 
 
 def cmd_transition_surface(args):
+    from . import surfaces as sf
+
     record = _load_record(args.patch, "patch") if args.patch else {}
-    height = record.get("height", {})
-    amp = float(height.get("amp", 0.05))
+    amp = float(_finite(_height(record).get("amp", 0.05), "height amp", ()))
     src = args.space
     spherical = pj.space_family(pj.related(src, "plane_limit")).chart == "S2"
 
@@ -516,11 +520,13 @@ def cmd_transition_surface(args):
         "rate_r2": out["rate_r2"],
     }, csv_rows=np.stack([out["ts"], out["rate_errors"]], axis=1),
         csv_header=["t", "rate_error"])
-    _judge([ac.check(f"transition gap {k}: {{:.12g}}", v, hi=args.tol)
+    _judge([check(f"transition gap {k}: {{:.12g}}", v, hi=args.tol)
             for k, v in out["gaps"].items()])
 
 
 def cmd_acceptance(args):
+    from . import acceptance as ac
+
     for res in ac.run_all(seed=args.seed):
         _judge(res["checks"], f"criterion failed: {res['name']}: ")
 
@@ -618,15 +624,12 @@ def main(argv=None):
         # NaN and overflow are judged explicitly: numpy's warnings would be noise
         with np.errstate(all="ignore"):
             args.func(args)
-    except ValidationError as exc:
+    except ValueError as exc:  # ValidationError included
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -127,7 +127,7 @@ def test_check_connection_overflowing_fields_fail(tmp_path, capsys):
     big = {"c0": [1e200, 1e200, 0, 0], "c1": (1e200 * np.eye(4)).tolist()}
     path = _write(tmp_path, "big.json", {"fields": [big] * 3})
     code, _, err = run_cli(["check-connection", "--space", "coEuc3", "--fields", path], capsys)
-    assert code == 3 and "residual nan exceeds" in err
+    assert code == 3 and "residual nan not in [-inf, 1e-06]" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -340,14 +340,39 @@ def test_console_script_help():
 
 def test_import_does_not_load_scipy_stats():
     # scipy.stats pulls in the optimize and integrate modules, and no
-    # module of the package needs it
+    # module of the package needs it; these two imports load every module
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, modelspace; print('scipy.stats' in sys.modules)"],
+         "import sys, modelspace.acceptance, modelspace.cli; print('scipy.stats' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [None,
+                                  ["distance", "--space", "Hyp2", "--x", "[0,0,1]", "--y", "[0.3,0,1]"],
+                                  ["transition", "--family", "point", "--space", "Ell3", "--path"],
+                                  ["check-surface", "--space", "Euc3", "--grid", "9"],
+                                  ["pogorelov", "--pair", "hyp-euc"]],
+                         ids=["package", "distance", "transition", "check-surface", "pogorelov"])
+def test_cold_process_loads_only_what_it_uses(argv, tmp_path):
+    # the bare package loads no submodule, and a subcommand that needs no
+    # scipy module loads none
+    if argv is None:
+        run, prefix = "import modelspace", "modelspace."
+    else:
+        if argv[0] == "transition":
+            argv = argv + [_write(tmp_path, "path.json", {"base": [0, 0, 0, 1],
+                                                          "velocity": [0.7, 0, 0, 0]})]
+        run, prefix = f"from modelspace import cli; assert cli.main({argv!r}) == 0", "scipy"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; {run}; print([m for m in sys.modules if m.startswith({prefix!r})])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _imported_modules(tree):
@@ -388,11 +413,17 @@ def _write(tmp_path, name, record):
                                   "random-negative", "random-2", "c0-of-length-3",
                                   "c1-of-2x2", "nan-coefficient", "dualize-grid-0",
                                   "dualize-grid-negative", "overflowing-transition-height",
-                                  "dualize-min4-body", "dualize-2d-body", "space-without-digits"])
+                                  "dualize-min4-body", "dualize-2d-body", "space-without-digits",
+                                  "killing-without-generator", "nan-generator", "graph-height-5",
+                                  "transition-height-5", "wave-5", "constant-list",
+                                  "sphere-radius-list", "ball-radius-list", "vector-object",
+                                  "path-base-object", "vertices-object", "rays-object",
+                                  "velocity-of-length-1"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
     fields = ["check-connection", "--space", "coEuc3", "--fields"]
+    killing = ["pogorelov", "--pair", "hyp-euc", "--killing"]
     argv = {
         "nan-vector": ["distance", "--space", "Ell2", "--x", "[NaN,0,0]", "--y", "[0,1,0]"],
         "ball-no-radius": body + [_write(tmp_path, "b.json", {"kind": "ball"})],
@@ -432,6 +463,29 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
         "dualize-2d-body": body + [_write(tmp_path, "e.json", {"vertices": [
             [1, 0], [0, 1], [-1, 0], [0, -1]]})],
         "space-without-digits": ["distance", "--space", "Ell", "--x", "[1,0,0]", "--y", "[0,1,0]"],
+        "killing-without-generator": killing + [_write(tmp_path, "g1.json", {"foo": 1})],
+        "nan-generator": killing + [_write(tmp_path, "g2.json", {"generator": [
+            [0, float("nan"), 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]})],
+        "graph-height-5": surface + ["Euc3", "--patch", _write(
+            tmp_path, "g3.json", {"kind": "graph", "height": 5})],
+        "transition-height-5": ["transition-surface", "--space", "Ell3", "--patch",
+                                _write(tmp_path, "t5.json", {"height": 5})],
+        "wave-5": surface + ["Euc3", "--patch", _write(
+            tmp_path, "g4.json", {"kind": "graph", "height": {"wave": 5}})],
+        "constant-list": surface + ["Euc3", "--patch", _write(
+            tmp_path, "g5.json", {"kind": "graph", "height": {"constant": [1]}})],
+        "sphere-radius-list": surface + ["Euc3", "--patch", _write(
+            tmp_path, "s5.json", {"kind": "sphere", "radius": [1]})],
+        "ball-radius-list": body + [_write(tmp_path, "b5.json", {"kind": "ball", "radius": [1]})],
+        "vector-object": ["distance", "--space", "Ell2", "--x", '{"a": 1}', "--y", "[0,1,0]"],
+        "path-base-object": ["transition", "--family", "point", "--space", "Ell3", "--path",
+                             _write(tmp_path, "p5.json", {"base": {"a": 1}})],
+        "velocity-of-length-1": ["transition", "--family", "point", "--space", "Ell3", "--path",
+                                 _write(tmp_path, "p6.json", {"base": [0, 0, 0, 1],
+                                                              "velocity": [0.7]})],
+        "vertices-object": body + [_write(tmp_path, "b6.json", {"vertices": {"a": 1}})],
+        "rays-object": ["dualize", "--flavor", "minkowski", "--grid", "4", "--body", _write(
+            tmp_path, "m5.json", {"vertices": [[0.3, 0.1, 1.2], [0, 0, 1]], "rays": {"a": 1}})],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -451,7 +505,20 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "overflowing-transition-height": "grid node (0, 0, 0)",
                 "dualize-min4-body": "body has 4 coordinates; the direction grid needs 3",
                 "dualize-2d-body": "body has 2 coordinates; the direction grid needs 3",
-                "space-without-digits": "dimension missing: use e.g. 'Ell2'\n"}
+                "space-without-digits": "dimension missing: use e.g. 'Ell2'\n",
+                "killing-without-generator": "needs a 'generator'",
+                "nan-generator": "generator must hold finite numbers",
+                "graph-height-5": "'height' must be an object",
+                "transition-height-5": "'height' must be an object",
+                "wave-5": "height wave has shape (), expected (2,)",
+                "constant-list": "height constant has shape (1,), expected ()",
+                "sphere-radius-list": "sphere radius has shape (1,), expected ()",
+                "ball-radius-list": "ball radius has shape (1,), expected ()",
+                "vector-object": "vector must be a numeric array",
+                "path-base-object": "path base must be a numeric array",
+                "velocity-of-length-1": "path velocity has shape (1,), expected (4,)",
+                "vertices-object": "body vertices must be a numeric array",
+                "rays-object": "body rays must be a numeric array"}
     assert expected.get(case, "") in err
 
 
