@@ -15,8 +15,8 @@ import numpy as np
 from modelspace import pogorelov as pg
 
 rng = np.random.default_rng(0)
-hyp, euc = pg.chart_pair("hyp-euc")
-ads, mink = pg.chart_pair("ads-min")
+hyp, euc = pg.chart_pair("Hyp3")
+ads, mink = pg.chart_pair("AdS3")
 
 print("== the chart metric and the operator L ==")
 x = np.array([0.5, 0.0, 0.0])
@@ -35,7 +35,7 @@ print(f"  max disagreement over a Halton cloud: {gap:.2e}")
 
 print("\n== Killing fields transport to Killing fields ==")
 for pair_name, (src, dst) in [("hyp-euc", (hyp, euc)), ("ads-min", (ads, mink))]:
-    gen = pg.random_killing_generator(pair_name, rng)
+    gen = pg.random_killing_generator(src.name, rng)
     K = pg.chart_killing_field(gen)
     PK = pg.infinitesimal_pogorelov(K, src, dst)
     print(f"  {pair_name}: source residual {pg.killing_residual(src, K, cloud):.2e}, "
@@ -63,7 +63,7 @@ for label, vec in [("lateral", lat), ("radial", rad)]:
 
 print("\n== rigidity transport on a surface ==")
 surf = pg.sphere_surface_samples()
-gen = pg.random_killing_generator("hyp-euc", rng)
+gen = pg.random_killing_generator("Hyp3", rng)
 Z = pg.chart_killing_field(gen)
 PZ, res = pg.rigidity_transport(Z, hyp, euc, surf)
 print(f"  Killing restriction: source deformation residual "

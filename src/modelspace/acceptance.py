@@ -277,10 +277,10 @@ def criterion_7_pogorelov(seed=0):
     rng = np.random.default_rng(seed)
     cloud = pg.halton_cloud(512, seed=seed)
     worst_img, worst_src = 0.0, 0.0
-    for pair_name in ("hyp-euc", "ads-min"):
-        m_src, m_dst = pg.chart_pair(pair_name)
+    pairs = [pg.chart_pair(name) for name in ("Hyp3", "AdS3")]
+    for m_src, m_dst in pairs:
         for _ in range(20):
-            gen = pg.random_killing_generator(pair_name, rng)
+            gen = pg.random_killing_generator(m_src.name, rng)
             K = pg.chart_killing_field(gen)
             res_src = pg.killing_residual(m_src, K, cloud[:48])
             worst_src = np.maximum(worst_src, res_src)
@@ -290,8 +290,7 @@ def criterion_7_pogorelov(seed=0):
     # eigenvalue dictionary at 500 points: one stacked operator per pair
     pts = pg.halton_cloud(500, seed=seed + 1)
     worst_eig = 0.0
-    for pair_name in ("hyp-euc", "ads-min"):
-        m_src, m_dst = pg.chart_pair(pair_name)
+    for m_src, m_dst in pairs:
         L = pg.operator_l(m_src, m_dst, pts)
         rho2 = m_src.rho(pts)[:, None] ** 2
         # lateral directions are b-orthogonal to the radial one
@@ -301,8 +300,7 @@ def criterion_7_pogorelov(seed=0):
         worst_eig = np.max([worst_eig, np.max(np.abs(lateral)), np.max(np.abs(radial))])
     # Weyl and contraction identities
     worst_weyl = 0.0
-    for pair_name in ("hyp-euc", "ads-min"):
-        m_src, m_dst = pg.chart_pair(pair_name)
+    for m_src, m_dst in pairs:
         # one pair of directions (X_i, Y_i) per point, drawn in that order
         X, Y = np.moveaxis(rng.standard_normal((20, 2, 3)), 1, 0)
         worst_weyl = np.max([worst_weyl, np.max(pg.weyl_gap(m_dst, m_src, cloud[:20], X, Y)),
@@ -406,10 +404,10 @@ def criterion_9_rigidity(seed=0):
     rng = np.random.default_rng(seed)
     surf = pg.sphere_surface_samples()
     worst_src, worst_dst, worst_triv = 0.0, 0.0, 0.0
-    for pair_name in ("hyp-euc", "ads-min"):
-        m_src, m_dst = pg.chart_pair(pair_name)
+    for name in ("Hyp3", "AdS3"):
+        m_src, m_dst = pg.chart_pair(name)
         for _ in range(5):
-            gen = pg.random_killing_generator(pair_name, rng)
+            gen = pg.random_killing_generator(name, rng)
             Z = pg.chart_killing_field(gen)
             res_src = pg.deformation_residual(m_src, Z, surf)
             worst_src = np.maximum(worst_src, res_src)

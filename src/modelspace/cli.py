@@ -66,6 +66,14 @@ def _finite(value, what, shape):
     return arr
 
 
+def _points(value, what):
+    """``value`` as a finite (count, n) array: a list of points."""
+    arr = _finite(value, what, None)
+    if arr.ndim != 2:
+        raise ValidationError(f"{what} must be a list of points, not an array of shape {arr.shape}")
+    return arr
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -184,11 +192,11 @@ def _body_from_record(record, flavor):
     from . import duality as du
 
     if "vertices" in record:
-        verts = _finite(record["vertices"], "body vertices", None)
+        verts = _points(record["vertices"], "body vertices")
         if flavor == "euclidean":
             return du.EuclideanBody(verts)
         rays = record.get("rays")
-        rays = None if rays is None else _finite(rays, "body rays", None)
+        rays = None if rays is None else _points(rays, "body rays")
         return du.MinkowskiBody(verts, rays=rays)
     if record.get("kind") in ("ball", "hyperboloid"):
         if "radius" not in record:
@@ -246,7 +254,7 @@ def _path_from_record(space, record):
 
     if "base" not in record:
         raise ValidationError("path record needs a 'base' point")
-    base = _finite(record["base"], "path base", None)
+    base = _finite(record["base"], "path base", (space.dim,))
     vel = _finite(record.get("velocity", np.zeros_like(base)), "path velocity", base.shape)
     acc = _finite(record.get("acceleration", np.zeros_like(base)), "path acceleration", base.shape)
 
@@ -343,35 +351,35 @@ def cmd_check_connection(args):
             for name, val in residuals.items()])
 
 
+_PAIRS = {"hyp-euc": "Hyp3", "ads-min": "AdS3"}  # --pair: the curved space, then its point limit
+
+
 def cmd_pogorelov(args):
     from . import pogorelov as pg
 
-    m_src, m_dst = pg.chart_pair(args.pair)
+    space = pj.model_space(_PAIRS[args.pair])
+    m_src, m_dst = pg.chart_pair(space.name)
     if args.killing:
         record = _load_record(args.killing, "generator")
         if "generator" not in record:
             raise ValidationError("generator record needs a 'generator' matrix")
-        gen = _finite(record["generator"], "generator", (4, 4))
-        form = m_src.base
-        amb = np.diag(np.append(np.diag(form.matrix), -1.0))
-        anti = amb @ gen + gen.T @ amb
+        gen = _finite(record["generator"], "generator", (space.dim, space.dim))
+        anti = space.form.matrix @ gen + gen.T @ space.form.matrix
         if np.max(np.abs(anti)) > 1e-10 * max(1.0, np.max(np.abs(gen))):
             raise ValidationError("generator is not antisymmetric for the ambient form")
     else:
         rng = np.random.default_rng(args.seed)
-        gen = pg.random_killing_generator(args.pair, rng)
+        gen = pg.random_killing_generator(space.name, rng)
     K = pg.chart_killing_field(gen)
     cloud = pg.halton_cloud(128, seed=args.seed)
     res_src = pg.killing_residual(m_src, K, cloud[:48])
     PK = pg.infinitesimal_pogorelov(K, m_src, m_dst)
     res_dst = pg.killing_residual(m_dst, PK, cloud[:48])
     # norm dictionary at a few radii
-    rows = []
+    rows, lat = [], np.array([0.0, 1.0, 0.0])
     for r in (0.2, 0.5, 0.8):
         x = np.array([r, 0.0, 0.0])
         rho = m_src.rho(x)
-        lat = np.array([0.0, 1.0, 0.0])
-        rad = np.array([1.0, 0.0, 0.0])
         n_lat_src = np.sqrt(abs(m_src(x, lat, lat)))
         n_lat_dst = np.sqrt(abs(m_dst(x, lat, lat))) * rho  # P is identity on lateral
         rows.append((r, rho, n_lat_src, n_lat_dst))
@@ -392,10 +400,6 @@ def cmd_pogorelov(args):
     _judge(checks)
 
 
-# patch kinds with a fixed home space
-_CHART_PATCHES = {"sphere": "Euc3", "hyperboloid": "Min3"}
-
-
 def _height(record):
     height = record.get("height", {})
     if not isinstance(height, dict):
@@ -409,17 +413,16 @@ def _patch_from_record(space, record):
     if "kind" not in record:
         raise ValidationError("patch record needs a 'kind': sphere, hyperboloid or graph")
     kind = record["kind"]
-    if kind in _CHART_PATCHES:
-        home = _CHART_PATCHES[kind]
-        if space.name != home:
-            raise ValidationError(f"{kind} patches live in {home}, not {space.name}")
+    if kind in ("sphere", "hyperboloid"):
         make = sf.sphere_patch if kind == "sphere" else sf.hyperboloid_patch
-        return make(radius=float(_finite(record.get("radius", 1.0), f"{kind} radius", ())))
+        patch = make(radius=float(_finite(record.get("radius", 1.0), f"{kind} radius", ())))
+        if patch.space.name != space.name:
+            raise ValidationError(f"{kind} patches live in {patch.space.name}, not {space.name}")
+        return patch
     if kind == "graph":
         spec = pj.space_family(space.name)
         if spec.chart is None and spec.chart_form is None:
             raise ValidationError(f"graph patches live in a flat chart or a co-space, not {space.name}")
-        spherical = spec.chart == "S2"
         height = _height(record)
         const = float(_finite(height.get("constant", space.sign), "height constant", ()))
         lin = _finite(height.get("linear", [0.0, 0.0, 0.0]), "height linear", (3,))
@@ -431,7 +434,7 @@ def _patch_from_record(space, record):
                 else np.stack([U, V, np.ones_like(U)], axis=-1)
             return const + base @ lin + amp * np.sin(freq * U) * np.cos(V)
 
-        domain = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3)) if spherical \
+        domain = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3)) if spec.chart == "S2" \
             else ((0.1, 1.1), (0.3, 2 * np.pi - 0.3))
         return sf.graph_patch(space, f, domain)
     raise ValidationError(f"unknown patch kind {kind!r}")
@@ -587,7 +590,7 @@ def build_parser():
     p.set_defaults(func=cmd_check_connection)
 
     p = sub.add_parser("pogorelov", help="infinitesimal Pogorelov residuals")
-    p.add_argument("--pair", choices=["hyp-euc", "ads-min"], required=True)
+    p.add_argument("--pair", choices=list(_PAIRS), required=True)
     p.add_argument("--killing", default=None, help="generator JSON file")
     _add_options(p, "tol", "seed", "emit")
     p.set_defaults(func=cmd_pogorelov)

@@ -599,9 +599,11 @@ def dual_support(sf):
         c = np.add.reduceat(X, starts) / counts[:, None]
         return c, np.maximum.reduceat(np.linalg.norm(X - c[cell], axis=1), starts)
 
+    # the bound is homogeneous in the points: an exact power-of-two scale keeps its norms in range
+    Rs = np.ldexp(R, -np.frexp(np.max(np.abs(R)))[1])
     cw, rw = centroid_radius(W)
-    cp, rp = centroid_radius(R.T)
-    low = np.minimum.reduceat(np.einsum("ij,ji->i", W, R), starts)
+    cp, rp = centroid_radius(Rs.T)
+    low = np.minimum.reduceat(np.einsum("ij,ji->i", W, Rs), starts)
     U = (cw @ cp.T + np.linalg.norm(cw, axis=1)[:, None] * rp
          + rw[:, None] * (np.linalg.norm(cp, axis=1) + rp))
     # written as "not provably below", so a NaN keeps every cell, as the

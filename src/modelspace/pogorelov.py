@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._numerics import central_difference
-from .forms import bpq, random_antisymmetric
-from .projective import chart_jet
+from .forms import random_antisymmetric
+from .projective import chart_jet, model_space, related, space_family
 
 __all__ = [
     "ChartMetric",
@@ -49,20 +49,19 @@ __all__ = [
     "fit_flat_killing",
 ]
 
-_FLAT = {"HypKlein": False, "AdSChart": False, "EucFlat": True, "MinFlat": True}
-
 
 class ChartMetric:
-    """One of the four chart metrics on a domain of R^n."""
+    """The chart metric of a registry space: flat for Euc and Min, and for Hyp
+    and AdS the curved metric above, b the chart form of their point limit."""
 
-    def __init__(self, kind, n=3):
-        if kind not in _FLAT:
-            raise ValueError(f"unknown chart metric {kind}")
-        self.kind = kind
-        self.n = n
-        lorentz = kind in ("AdSChart", "MinFlat")
-        self.base = bpq(n - 1, 1) if lorentz else bpq(n, 0)
-        self.flat = _FLAT[kind]
+    def __init__(self, name):
+        spec = space_family(name)
+        if spec.curvature > 0:
+            raise ValueError(f"{name} has no chart metric: its curvature is positive")
+        self.name = name
+        self.flat = spec.curvature == 0
+        chart = model_space(name if self.flat else related(name, "point_limit"))
+        self.n, self.base = chart.n, chart.chart_form
 
     def in_domain(self, x):
         x = np.asarray(x, dtype=float)
@@ -139,13 +138,9 @@ def _jacobian(field, x):
     return np.swapaxes(values, -1, -2)
 
 
-def chart_pair(name, n=3):
-    """The built-in chart pairs: 'hyp-euc' and 'ads-min'."""
-    if name == "hyp-euc":
-        return ChartMetric("HypKlein", n), ChartMetric("EucFlat", n)
-    if name == "ads-min":
-        return ChartMetric("AdSChart", n), ChartMetric("MinFlat", n)
-    raise ValueError("pair must be 'hyp-euc' or 'ads-min'")
+def chart_pair(name):
+    """The chart metrics of a space and its point limit: Hyp3 and Euc3 for 'Hyp3'."""
+    return ChartMetric(name), ChartMetric(related(name, "point_limit"))
 
 
 def halton_cloud(n_points=512, n=3, seed=0):
@@ -227,10 +222,9 @@ def infinitesimal_pogorelov(K, m_src, m_dst):
     return mapped
 
 
-def random_killing_generator(pair_name, rng, n=3):
-    """A random generator of the ambient isometry group of the curved chart."""
-    form = bpq(n, 1) if pair_name == "hyp-euc" else bpq(n - 1, 2)
-    return random_antisymmetric(form, rng)
+def random_killing_generator(name, rng):
+    """A random generator of the ambient isometry group of a space, e.g. 'Hyp3'."""
+    return random_antisymmetric(model_space(name).form, rng)
 
 
 def chart_killing_field(generator):

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import forms
 from ._numerics import central_difference
 from .forms import BilinearForm, bpq, co_euclidean_form, co_minkowski_form, affine_chart_form
 
@@ -33,6 +32,8 @@ __all__ = [
     "related",
     "transitions",
     "model_space",
+    "chart_space",
+    "base_form",
     "chart_jet",
     "line_through",
     "classify_line",
@@ -52,14 +53,12 @@ DISC_RTOL = 1e-9
 
 def _normalize_rep(vec):
     vec = np.asarray(vec, dtype=float)
+    # an exact power-of-two scaling first keeps the norm's squares in range
+    vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec), initial=0.0))[1])
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("projective point needs a nonzero representative")
-    vec = vec / norm
-    nz = np.nonzero(np.abs(vec) > 1e-14)[0]
-    if vec[nz[-1]] < 0:
-        vec = -vec
-    return vec
+    return _sign_fix(vec / norm)
 
 
 class ProjPoint:
@@ -162,33 +161,28 @@ class ModelSpace:
         sampled within ``radius``, which keeps finite-difference work on
         the locus accurate.
         """
-        p, q, z = self.form.signature
+        form = base_form(self.name) if self.degenerate else self.form
+        p, q, _ = form.signature
+        pos, neg = np.diagonal(form.matrix) > 0, np.diagonal(form.matrix) < 0
         pts = np.empty((count, self.dim))
         for i in range(count):
-            if self.degenerate:
-                base_dim = self.dim - 1
-                sub = ModelSpace("base", BilinearForm(self.form.matrix[:base_dim, :base_dim]), self.sign)
-                base = sub.sample_points(rng, 1, radius)[0]
-                pts[i] = np.append(base, rng.uniform(-radius, radius))
-            elif (self.sign > 0 and q == 0) or (self.sign < 0 and p == 0):
-                v = rng.standard_normal(self.dim)
-                pts[i] = v / np.sqrt(abs(float(self.form.quad(v))))
+            if (self.sign > 0 and q == 0) or (self.sign < 0 and p == 0):
+                v = rng.standard_normal(form.dim)
+                v = v / np.sqrt(abs(float(form.quad(v))))
             else:
                 # split into the positive and negative eigenspaces of the
                 # diagonal form and put cosh on the side matching the sign
-                diag = np.diag(self.form.matrix)
-                pos, neg = diag > 0, diag < 0
                 rho = rng.uniform(0, radius)
                 u = rng.standard_normal(int(pos.sum()))
                 u /= np.linalg.norm(u)
                 w = rng.standard_normal(int(neg.sum()))
                 w /= np.linalg.norm(w)
-                v = np.zeros(self.dim)
-                if self.sign > 0:
-                    v[pos], v[neg] = np.cosh(rho) * u, np.sinh(rho) * w
-                else:
-                    v[pos], v[neg] = np.sinh(rho) * u, np.cosh(rho) * w
-                pts[i] = v
+                ch, sh = np.cosh(rho), np.sinh(rho)
+                v = np.zeros(form.dim)
+                v[pos], v[neg] = (ch * u, sh * w) if self.sign > 0 else (sh * u, ch * w)
+            pts[i, :form.dim] = v
+            if self.degenerate:
+                pts[i, -1] = rng.uniform(-radius, radius)
         return pts
 
 
@@ -270,6 +264,18 @@ def model_space(name):
     return ModelSpace(f"{base}{n}", spec.form(n), spec.sign, chart_form)
 
 
+def chart_space(chart):
+    """The co-space in dimension 3 whose base is ``chart``, S2 or H2."""
+    return {spec.chart: f"{base}3" for base, spec in SPACES.items() if spec.chart}[chart]
+
+
+def base_form(name):
+    """The form of a co-space's base, the chart form of its dual: a point of
+    coEuc3 is a plane of Euc3, its base point the plane's unit normal."""
+    flat, digits = _split(related(name, "dual"))
+    return SPACES[flat].chart_form(int(digits))
+
+
 def chart_jet(base, U, V, order=0):
     """Points of a base chart and their parameter derivatives up to ``order``.
 
@@ -284,7 +290,7 @@ def chart_jet(base, U, V, order=0):
         U, V = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
         return [np.stack([U, V], axis=-1), np.broadcast_to(np.eye(2), U.shape + (2, 2)),
                 np.zeros(U.shape + (2, 2, 2))][:order + 1]
-    kappa = {"S2": 1, "H2": -1}[base]
+    kappa = space_family(chart_space(base)).curvature
     s, c = (np.sin(U), np.cos(U)) if kappa > 0 else (np.sinh(U), np.cosh(U))
     sp, cp = np.sin(V), np.cos(V)
     points = np.stack([s * cp, s * sp, c], axis=-1)
@@ -545,34 +551,28 @@ def closed_form_distance(space, X, Y):
 def pseudo_distance_lift(space, x_lift, y_lift):
     """Pseudo-distance between two pseudo-sphere lifts (scalar).
 
-    Inverts b(x,y) through the circle/hyperbola case table.  On a
-    hyperbola-type geodesic the lifts must sit on a common branch:
-    b(x,y) >= 1 for b^{-1}(+1), b(x,y) <= -1 for b^{-1}(-1); otherwise
-    this raises, and the caller must flip a lift.
+    Inverts b(x,y) through the circle/hyperbola case table on ``_gram``'s
+    line type (0 on a parabolic line).  On a hyperbola-type geodesic the
+    lifts must sit on a common branch, b(x,y) >= 1 for b^{-1}(+1) and
+    b(x,y) <= -1 for b^{-1}(-1), or this raises and the caller must flip a
+    lift.  Antipodal lifts (y = -x) raise too.
     """
-    b = space.form
     x = np.asarray(x_lift, dtype=float)
     y = np.asarray(y_lift, dtype=float)
-    for v in (x, y):
-        if abs(float(b(v, v)) - space.sign) > 1e-8:
-            raise ValueError("lift is not on the pseudo-sphere")
-    c = float(b(x, y))
-    if np.allclose(x, y):
+    a, h, c, disc, parabolic = _gram(space.form, x, y)
+    if max(abs(a - space.sign), abs(c - space.sign)) > 1e-8:
+        raise ValueError("lift is not on the pseudo-sphere")
+    if np.linalg.norm(x + y) <= 1e-8 * np.linalg.norm(x):
+        raise ValueError("antipodal lifts span no geodesic")
+    if parabolic:
         return 0.0
-    restriction = forms.restrict(b, np.array([x, y]))
-    p, q, z = restriction.signature
-    if z >= 1:
-        # lightlike geodesic
-        return 0.0
-    if (p, q) == (1, 1):
+    if disc > 0:
         # hyperbola: b.3 needs b(x,y) >= 1, b.4 needs b(x,y) <= -1
-        if space.sign > 0 and c < 1.0 - 1e-9:
+        if space.sign * h < 1.0 - 1e-9:
             raise ValueError("lifts lie on different hyperbola branches")
-        if space.sign < 0 and c > -1.0 + 1e-9:
-            raise ValueError("lifts lie on different hyperbola branches")
-        return float(np.arccosh(max(abs(c), 1.0)))
+        return float(np.arccosh(max(abs(h), 1.0)))
     # circle: b.1 has cos(d) = b(x,y), b.2 has cos(d) = -b(x,y)
-    return float(np.arccos(np.clip(space.sign * c, -1.0, 1.0)))
+    return float(np.arccos(np.clip(space.sign * h, -1.0, 1.0)))
 
 
 def geodesic_on_pseudosphere(space, x_lift, y_lift):

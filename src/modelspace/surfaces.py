@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._numerics import richardson
-from .projective import chart_jet, model_space, related, space_family
+from .projective import base_form, chart_jet, chart_space, model_space, related, space_family
 from .transition import transition_family
 
 __all__ = [
@@ -139,15 +139,17 @@ class SurfacePatch:
 
 def sphere_patch(radius=1.0):
     """Round sphere in the Euclidean chart, with analytic derivatives."""
-    return _chart_patch(model_space("Euc3"), "S2", radius)
+    return _chart_patch("S2", radius)
 
 
 def hyperboloid_patch(radius=1.0):
     """Future unit hyperboloid (times ``radius``) in the Minkowski chart."""
-    return _chart_patch(model_space("Min3"), "H2", radius)
+    return _chart_patch("H2", radius)
 
 
-def _chart_patch(space, base, radius):
+def _chart_patch(base, radius):
+    """The chart scaled by ``radius``, in the dual of its co-space (Euc3 for S2)."""
+    space = model_space(related(chart_space(base), "dual"))
     return SurfacePatch(space, lambda U, V: radius * chart_jet(base, U, V)[0],
                         _CHART_DOMAINS[base],
                         jacobian=lambda U, V: radius * chart_jet(base, U, V, 1)[1],
@@ -525,7 +527,7 @@ def shape_from_support(u_fn, base="S2", domain=None, m=64):
     (u0, u1), (v0, v1) = _CHART_DOMAINS[base] if domain is None else domain
     Ug, Vg = np.meshgrid(np.linspace(u0, u1, m), np.linspace(v0, v1, m), indexing="ij")
     points, jac = chart_jet(base, Ug, Vg, 1)
-    g = np.eye(3) if base == "S2" else np.diag([1.0, 1.0, -1.0])
+    g = base_form(chart_space(base)).matrix
     H = _ambient_extension_hessian(u_fn, points, g)
     hform = np.einsum("...ai,...ab,...bj->...ij", jac, H, jac)
     gj = np.einsum("ab,...bi->...ai", g, jac)

@@ -1,12 +1,16 @@
 import argparse
 import ast
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modelspace import cli
 
@@ -46,6 +50,15 @@ def test_classify_line(capsys):
     code, _, err = run_cli(
         ["classify-line", "--space", "Ell2", "--x", "[1,0,0]", "--y", "[1,0,0]"], capsys)
     assert code == 2 and "coincident points do not span a line" in err
+
+
+@pytest.mark.parametrize("command", ["distance", "classify-line"])
+def test_representatives_of_extreme_magnitude(command, capsys):
+    # their norms overflow or underflow unless the entries are rescaled first
+    for x, first in (("[1e155, 0, 1]", "1.57079632679"), ("[1e-300, 0, 1e-300]", "0.785398163397")):
+        code, out, err = run_cli([command, "--space", "Ell2", "--x", x, "--y", "[0, 0, 1]"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == (first if command == "distance" else "elliptic")
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -418,7 +431,8 @@ def _write(tmp_path, name, record):
                                   "transition-height-5", "wave-5", "constant-list",
                                   "sphere-radius-list", "ball-radius-list", "vector-object",
                                   "path-base-object", "vertices-object", "rays-object",
-                                  "velocity-of-length-1"])
+                                  "velocity-of-length-1", "path-base-of-length-3",
+                                  "flat-vertices", "flat-rays"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
@@ -484,6 +498,11 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                                  _write(tmp_path, "p6.json", {"base": [0, 0, 0, 1],
                                                               "velocity": [0.7]})],
         "vertices-object": body + [_write(tmp_path, "b6.json", {"vertices": {"a": 1}})],
+        "path-base-of-length-3": ["transition", "--family", "point", "--space", "Ell3", "--path",
+                                  _write(tmp_path, "p7.json", {"base": [0, 0, 1]})],
+        "flat-vertices": body + [_write(tmp_path, "b7.json", {"vertices": [1, 2, 3]})],
+        "flat-rays": ["dualize", "--flavor", "minkowski", "--grid", "4", "--body", _write(
+            tmp_path, "m6.json", {"vertices": [[0.3, 0.1, 1.2], [0, 0, 1]], "rays": [1, 2, 3]})],
         "rays-object": ["dualize", "--flavor", "minkowski", "--grid", "4", "--body", _write(
             tmp_path, "m5.json", {"vertices": [[0.3, 0.1, 1.2], [0, 0, 1]], "rays": {"a": 1}})],
     }[case]
@@ -518,7 +537,10 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "path-base-object": "path base must be a numeric array",
                 "velocity-of-length-1": "path velocity has shape (1,), expected (4,)",
                 "vertices-object": "body vertices must be a numeric array",
-                "rays-object": "body rays must be a numeric array"}
+                "rays-object": "body rays must be a numeric array",
+                "path-base-of-length-3": "path base has shape (3,), expected (4,)",
+                "flat-vertices": "body vertices must be a list of points",
+                "flat-rays": "body rays must be a list of points"}
     assert expected.get(case, "") in err
 
 
@@ -535,3 +557,50 @@ def test_transition_surface_families_on_the_pseudo_sphere(space, capsys):
         assert np.max(np.abs(src.form.quad(x) - src.sign)) < 1e-12
     code, out, _ = run_cli(["transition-surface", "--space", space], capsys)
     assert code == 0 and "R^2" in out
+
+
+# one coordinate: a mantissa in [1, 9.99] times 10^k for k from -300 to 307,
+# with the sign +, - or 0
+_ENTRY = st.builds(lambda sign, mantissa, k: sign * mantissa * 10.0**k,
+                   st.sampled_from([1.0, -1.0, 0.0]), st.floats(1.0, 9.99), st.integers(-300, 307))
+
+
+def _vector(size):
+    return st.lists(_ENTRY, min_size=size, max_size=size)
+
+
+_DISTANCE = st.tuples(st.sampled_from(["distance", "classify-line"]),
+                      st.sampled_from(["Ell2", "Hyp2", "dS2", "AdS2", "coEuc2", "Euc2"]),
+                      _vector(3), _vector(3))
+_FLAVOR = st.sampled_from(["euclidean", "minkowski"])
+_ROUND_BODY = st.tuples(st.just("dualize"), _FLAVOR, st.fixed_dictionaries(
+    {"kind": st.sampled_from(["ball", "hyperboloid"]), "radius": _ENTRY}))
+_VERTEX_BODY = st.tuples(st.just("dualize"), _FLAVOR, st.fixed_dictionaries(
+    {"vertices": st.lists(_vector(3), min_size=4, max_size=6)}))
+_TRANSITION = st.tuples(st.just("transition"), st.sampled_from(["point", "plane"]),
+                        st.sampled_from(["Ell3", "Hyp3", "dS3", "AdS3"]), st.fixed_dictionaries(
+                            {"base": _vector(4), "velocity": _vector(4), "acceleration": _vector(4)}))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(_DISTANCE, _ROUND_BODY, _VERTEX_BODY, _TRANSITION))
+# the two inputs that used to end in a traceback: an overflowing norm, an underflowing bound
+@example(("distance", "Ell2", [1e155, 0.0, 1.0], [0.0, 0.0, 1.0]))
+@example(("dualize", "euclidean", {"kind": "ball", "radius": 1e200}))
+def test_cli_contract_on_extreme_magnitudes(case):
+    # any input ends in exit 0, 2 or 3; an escaping exception fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        if case[0] in ("distance", "classify-line"):
+            command, space, x, y = case
+            argv = [command, "--space", space, "--x", json.dumps(x), "--y", json.dumps(y)]
+        elif case[0] == "dualize":
+            _, flavor, record = case
+            argv = ["dualize", "--flavor", flavor, "--grid", "4",
+                    "--body", _write(pathlib.Path(tmp), "body.json", record)]
+        else:
+            _, family, space, record = case
+            argv = ["transition", "--family", family, "--space", space,
+                    "--path", _write(pathlib.Path(tmp), "path.json", record)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv + ["--emit", "json"])
+    assert code in (0, 2, 3)

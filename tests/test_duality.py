@@ -493,3 +493,14 @@ def test_cylinder_chart_round_trip_and_convexity():
     ], axis=1)
     sfn = du.support_from_body(du.MinkowskiBody(verts), grid=16)
     assert sfn.convexity_violation() < 1e-8
+
+
+@pytest.mark.parametrize("radius", [1e200, 1e-200])
+def test_polar_formula_on_round_bodies_of_extreme_size(radius):
+    # the pruning bound rescales the polar points v / h(v), which underflow here
+    dirs = du.sphere_grid(8)
+    se = du.SupportFunctionE(dirs, np.full(len(dirs), radius), grid_shape=(8, 8))
+    np.testing.assert_allclose(du.dual_support(se).values, 1 / radius, rtol=1e-12)
+    dirs = du.hyperboloid_grid(8)
+    sm = du.SupportFunctionMin(dirs, np.full(len(dirs), -radius), grid_shape=(8, 8))
+    np.testing.assert_allclose(du.dual_support(sm).values, -1 / radius, rtol=1e-12)

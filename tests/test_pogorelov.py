@@ -6,7 +6,7 @@ from modelspace import pogorelov as pg
 
 @pytest.fixture(scope="module")
 def pairs():
-    return {"hyp-euc": pg.chart_pair("hyp-euc"), "ads-min": pg.chart_pair("ads-min")}
+    return {"hyp-euc": pg.chart_pair("Hyp3"), "ads-min": pg.chart_pair("AdS3")}
 
 
 def test_chart_metric_values(pairs):
@@ -74,8 +74,8 @@ def test_stencils_match_per_axis_loops(pairs):
                               + np.einsum("...kl,...jil->...kij", ginv, dg)
                               - np.einsum("...kl,...lij->...kij", ginv, dg))
             assert np.array_equal(m.christoffel_fd(cloud).view(np.uint64),
-                                  expected.view(np.uint64)), (name, m.kind)
-        K = pg.chart_killing_field(pg.random_killing_generator(name, rng))
+                                  expected.view(np.uint64)), (name, m.name)
+        K = pg.chart_killing_field(pg.random_killing_generator(src.name, rng))
         h = 1e-6
         expected = np.stack([(K(cloud + h * e) - K(cloud - h * e)) / (2 * h)
                              for e in np.eye(3)], axis=-1)
@@ -96,7 +96,7 @@ def test_killing_fields_and_transport(pairs):
     cloud = pg.halton_cloud(96)
     for name, (src, dst) in pairs.items():
         for _ in range(4):
-            gen = pg.random_killing_generator(name, rng)
+            gen = pg.random_killing_generator(src.name, rng)
             K = pg.chart_killing_field(gen)
             assert pg.killing_residual(src, K, cloud[:32]) < 1e-7
             PK = pg.infinitesimal_pogorelov(K, src, dst)
@@ -107,8 +107,8 @@ def test_killing_fields_and_transport(pairs):
 def test_pogorelov_closed_form_and_linearity(pairs):
     rng = np.random.default_rng(1)
     hyp, euc = pairs["hyp-euc"]
-    g1 = pg.random_killing_generator("hyp-euc", rng)
-    g2 = pg.random_killing_generator("hyp-euc", rng)
+    g1 = pg.random_killing_generator("Hyp3", rng)
+    g2 = pg.random_killing_generator("Hyp3", rng)
     K1, K2 = pg.chart_killing_field(g1), pg.chart_killing_field(g2)
     P1 = pg.infinitesimal_pogorelov(K1, hyp, euc)
     P2 = pg.infinitesimal_pogorelov(K2, hyp, euc)
@@ -140,7 +140,7 @@ def test_ads_variant_killing(pairs):
     rng = np.random.default_rng(2)
     ads, mink = pairs["ads-min"]
     g21 = ads.base.matrix
-    gen = pg.random_killing_generator("ads-min", rng)
+    gen = pg.random_killing_generator("AdS3", rng)
     K = pg.chart_killing_field(gen)
 
     def mapped(x):
@@ -182,7 +182,7 @@ def test_rigidity_transport(pairs):
     rng = np.random.default_rng(4)
     surf = pg.sphere_surface_samples()
     hyp, euc = pairs["hyp-euc"]
-    gen = pg.random_killing_generator("hyp-euc", rng)
+    gen = pg.random_killing_generator("Hyp3", rng)
     Z = pg.chart_killing_field(gen)
     PZ, res = pg.rigidity_transport(Z, hyp, euc, surf)
     assert res < 1e-6
@@ -212,7 +212,7 @@ def test_killing_residual_over_a_cloud_is_the_pointwise_max(pairs):
     rng = np.random.default_rng(8)
     cloud = pg.halton_cloud(16, seed=8)
     for name, (src, dst) in pairs.items():
-        K = pg.chart_killing_field(pg.random_killing_generator(name, rng))
+        K = pg.chart_killing_field(pg.random_killing_generator(src.name, rng))
         # a field that is not Killing, so the residuals are well above rounding
         Z = lambda x, K=K: K(x) + 0.1 * x**2
         for metric, field in ((src, Z), (dst, pg.infinitesimal_pogorelov(Z, src, dst))):
@@ -232,3 +232,27 @@ def test_field_of_the_wrong_shape_is_rejected(pairs):
         pg.fit_flat_killing(euc, constant, cloud)
     with pytest.raises(ValueError, match="shape"):
         pg.infinitesimal_pogorelov(constant, hyp, euc)(cloud)
+
+
+def test_chart_metrics_read_the_registry():
+    from modelspace.projective import model_space
+
+    for name, flat, chart in (("Hyp3", False, "Euc3"), ("AdS3", False, "Min3"),
+                              ("Euc3", True, "Euc3"), ("Min4", True, "Min4")):
+        m = pg.ChartMetric(name)
+        assert m.flat == flat and m.n == model_space(name).n
+        assert m.base is model_space(chart).chart_form
+    for name in ("Ell3", "dS3", "coMin3"):
+        with pytest.raises(ValueError):
+            pg.ChartMetric(name)
+    assert [m.name for m in pg.chart_pair("AdS3")] == ["AdS3", "Min3"]
+
+
+def test_killing_transport_in_dimension_four():
+    rng = np.random.default_rng(5)
+    cloud = pg.halton_cloud(64, n=4, seed=2)[:24]
+    for name in ("Hyp4", "AdS4"):
+        src, dst = pg.chart_pair(name)
+        K = pg.chart_killing_field(pg.random_killing_generator(name, rng))
+        assert pg.killing_residual(src, K, cloud) < 1e-7
+        assert pg.killing_residual(dst, pg.infinitesimal_pogorelov(K, src, dst), cloud) < 1e-6

@@ -288,3 +288,84 @@ def test_random_points_match_one_by_one_sampler(name, seed, count):
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["Ell2", "Hyp2"])
+@pytest.mark.parametrize("d", [1e-5, 5e-5])
+def test_short_lift_distances_match_the_quadrature(name, d):
+    # _gram's line type keeps these short pairs elliptic or hyperbolic
+    space = pj.model_space(name)
+    x = np.array([0.0, 0.0, 1.0])
+    y = np.array([np.sin(d), 0.0, np.cos(d)]) if name == "Ell2" \
+        else np.array([np.sinh(d), 0.0, np.cosh(d)])
+    lift = pj.pseudo_distance_lift(space, x, y)
+    assert lift == pytest.approx(pj.pseudo_distance_quadrature(space, x, y), rel=1e-5)
+    assert lift == pytest.approx(d, rel=1e-5)
+
+
+def test_pseudo_distance_lift_raises_and_parabolic_zero():
+    ell2, hyp2, ds2 = (pj.model_space(n) for n in ("Ell2", "Hyp2", "dS2"))
+    x = np.array([0.6, 0.0, 0.8])
+    assert pj.pseudo_distance_lift(ell2, x, x) == 0.0
+    with pytest.raises(ValueError, match="antipodal"):
+        pj.pseudo_distance_lift(ell2, x, -x)
+    with pytest.raises(ValueError, match="pseudo-sphere"):
+        pj.pseudo_distance_lift(ell2, x, 2 * x)
+    with pytest.raises(ValueError, match="branches"):
+        pj.pseudo_distance_lift(ds2, [1.0, 0, 0], [-np.cosh(1), 0, np.sinh(1)])
+    # a light-like line of dS2: x + s n with n null and b(x, n) = 0
+    assert pj.pseudo_distance_lift(ds2, [1.0, 0, 0], [1.0, 0.5, 0.5]) == 0.0
+    assert pj.pseudo_distance_lift(hyp2, [0, 0, 1.0], [0, 0, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize("rep, expected", [([1e155, 0, 1], [1.0, 0, 1e-155]),
+                                           ([1e-300, 0, 1e-300], [np.sqrt(0.5), 0, np.sqrt(0.5)]),
+                                           ([-1e308, 1e308, 0], [-np.sqrt(0.5), np.sqrt(0.5), 0])])
+def test_representatives_of_extreme_magnitude_normalize(rep, expected):
+    assert np.allclose(pj.ProjPoint(rep).rep, expected, rtol=1e-15, atol=0)
+
+
+def _recursive_sampler(space, rng, count, radius=1.2):
+    # sample_points as it was: a co-space point from a fresh base space
+    p, q, _ = space.form.signature
+    pts = np.empty((count, space.dim))
+    for i in range(count):
+        if space.degenerate:
+            sub = pj.ModelSpace("base", forms.BilinearForm(space.form.matrix[:-1, :-1]), space.sign)
+            pts[i] = np.append(_recursive_sampler(sub, rng, 1, radius)[0],
+                               rng.uniform(-radius, radius))
+        elif (space.sign > 0 and q == 0) or (space.sign < 0 and p == 0):
+            v = rng.standard_normal(space.dim)
+            pts[i] = v / np.sqrt(abs(float(space.form.quad(v))))
+        else:
+            diag = np.diag(space.form.matrix)
+            pos, neg = diag > 0, diag < 0
+            rho = rng.uniform(0, radius)
+            u = rng.standard_normal(int(pos.sum()))
+            u /= np.linalg.norm(u)
+            w = rng.standard_normal(int(neg.sum()))
+            w /= np.linalg.norm(w)
+            v = np.zeros(space.dim)
+            if space.sign > 0:
+                v[pos], v[neg] = np.cosh(rho) * u, np.sinh(rho) * w
+            else:
+                v[pos], v[neg] = np.sinh(rho) * u, np.cosh(rho) * w
+            pts[i] = v
+    return pts
+
+
+@pytest.mark.parametrize("name", ["Ell2", "Hyp3", "dS2", "AdS3", "Euc3", "coEuc3", "coMin3", "coMin2"])
+def test_sample_points_match_the_recursive_sampler(name):
+    space = pj.model_space(name)
+    rng_ref, rng = np.random.default_rng(3), np.random.default_rng(3)
+    expected = _recursive_sampler(space, rng_ref, 7, radius=0.8)
+    assert space.sample_points(rng, 7, radius=0.8).tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_base_forms_and_charts_come_from_the_registry():
+    assert pj.base_form("coEuc3") is pj.model_space("Euc3").chart_form
+    assert pj.base_form("coMin4") is pj.model_space("Min4").chart_form
+    assert (pj.chart_space("S2"), pj.chart_space("H2")) == ("coEuc3", "coMin3")
+    with pytest.raises(KeyError):
+        pj.chart_space("flat")
