@@ -188,12 +188,13 @@ def cmd_classify_line(args):
     )
 
 
-def _body_from_record(record, flavor):
+def _body_from_record(record, cls):
+    """The polytope a record describes, of support class ``cls``, or a radius."""
     from . import duality as du
 
     if "vertices" in record:
         verts = _points(record["vertices"], "body vertices")
-        if flavor == "euclidean":
+        if cls is du.SupportFunctionE:
             return du.EuclideanBody(verts)
         rays = record.get("rays")
         rays = None if rays is None else _points(rays, "body rays")
@@ -208,45 +209,33 @@ def _body_from_record(record, flavor):
 def cmd_dualize(args):
     from . import duality as du
 
-    grid = args.grid
-    if grid < 1:
-        raise ValidationError(f"--grid must be at least 1, got {grid}")
-    record = _load_record(args.body, "body")
-    body = _body_from_record(record, args.flavor)
+    cls = du.SupportFunctionE if args.flavor == "euclidean" else du.SupportFunctionMin
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {args.grid}")
+    body = _body_from_record(_load_record(args.body, "body"), cls)
     if not isinstance(body, float) and body.n != 3:
         raise ValidationError(f"body has {body.n} coordinates; the direction grid needs 3")
-    if args.flavor == "euclidean":
-        dirs = du.sphere_grid(grid)
-    else:
-        dirs = du.hyperboloid_grid(grid)
+    dirs = cls.grid(3, args.grid)
+    rec = {"flavor": args.flavor}
     if isinstance(body, float):
         # round bodies live as constant support functions
-        values = np.full(len(dirs), body if args.flavor == "euclidean" else -body)
-        cls = du.SupportFunctionE if args.flavor == "euclidean" else du.SupportFunctionMin
-        sfn = cls(dirs, values, grid_shape=(grid, grid))
-        dual = du.dual_support(sfn)
-        rec = {"flavor": args.flavor, "support": dual.values.tolist()}
+        sfn = cls(dirs, np.full(len(dirs), cls.sign * body), grid_shape=(args.grid, args.grid))
+        support = du.dual_support(sfn).values
         lines = [f"dual support on {len(dirs)} directions",
-                 f"min {_fmt(dual.values.min())}, max {_fmt(dual.values.max())}"]
-        rows = np.hstack([dirs, dual.values[:, None]])
+                 f"min {_fmt(support.min())}, max {_fmt(support.max())}"]
     else:
         dual = body.dual()
         support = dual.support(dirs)
-        rec = {
-            "flavor": args.flavor,
-            "vertices": dual.vertices.tolist(),
-            "support": support.tolist(),
-        }
-        if args.flavor == "minkowski":
-            rec["rays"] = dual.rays.tolist()
-        lines = [
-            f"dual body: {len(dual.vertices)} vertices"
-            + (f", {len(dual.rays)} recession rays" if args.flavor == "minkowski" else ""),
-            f"support range [{_fmt(support.min())}, {_fmt(support.max())}]",
-        ]
-        rows = np.hstack([dirs, support[:, None]])
+        rays = getattr(dual, "rays", None)
+        rec["vertices"] = dual.vertices.tolist()
+        if rays is not None:
+            rec["rays"] = rays.tolist()
+        lines = [f"dual body: {len(dual.vertices)} vertices"
+                 + ("" if rays is None else f", {len(rays)} recession rays"),
+                 f"support range [{_fmt(support.min())}, {_fmt(support.max())}]"]
+    rec["support"] = support.tolist()
     header = [f"dir{i+1}" for i in range(dirs.shape[1])] + ["h"]
-    _emit(args, lines, rec, csv_rows=rows, csv_header=header)
+    _emit(args, lines, rec, csv_rows=np.hstack([dirs, support[:, None]]), csv_header=header)
 
 
 def _path_from_record(space, record):
@@ -451,8 +440,7 @@ def cmd_check_surface(args):
     gauss, codazzi = sf.gauss_codazzi_residual(data)
     K = sf.gauss_curvature(data.I, data.du, data.dv)
     detb = data.det_B
-    k = max(2, int(0.12 * K.shape[0]))
-    K_in, detb_in = K[k:-k, k:-k], detb[k:-k, k:-k]
+    K_in, detb_in = sf.inner_grid(K), sf.inner_grid(detb)
     lines = [
         f"K_I range [{_fmt(K_in.min())}, {_fmt(K_in.max())}] (interior)",
         f"det B range [{_fmt(detb_in.min())}, {_fmt(detb_in.max())}]",

@@ -33,7 +33,7 @@ from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial import QhullError
 
 from .forms import bpq
-from .projective import ProjPoint, chart_jet
+from .projective import SPACES, ProjPoint, base_form, chart_jet
 
 __all__ = [
     "PolyCone",
@@ -400,127 +400,112 @@ def rapidity_grid(m=64):
     return np.stack([np.sinh(rho), np.cosh(rho)], axis=1)
 
 
-class SupportFunctionE:
-    """Sampled support function of a Euclidean admissible body.
-
-    ``dirs`` are unit directions, ``values`` the (positive) support values
-    h(v); the one-homogeneous extension is H(x) = |x| h(x/|x|).
-    """
-
-    flavor = "euclidean"
+class SupportFunction:
+    """Sampled support function of an admissible body, a graph over the base
+    of its co-space: ``values`` h(v) at ``dirs`` v with b(v, v) = ``sign``
+    for the base form b, and sign * h > 0.  A subclass is one co-space: its
+    ``sign``, base ``form`` (None for the dot product), default ``grid`` and
+    convexity test."""
 
     def __init__(self, dirs, values, grid_shape=None):
         self.dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         self.values = np.asarray(values, dtype=float)
         self.grid_shape = grid_shape
-        if np.any(self.values <= 0):
-            raise ValueError("support function of an admissible body is positive")
+        if np.any(self.sign * self.values <= 0):
+            raise ValueError("support function of an admissible body is "
+                             + ("positive" if self.sign > 0 else "negative"))
 
     @property
     def n(self):
         return self.dirs.shape[1]
+
+    def polar_points(self):
+        """The polar points p_v = G v / (sign h(v)) as columns, G the matrix of
+        the base form: the dual body's support is h*(w) = max_v <w, p_v>."""
+        form = self.form
+        gv = self.dirs.T if form is None else form.matrix @ self.dirs.T
+        return gv / (self.sign * self.values)
+
+
+class SupportFunctionE(SupportFunction):
+    """Support function of a Euclidean body on unit directions, a graph over
+    the S^(n-1) base of co-Euclidean space; its one-homogeneous extension is
+    H(x) = |x| h(x/|x|)."""
+
+    sign = SPACES["coEuc"].sign
+    form = None
+
+    @staticmethod
+    def grid(n, m):
+        return circle_grid(m) if n == 2 else sphere_grid(m)
 
     def convexity_violation(self):
         """Max violation of subadditivity H(a) + H(b) >= H(a + b) on grid
         triples taken along meridians (where a + b is again a grid ray)."""
         if self.grid_shape is None:
             return 0.0
+        h = self.values
         if self.n == 2:
-            h = self.values
-            m = len(h)
-            delta = 2 * np.pi / m
-            mid = 2 * np.cos(delta) * h
+            mid = 2 * np.cos(2 * np.pi / len(h)) * h
             return float(np.max(mid - (np.roll(h, 1) + np.roll(h, -1))))
-        mth, mph = self.grid_shape
-        h = self.values.reshape(mth, mph)
-        delta = np.pi / mth
-        viol = 2 * np.cos(delta) * h[1:-1, :] - h[:-2, :] - h[2:, :]
+        h = h.reshape(self.grid_shape)
+        viol = 2 * np.cos(np.pi / len(h)) * h[1:-1] - h[:-2] - h[2:]
         return float(np.max(viol)) if viol.size else 0.0
 
 
-class SupportFunctionMin:
-    """Sampled support function of a Minkowski admissible body.
+class SupportFunctionMin(SupportFunction):
+    """Support function of a Minkowski body on the future unit hyperboloid
+    H^(n-1)_+, the base of co-Minkowski space; the values are negative."""
 
-    Primary storage is the cylinder model: disc points y = x'/x_n of the
-    H^2_+ grid directions and the restriction hbar(y) = H((y, 1)) < 0.
-    The hyperboloid values h(v) = hbar / sqrt(1 - |y|^2) are kept too.
-    """
-
-    flavor = "minkowski"
-
-    def __init__(self, dirs, values, grid_shape=None):
-        self.dirs = np.atleast_2d(np.asarray(dirs, dtype=float))  # on H_+
-        self.values = np.asarray(values, dtype=float)  # h on H_+
-        self.grid_shape = grid_shape
-        if np.any(self.values >= 0):
-            raise ValueError("support function of an admissible body is negative")
-        self.disc = self.dirs[:, :-1] / self.dirs[:, -1:]
-        self.hbar = self.values / self.dirs[:, -1]
+    sign = SPACES["coMin"].sign
 
     @property
-    def n(self):
-        return self.dirs.shape[1]
+    def form(self):
+        return base_form(f"coMin{self.n}")
+
+    @staticmethod
+    def grid(n, m):
+        return rapidity_grid(m) if n == 2 else hyperboloid_grid(m)
 
     def convexity_violation(self):
-        """Max violation of convexity of hbar along radial grid lines."""
+        """Max violation of convexity along radial grid lines of the
+        restriction hbar(y) = H((y, 1)) to the cylinder model's disc points
+        y = x'/x_n (the 2-d grid is one line, ordered by y)."""
         if self.grid_shape is None:
             return 0.0
+        disc = self.dirs[:, :-1] / self.dirs[:, -1:]
+        hbar = self.values / self.dirs[:, -1]
         if self.n == 2:
-            r = self.disc[:, 0]
-            h = self.hbar
-            order = np.argsort(r)
-            r, h = r[order], h[order]
-            s = (r[1:-1] - r[:-2]) / (r[2:] - r[:-2])
-            mid = (1 - s) * h[:-2] + s * h[2:]
-            return float(np.max(h[1:-1] - mid))
-        mr, mph = self.grid_shape
-        r = np.linalg.norm(self.disc, axis=1).reshape(mr, mph)
-        h = self.hbar.reshape(mr, mph)
-        s = (r[1:-1, :] - r[:-2, :]) / (r[2:, :] - r[:-2, :])
-        mid = (1 - s) * h[:-2, :] + s * h[2:, :]
-        viol = h[1:-1, :] - mid
+            order = np.argsort(disc[:, 0])
+            r, h = disc[order], hbar[order, None]
+        else:
+            r = np.linalg.norm(disc, axis=1).reshape(self.grid_shape)
+            h = hbar.reshape(self.grid_shape)
+        s = (r[1:-1] - r[:-2]) / (r[2:] - r[:-2])
+        viol = h[1:-1] - ((1 - s) * h[:-2] + s * h[2:])
         return float(np.max(viol)) if viol.size else 0.0
 
 
-def _default_grid(flavor, n, m=64):
-    if flavor == "euclidean":
-        return circle_grid(m) if n == 2 else sphere_grid(m)
-    return rapidity_grid(m) if n == 2 else hyperboloid_grid(m)
+# the support function class each body samples to
+EuclideanBody.support_class = SupportFunctionE
+MinkowskiBody.support_class = SupportFunctionMin
 
 
-def support_from_body(body, flavor=None, dirs=None, grid=64):
-    """Sample the support function of a body on a direction grid.
+def support_from_body(body, dirs=None, grid=64):
+    """Sample the support function of a EuclideanBody or MinkowskiBody on
+    ``dirs``, by default its class's grid of size ``grid``.
 
-    ``body`` may be a EuclideanBody/MinkowskiBody or a raw vertex array
-    (then ``flavor`` picks the meaning).  Euclidean: h(v) = max <x, v>;
-    Minkowski: h(v) = max b(x, v) over the vertices, for v on H^{n-1}_+.
-    Raises if the body fails its admissibility condition.
+    Euclidean: h(v) = max <x, v>; Minkowski: h(v) = max b(x, v) over the
+    vertices, for v on H^(n-1)_+.
     """
-    if isinstance(body, EuclideanBody):
-        flavor = "euclidean"
-    elif isinstance(body, MinkowskiBody):
-        flavor = "minkowski"
-    elif flavor == "euclidean":
-        body = EuclideanBody(body)
-    elif flavor == "minkowski":
-        body = MinkowskiBody(body)
-    else:
-        raise ValueError("flavor must be 'euclidean' or 'minkowski'")
-    n = body.n
+    cls = body.support_class
     if dirs is None:
-        dirs = _default_grid(flavor, n, grid)
-    shape = _grid_shape(flavor, n, dirs)
-    values = body.support(dirs)
-    cls = SupportFunctionE if flavor == "euclidean" else SupportFunctionMin
-    return cls(dirs, values, grid_shape=shape)
-
-
-def _grid_shape(flavor, n, dirs):
+        dirs = cls.grid(body.n, grid)
+    # a 3-d grid is (polar, azimuth) when it has a square number of directions
     m = len(dirs)
-    if n == 2:
-        return (m,)
     root = int(round(np.sqrt(m)))
-    return (root, root) if root * root == m else None
+    shape = (m,) if body.n == 2 else (root, root) if root * root == m else None
+    return cls(dirs, body.support(dirs), grid_shape=shape)
 
 
 def body_from_support(sf):
@@ -538,7 +523,7 @@ def body_from_support(sf):
             cone_facet_normals(rows), -1, 1, "support samples do not bound a compact body",
             compact=True))
     if isinstance(sf, SupportFunctionMin):
-        g = bpq(sf.n - 1, 1).matrix
+        g = sf.form.matrix
         rows = np.hstack([sf.values[:, None], sf.dirs @ g])
         rows = np.vstack([rows, np.append(1.0, np.zeros(sf.n))])
         verts = _cone_vertices(cone_facet_normals(rows), 0, -1,
@@ -552,18 +537,18 @@ def body_from_support(sf):
 def dual_support(sf):
     """Support function of the dual body, from the grid polar formula.
 
-    Euclidean: h*(w) = max_v <v, w> / h(v); Minkowski:
-    h*(w) = max_v b(v, w) / (-h(v)), both over the sample grid.  Exact at
+    h*(w) = max_v <w, p_v> over the polar points p_v = G v / (sign h(v)) of
+    the grid (``SupportFunction.polar_points``): max_v <v, w> / h(v) for a
+    Euclidean body, max_v b(v, w) / (-h(v)) for a Minkowski one.  Exact at
     grid directions whenever the maximizing direction lies on the grid
     (e.g. any body of revolution sampled on its own axis grid: balls and
     hyperboloids give B_r -> B_{1/r} and H_r -> H_{1/r} exactly).
 
-    Both are a maximum inner product h*(w) = max_v <w, p_v> over the points
-    p_v = v / h(v) (Euclidean) or G v / -h(v) (Minkowski), answered by
-    branch and bound over cells (the cone-tree bound of Ram & Gray, KDD
-    2012).  The directions are grouped into the voxels of a lattice over
-    their bounding box.  For directions w in cell s and points p in cell t,
-    with centroids and radii (W_s, r_Ws) and (P_t, r_Pt),
+    The maximum inner product is answered by branch and bound over cells
+    (the cone-tree bound of Ram & Gray, KDD 2012).  The directions are
+    grouped into the voxels of a lattice over their bounding box.  For
+    directions w in cell s and points p in cell t, with centroids and radii
+    (W_s, r_Ws) and (P_t, r_Pt),
 
         <w, p> <= U[s, t] = <W_s, P_t> + |W_s| r_Pt + r_Ws (|P_t| + r_Pt),
 
@@ -579,10 +564,7 @@ def dual_support(sf):
     n_dirs, n = dirs.shape
     if n_dirs == 0:
         raise ValueError("dual_support needs at least one direction")
-    if isinstance(sf, SupportFunctionE):
-        cls, right = SupportFunctionE, dirs.T / sf.values
-    else:
-        cls, right = SupportFunctionMin, bpq(sf.n - 1, 1).matrix @ dirs.T / -sf.values
+    right = sf.polar_points()
     # the directions fill an (n-1)-dimensional sphere or hyperboloid sheet,
     # which meets about 4 k^(n-1) of the k^n voxels: about 64 per cell
     k = max(1, round((n_dirs / 256) ** (1 / max(n - 1, 1))))
@@ -617,7 +599,7 @@ def dual_support(sf):
         for i in range(a, b, rows):
             j = min(i + rows, b)
             out[order[i:j]] = np.max(W[i:j] @ cols, axis=1)
-    return cls(dirs, out, grid_shape=sf.grid_shape)
+    return type(sf)(dirs, out, grid_shape=sf.grid_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,14 @@ PARALLEL_ANGLE_TOL = 1e-10
 DISC_RTOL = 1e-9
 
 
+def _pow2_scaled(vec):
+    """``vec`` times the exact power of two that brings its largest entry
+    into [0.5, 1), so the squares in its norm stay in range."""
+    return np.ldexp(vec, -np.frexp(np.max(np.abs(vec), initial=0.0))[1])
+
+
 def _normalize_rep(vec):
-    vec = np.asarray(vec, dtype=float)
-    # an exact power-of-two scaling first keeps the norm's squares in range
-    vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec), initial=0.0))[1])
+    vec = _pow2_scaled(np.asarray(vec, dtype=float))
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("projective point needs a nonzero representative")
@@ -350,13 +354,14 @@ class ProjLine:
 
 
 def _orthonormalize(u, v):
+    u, v = _pow2_scaled(u), _pow2_scaled(v)
     nu = np.linalg.norm(u)
     if nu == 0:
         return None
     e1 = u / nu
     w = v - np.dot(v, e1) * e1
     nw = np.linalg.norm(w)
-    if nw <= 1e-12 * max(1.0, np.linalg.norm(v)):
+    if nw <= 1e-12 * np.linalg.norm(v):
         return None
     e2 = w / nw
     return np.array([_normalize_rep(e1), _sign_fix(e2)])

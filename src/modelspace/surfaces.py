@@ -393,11 +393,16 @@ def codazzi_residual_field(data):
     return cov[..., 0, :, 1] - cov[..., 1, :, 0]
 
 
-def _interior_max(field):
-    """sup |field| over the inner grid: a boundary fraction 0.12 (at least
-    two cells) is dropped, where one-sided grid differences lose an order."""
+def inner_grid(field):
+    """The field on the inner grid: a boundary fraction 0.12 (at least two
+    cells) is dropped, where one-sided grid differences lose an order."""
     k = max(2, int(0.12 * field.shape[0]))
-    return float(np.max(np.abs(field[k:-k, k:-k])))
+    return field[k:-k, k:-k]
+
+
+def _interior_max(field):
+    """sup |field| over the inner grid."""
+    return float(np.max(np.abs(inner_grid(field))))
 
 
 def _residuals(space_name, K, det_B, codazzi):

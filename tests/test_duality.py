@@ -277,12 +277,29 @@ def test_order_reversal_and_sum_additivity():
 
 def test_support_from_body_validation():
     with pytest.raises(ValueError):
-        du.support_from_body(np.array([[1.0, 0, 0], [1.1, 0, 0], [1, 1, 0], [1, 0, 1]]),
-                             flavor="euclidean")
-    sfn = du.support_from_body(
-        np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.1]]), flavor="minkowski", grid=8
-    )
+        du.support_from_body(du.EuclideanBody([[1.0, 0, 0], [1.1, 0, 0], [1, 1, 0], [1, 0, 1]]))
+    sfn = du.support_from_body(du.MinkowskiBody([[0.0, 0.0, 1.0], [0.1, 0.0, 1.1]]), grid=8)
     assert np.all(sfn.values < 0)
+
+
+@pytest.mark.parametrize("body, cls, grid", [
+    (du.EuclideanBody([[1.0, 0], [-1, 1], [-1, -1]]), du.SupportFunctionE, du.circle_grid),
+    (du.EuclideanBody(np.vstack([np.eye(3), -np.eye(3)])), du.SupportFunctionE, du.sphere_grid),
+    (du.MinkowskiBody([[0.0, 1], [0.3, 1.5]]), du.SupportFunctionMin, du.rapidity_grid),
+    (du.MinkowskiBody([[0.0, 0, 1], [0.3, 0, 1.5]]), du.SupportFunctionMin, du.hyperboloid_grid),
+])
+def test_support_from_body_samples_its_own_class_on_its_grid(body, cls, grid):
+    sfn = du.support_from_body(body, grid=8)
+    assert type(sfn) is cls
+    np.testing.assert_array_equal(sfn.dirs, grid(8))
+    np.testing.assert_array_equal(sfn.values, body.support(grid(8)))
+    assert sfn.grid_shape == ((8,) if body.n == 2 else (8, 8))
+
+
+@pytest.mark.parametrize("vertices", [[[0.0, 1], [0.2, 1.3]], [[0.0, 0, 1]]])
+def test_minkowski_convexity_on_a_grid_without_triples(vertices):
+    sfn = du.support_from_body(du.MinkowskiBody(vertices), grid=2)
+    assert sfn.convexity_violation() == 0.0
 
 
 def test_ball_and_hyperboloid_duals_exact():

@@ -325,6 +325,24 @@ def test_representatives_of_extreme_magnitude_normalize(rep, expected):
     assert np.allclose(pj.ProjPoint(rep).rep, expected, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("u, v, span", [
+    ([1e200, 0, 1], [0, 1, 0], [[1.0, 0, 1e-200], [0, 1.0, 0]]),
+    ([1, 0, 0], [0, 1e-13, 0], [[1.0, 0, 0], [0, 1.0, 0]]),
+    ([1e-200, 0, 0], [0, 0, 1e-200], [[1.0, 0, 0], [0, 0, 1.0]]),
+])
+def test_lines_span_generators_of_any_magnitude(u, v, span):
+    assert np.allclose(pj.ProjLine(u, v).span, span, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_dependent_generators_refused_at_any_magnitude(scale):
+    u = np.array([1.0, 0.5, 1.0]) * scale
+    with pytest.raises(ValueError, match="dependent"):
+        pj.ProjLine(u, 3 * u)
+    with pytest.raises(ValueError, match="dependent"):
+        pj.ProjLine(u, np.zeros(3))
+
+
 def _recursive_sampler(space, rng, count, radius=1.2):
     # sample_points as it was: a co-space point from a fresh base space
     p, q, _ = space.form.signature
