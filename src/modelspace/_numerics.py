@@ -16,13 +16,25 @@ stays a real-step difference, to catch an error in the primary route:
     projective.pseudo_distance_quadrature   1e-6            1  cross-check
     connections.geodesic_residual           1e-4 second difference, 19 samples: cross-check
     surfaces: frames, Hessian, grid data    grid stencils, not central_difference
+
+Stacks of small matrices go through ``det_small``, ``inv_small`` and
+``solve_small``, which act elementwise on the stack instead of calling
+LAPACK once per matrix.  The determinant is closed form for 2x2 (ad - bc)
+and 3x3 (cofactor expansion along the first row).  The inverse and the
+solve are the adjugate over the determinant, Cramer's rule, for 2x2 only:
+Cramer's rule is forward stable for n = 2 but not beyond (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002),
+so 3x3 inverses and solves, and everything larger, stay on ``np.linalg``.
+A zero 2x2 determinant raises ``np.linalg.LinAlgError("Singular matrix")``,
+the error LAPACK raises, which is a ValueError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["richardson", "central_difference", "DEFAULT_SCHEDULE"]
+__all__ = ["richardson", "central_difference", "DEFAULT_SCHEDULE",
+           "det_small", "inv_small", "solve_small"]
 
 # t-schedule used by all numeric limits t -> 0.
 DEFAULT_SCHEDULE = 0.5 ** np.arange(3, 13)
@@ -69,3 +81,48 @@ def central_difference(f, x0, v=1.0, base_step=1e-3, levels=4):
     # the error expansion is in h^2: one elimination level per halving is
     # ratio 4 in the richardson table
     return richardson((fx[:levels] - fx[levels:]) / (2 * h), ratio=4.0)
+
+
+def det_small(m):
+    """Determinants of a stack (..., n, n): closed form for n = 2 and 3."""
+    m = np.asarray(m, dtype=float)
+    entries = np.moveaxis(m, (-2, -1), (0, 1))
+    if m.shape[-2:] == (2, 2):
+        (a, b), (c, d) = entries
+        return a * d - b * c
+    if m.shape[-2:] == (3, 3):
+        (a, b, c), (d, e, f), (g, h, i) = entries
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(m)
+
+
+def _adjugate2(m):
+    """The adjugate of each 2x2 matrix of the stack ``m`` and its determinant,
+    raising as LAPACK does when a determinant is zero."""
+    det = det_small(m)
+    if np.any(det == 0):
+        raise np.linalg.LinAlgError("Singular matrix")
+    adj = np.empty_like(m)
+    adj[..., 0, 0], adj[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    return adj, det[..., None, None]
+
+
+def inv_small(m):
+    """Inverses of a stack (..., n, n): the adjugate over the determinant
+    for n = 2, ``np.linalg.inv`` otherwise."""
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (2, 2):
+        return np.linalg.inv(m)
+    adj, det = _adjugate2(m)
+    return adj / det
+
+
+def solve_small(a, b):
+    """``np.linalg.solve(a, b)`` for a stack of matrices ``b`` (..., n, k):
+    Cramer's rule, the adjugate of ``a`` times b over det a, for n = 2."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-2:] != (2, 2) or b.ndim < 2:
+        return np.linalg.solve(a, b)
+    adj, det = _adjugate2(a)
+    return adj @ b / det

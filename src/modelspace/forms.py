@@ -62,7 +62,7 @@ class BilinearForm:
     def quad(self, x):
         """b(x, x), broadcasting over leading axes of ``x``."""
         x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.matrix, x)
+        return (x @ self.matrix * x).sum(-1)
 
     def __repr__(self):
         p, q, z = self.signature
@@ -136,7 +136,7 @@ def evaluate(form, x, y):
         raise ValueError(
             f"vector length does not match form dimension {form.dim}"
         )
-    return np.einsum("...i,ij,...j->...", x, form.matrix, y)
+    return (x @ form.matrix * y).sum(-1)
 
 
 def classify_vector(form, x):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numerics import central_difference
+from ._numerics import central_difference, det_small
 from .forms import random_antisymmetric
 from .projective import chart_jet, model_space, related, space_family
 
@@ -182,7 +182,7 @@ def operator_l(m_src, m_dst, x, X=None):
     """
     g_src = m_src.metric(x)
     g_dst = m_dst.metric(x)
-    if np.any(np.abs(np.linalg.det(g_dst)) < 1e-14):
+    if np.any(np.abs(det_small(g_dst)) < 1e-14):
         raise ValueError("target metric degenerate at the sample point")
     L = np.linalg.solve(g_dst, g_src)
     return L if X is None else (L @ np.asarray(X, dtype=float)[..., None])[..., 0]
@@ -198,8 +198,8 @@ def lambda_closed_form(m_src, m_dst, x):
 
 def lambda_from_volumes(m_src, m_dst, x):
     """The same ratio recomputed from metric determinants (cross-check)."""
-    det_src = np.abs(np.linalg.det(m_src.metric(x)))
-    det_dst = np.abs(np.linalg.det(m_dst.metric(x)))
+    det_src = np.abs(det_small(m_src.metric(x)))
+    det_dst = np.abs(det_small(m_dst.metric(x)))
     return np.sqrt(det_dst / det_src)
 
 

@@ -7,6 +7,17 @@ absolute (the projective route), and through arccos/arccosh inversion of
 the ambient form evaluated on pseudo-sphere lifts (the closed-form route).
 Both are exposed; they must agree and the tests hold them to that.
 
+The projective route is |1/2 log r| for the cross-ratio r = [x, y, I, J] =
+(h + s) / (h - s), in real arithmetic: a, h, c = b(x, x), b(x, y), b(y, y),
+s = sqrt|h^2 - ac| (imaginary on elliptic lines), and no h - s is formed.
+
+    elliptic, h^2 < ac      |r| = 1, d = atan2(s, |h|): half the angle of r
+    hyperbolic, ac > 0      d = |log|r|| / 2, log|r| = 2 log(|h| + s) - log|ac|
+    hyperbolic, ac < 0      r < 0, the points straddle the absolute:
+                            d = hypot(log|r|, pi) / 2
+    hyperbolic, ac = 0      a point on the absolute: d = inf
+    parabolic               d = 0
+
 The registry names the base chart of each co-space (S2 or H2).  ``chart_jet``
 is that chart's one implementation, points and parameter derivatives, and
 every chart-built patch, direction grid and sample set reads it.
@@ -392,20 +403,22 @@ def _gram(form, X, Y):
     negative on elliptic ones) and the parabolic mask
     |disc| <= (DISC_RTOL * max(|a|, |h|, |c|))^2.
     """
-    b = form.matrix
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    a = np.einsum("...i,ij,...j->...", X, b, X)
-    h = np.einsum("...i,ij,...j->...", X, b, Y)
-    c = np.einsum("...i,ij,...j->...", Y, b, Y)
+    Xb = X @ form.matrix
+    a, h = (Xb * X).sum(-1), (Xb * Y).sum(-1)
+    c = (Y @ form.matrix * Y).sum(-1)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(h)), np.abs(c))
     disc = h * h - a * c
     tau = DISC_RTOL * scale
     return a, h, c, disc, np.abs(disc) <= tau * tau
 
 
+_LINE_TYPES = np.array(["elliptic", "hyperbolic", "parabolic"])
+
+
 def _line_type(disc, parabolic):
-    return np.where(parabolic, "parabolic", np.where(disc > 0, "hyperbolic", "elliptic"))
+    return _LINE_TYPES[np.where(parabolic, 2, disc > 0)]
 
 
 def classify_line(space, line):
@@ -435,18 +448,13 @@ class AbsolutePair:
 
 
 def _absolute_roots(a, h, c, disc):
-    """The roots I, J of a*alpha^2 + 2h*alpha*beta + c*beta^2 = 0.
-
-    Each is a (..., 2) complex pair [alpha:beta], from the formula that
-    divides by the larger of |a| and |c|: alpha/beta = (-h +- sqrt(disc))/a,
-    else beta/alpha = (-h -+ sqrt(disc))/c.
-    """
-    sq = np.sqrt(np.asarray(disc, dtype=complex))
-    swap = (np.abs(a) < np.abs(c))[..., None]
-    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
-    I = np.where(swap, np.stack([c, -h - sq], axis=-1), np.stack([-h + sq, a], axis=-1))
-    J = np.where(swap, np.stack([c, -h + sq], axis=-1), np.stack([-h - sq, a], axis=-1))
-    return I, J
+    """The roots I, J of a*alpha^2 + 2h*alpha*beta + c*beta^2 = 0 on one line,
+    as the rows of a complex (2, 2) array of pairs [alpha:beta], from the
+    formula that divides by the larger of |a| and |c|."""
+    sq = np.sqrt(complex(disc))
+    if abs(a) < abs(c):
+        return np.array([[c, -h - sq], [c, -h + sq]])
+    return np.array([[-h + sq, a], [-h - sq, a]])
 
 
 def absolute_points(space, line):
@@ -457,7 +465,7 @@ def absolute_points(space, line):
     if max(abs(a), abs(c)) <= 1e-13 * abs(h):
         # both basis vectors isotropic: the roots are the basis directions
         return AbsolutePair(np.eye(2), coincident=False)
-    roots = np.stack(_absolute_roots(a, h, c, disc))
+    roots = _absolute_roots(a, h, c, disc)
     return AbsolutePair(roots / np.linalg.norm(roots, axis=-1, keepdims=True), coincident=parabolic)
 
 
@@ -496,12 +504,10 @@ def cross_ratio(x, y, q, p):
 def projective_distance(space, x, y, return_line_type=False):
     """Distance |1/2 ln[x, y, I, J]| along the line through x and y.
 
-    I, J are the line's absolute points and ln is the principal branch.
-    Parabolic lines give 0, and the line type of a point with itself is
-    None.  On elliptic lines the value lies in [0, pi/2]; on hyperbolic
-    lines with both points in one component it is the arccosh-type
-    distance of same-branch lifts.  One-pair call of
-    ``projective_distance_batch`` on the pseudo-sphere lifts.
+    I, J are the line's absolute points and ln is the principal branch, so
+    elliptic lines give values in [0, pi/2] (the module docstring has the
+    case table).  The line type of a point with itself is None.  One-pair
+    call of ``projective_distance_batch`` on the pseudo-sphere lifts.
     """
     if not space.contains(x):
         raise ValueError(f"first point is not in {space.name}")
@@ -517,18 +523,16 @@ def projective_distance(space, x, y, return_line_type=False):
 def projective_distance_batch(space, X, Y):
     """Vectorized cross-ratio distance for stacks of lifted representatives.
 
-    X, Y: arrays (N, d) of pseudo-sphere points (not necessarily normalized
-    projectively).  Returns (distances, kinds) with kinds in
-    {'elliptic', 'parabolic', 'hyperbolic'}.  Straddling pairs on
-    hyperbolic lines get the modulus of the complex logarithm, as the
-    cross-ratio formula prescribes.
+    X, Y: arrays (N, d) of representatives, of any scale and sign.  Returns
+    (distances, kinds) with kinds in {'elliptic', 'parabolic', 'hyperbolic'},
+    the distances from the module docstring's case table.
     """
     a, h, c, disc, parabolic = _gram(space.form, X, Y)
+    ac, habs, s = a * c, np.abs(h), np.sqrt(np.abs(disc))
     with np.errstate(divide="ignore", invalid="ignore"):
-        I, J = _absolute_roots(a, h, c, disc)
-        # [x, y, I, J] in the (X, Y) basis, where x = (1, 0) and y = (0, 1)
-        r = I[..., 1] * J[..., 0] / (I[..., 0] * J[..., 1])
-        d = np.abs(0.5 * np.log(r))
+        log_r = 2.0 * np.log(habs + s) - np.log(np.abs(ac))
+        hyperbolic = np.where(ac < 0, 0.5 * np.hypot(log_r, np.pi), 0.5 * np.abs(log_r))
+        d = np.where(disc > 0, hyperbolic, np.arctan2(s, habs))
     d[parabolic] = 0.0
     return d, _line_type(disc, parabolic)
 
@@ -542,14 +546,10 @@ def closed_form_distance(space, X, Y):
     hyperbolic pairs and degenerate (parabolic) lines give NaN and 0.
     """
     _, h, _, disc, parabolic = _gram(space.form, X, Y)
-    out = np.full(h.shape, np.nan)
-    out[parabolic] = 0.0
     ch = np.abs(h)
-    el = (disc < 0) & ~parabolic
-    out[el] = np.arccos(np.clip(ch[el], 0.0, 1.0))
-    hy = (disc > 0) & ~parabolic
-    same_branch = hy & (ch >= 1.0 - 1e-12)
-    out[same_branch] = np.arccosh(np.maximum(ch[same_branch], 1.0))
+    hyperbolic = np.where(ch >= 1.0 - 1e-12, np.arccosh(np.maximum(ch, 1.0)), np.nan)
+    out = np.where(disc < 0, np.arccos(np.minimum(ch, 1.0)), hyperbolic)
+    out[parabolic] = 0.0
     return out
 
 
@@ -628,5 +628,5 @@ def pseudo_distance_quadrature(space, x_lift, y_lift):
     nodes, weights = np.polynomial.legendre.leggauss(64)
     t = 0.5 * T * (nodes + 1.0)
     dgamma = central_difference(gamma, t, base_step=1e-6, levels=1)
-    speeds = np.sqrt(np.abs(np.einsum("ti,ij,tj->t", dgamma, space.form.matrix, dgamma)))
+    speeds = np.sqrt(np.abs(space.form.quad(dgamma)))
     return float(abs(0.5 * T) * np.dot(weights, speeds))

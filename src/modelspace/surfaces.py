@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numerics import richardson
+from ._numerics import det_small, inv_small, richardson, solve_small
 from .projective import base_form, chart_jet, chart_space, model_space, related, space_family
 from .transition import transition_family
 
@@ -206,7 +206,7 @@ class EmbeddingData:
 
     @property
     def det_B(self):
-        return np.linalg.det(self.B)
+        return det_small(self.B)
 
     @property
     def mean_curvature(self):
@@ -243,7 +243,7 @@ def _pullback(patch, m):
 
 def _with_shape_operator(space_name, grid, I, II):
     """EmbeddingData of (I, II): B = I^{-1} II and III = B^T I B."""
-    B = np.linalg.solve(I, II)
+    B = solve_small(I, II)
     III = np.swapaxes(B, -1, -2) @ I @ B
     return EmbeddingData(space_name, *grid, I, II, B, III)
 
@@ -263,7 +263,7 @@ def embedding_data(patch, m=64):
     grid, sigma, jac, hess, g, gj, I = _pullback(patch, m)
     if sigma.shape[-1] == 3:
         cross = np.cross(jac[..., 0], jac[..., 1])
-        normal = np.einsum("ab,...b->...a", np.linalg.inv(g), cross)
+        normal = np.einsum("ab,...b->...a", inv_small(g), cross)
     else:
         # normal: b-orthogonal to sigma_u, sigma_v and to the position
         rows = np.concatenate(
@@ -272,7 +272,7 @@ def embedding_data(patch, m=64):
         )
         _, _, vt = np.linalg.svd(rows)
         normal = vt[..., -1, :]
-    qn = np.einsum("...a,ab,...b->...", normal, g, normal)
+    qn = (normal @ g * normal).sum(-1)
     bad = np.abs(qn) < 1e-12
     if np.any(bad):
         idx = np.argwhere(bad)[0]
@@ -283,11 +283,11 @@ def embedding_data(patch, m=64):
     hint = _default_hint(space, sigma) if hint is None else np.broadcast_to(np.asarray(hint, float), sigma.shape)
     flip = np.sum(normal * hint, axis=-1) < 0
     normal[flip] *= -1.0
-    detI = np.linalg.det(I)
+    detI = det_small(I)
     if np.any(detI <= 1e-12) or np.any(I[..., 0, 0] <= 0):
         idx = np.argwhere(~(detI > 1e-12))[0]
         raise ValueError(f"induced metric degenerate at grid node {tuple(idx.tolist())}")
-    II = np.einsum("...aij,ab,...b->...ij", hess, g, normal) / qn[..., None, None]
+    II = np.einsum("...aij,...a->...ij", hess, normal @ g) / qn[..., None, None]
     return _with_shape_operator(space.name, grid, I, II)
 
 
@@ -302,12 +302,12 @@ def embedding_data_co(patch, m=64):
     if not space.degenerate:
         raise ValueError("use embedding_data for nondegenerate spaces")
     grid, sigma, jac, hess, b, _, I = _pullback(patch, m)
-    detI = np.linalg.det(I)
+    detI = det_small(I)
     if np.any(detI <= 1e-12):
         idx = np.argwhere(~(detI > 1e-12))[0]
         raise ValueError(f"patch is not space-like at grid node {tuple(idx.tolist())}")
     # co-connection value: remove the N = x component as measured by b
-    qx = np.einsum("...a,ab,...b->...", sigma, b, sigma)
+    qx = (sigma @ b * sigma).sum(-1)
     bx_h = np.einsum("...a,...aij->...ij", sigma @ b, hess)
     nabla = hess - (bx_h / qx[..., None, None])[..., None, :, :] * sigma[..., :, None, None]
     # vertical coefficient of nabla in the full-rank basis (sigma_u,
@@ -320,7 +320,7 @@ def embedding_data_co(patch, m=64):
     )
     gram = np.swapaxes(basis, -1, -2) @ basis
     e2 = np.broadcast_to([[0.0], [0.0], [1.0]], gram.shape[:-1] + (1,))
-    vertical = (basis @ np.linalg.solve(gram, e2))[..., 0]
+    vertical = (basis @ solve_small(gram, e2))[..., 0]
     II = np.einsum("...a,...aij->...ij", vertical, nabla)
     return _with_shape_operator(space.name, grid, I, II)
 
@@ -353,7 +353,7 @@ def gauss_curvature(I, du, dv):
         np.stack([0.5 * G_u, F, G], axis=-1),
     ], axis=-2)
     den = (E * G - F * F) ** 2
-    return (np.linalg.det(m1) - np.linalg.det(m2)) / den
+    return (det_small(m1) - det_small(m2)) / den
 
 
 def _christoffel_of_I(I, du, dv, order=2):
@@ -361,7 +361,7 @@ def _christoffel_of_I(I, du, dv, order=2):
         dI = np.stack([_grad4(I, du, 0), _grad4(I, dv, 1)], axis=-3)
     else:
         dI = np.stack(_grid_gradient(I, du, dv), axis=-3)  # (..., deriv, i, j)
-    Iinv = np.linalg.inv(I)
+    Iinv = inv_small(I)
     # d_i I_jl + d_j I_il - d_l I_ij, contracted with I^{kl}
     t1 = dI
     t2 = np.einsum("...jil->...ijl", dI)
@@ -419,7 +419,7 @@ def gauss_codazzi_residual(data):
     codazzi: |d^{nabla_I} B|.
     """
     return _residuals(data.space_name, gauss_curvature(data.I, data.du, data.dv),
-                      np.linalg.det(data.B), codazzi_residual_field(data))
+                      det_small(data.B), codazzi_residual_field(data))
 
 
 def gauss_codazzi_residual_refined(build_data, m=33):
@@ -436,7 +436,7 @@ def gauss_codazzi_residual_refined(build_data, m=33):
                     gauss_curvature(fine.I, fine.du, fine.dv)[::2, ::2]], ratio=4.0)
     codazzi = richardson([codazzi_residual_field(coarse),
                           codazzi_residual_field(fine)[::2, ::2]], ratio=4.0)
-    return _residuals(coarse.space_name, K, np.linalg.det(coarse.B), codazzi)
+    return _residuals(coarse.space_name, K, det_small(coarse.B), codazzi)
 
 
 def _smaller_eigenvalue(B):
@@ -456,7 +456,7 @@ def dual_embedding_data(data):
     if np.any(low <= 1e-12):
         idx = np.argwhere(~(low > 1e-12))[0]
         raise ValueError(f"shape operator not positive definite at node {tuple(idx.tolist())}")
-    Binv = np.linalg.inv(data.B)
+    Binv = inv_small(data.B)
     I2 = data.III
     II2 = I2 @ Binv
     III2 = np.swapaxes(Binv, -1, -2) @ I2 @ Binv
@@ -495,7 +495,7 @@ def _ambient_extension_hessian(u_fn, points, g):
     one evaluation of U, on both step levels at once.
     """
     def U(y):
-        q = np.einsum("...i,ij,...j->...", y, g, y)
+        q = (y @ g * y).sum(-1)
         s = np.sqrt(np.abs(q))
         return s * np.asarray(u_fn(y / s[..., None]))
 
@@ -537,7 +537,7 @@ def shape_from_support(u_fn, base="S2", domain=None, m=64):
     hform = np.einsum("...ai,...ab,...bj->...ij", jac, H, jac)
     gj = np.einsum("ab,...bi->...ai", g, jac)
     I = np.einsum("...ai,...aj->...ij", jac, gj)
-    B = np.linalg.solve(I, hform)
+    B = solve_small(I, hform)
     return B, I
 
 
@@ -649,7 +649,7 @@ def apply_shape_operator(u_grid, I, du, dv):
     hess = hess - np.einsum("...kij,...k->...ij", gamma[c, c], grad)
     form = hess + u_grid[c, c][..., None, None] * I[c, c]
     B = np.empty(u_grid.shape + (2, 2))
-    B[c, c] = np.linalg.solve(I[c, c], form)
+    B[c, c] = solve_small(I[c, c], form)
     # replicate the two-cell margin from the nearest interior values
     B[:2, :] = B[2, :]
     B[-2:, :] = B[-3, :]
@@ -748,7 +748,7 @@ def surface_transition(family, src_name, m=17, ts=None):
     I_lim = richardson(data.I)
     II_lim = richardson(seq_II)
     B_lim = richardson(data.B / t[..., None, None])
-    K_lim = richardson(np.linalg.det(data.B) / t**2)
+    K_lim = richardson(det_small(data.B) / t**2)
 
     # independent side: the limit graph in the co-space
     def limit_immersion(U, V):
@@ -762,7 +762,7 @@ def surface_transition(family, src_name, m=17, ts=None):
         "I": float(np.max(np.abs(I_lim - co_data.I))),
         "II": float(np.max(np.abs(II_lim - co_data.II))),
         "B": float(np.max(np.abs(B_lim - co_data.B))),
-        "K_ext": float(np.max(np.abs(K_lim - np.linalg.det(co_data.B)))),
+        "K_ext": float(np.max(np.abs(K_lim - det_small(co_data.B)))),
     }
     # linear-in-t convergence of II_t/t towards the independent co-route,
     # fitted on the asymptotic (small-t) end of the schedule where the

@@ -97,6 +97,75 @@ def test_projective_distance_examples():
         pj.projective_distance(hyp2, pj.ProjPoint([1, 0, 0]), pj.ProjPoint([0, 0, 1]))
 
 
+_V = 1.3
+
+
+@pytest.mark.parametrize("name, x, y, kind, d", [
+    ("Ell2", [1, 0, 0], [np.cos(0.7), np.sin(0.7), 0], "elliptic", 0.7),
+    # b(x, y) < 0: the angle of r wraps, and the distance is pi - 2.5
+    ("Ell2", [1, 0, 0], [np.cos(2.5), np.sin(2.5), 0], "elliptic", np.pi - 2.5),
+    ("Hyp2", [0, 0, 1], [np.sinh(_V), 0, np.cosh(_V)], "hyperbolic", _V),
+    ("Hyp2", [0, 0, 1], [-np.sinh(_V), 0, -np.cosh(_V)], "hyperbolic", _V),
+    ("dS2", [np.cosh(_V), 0, np.sinh(_V)], [1, 0, 0], "hyperbolic", _V),
+    # x in dS, y in Hyp: r = -exp(-2V) < 0, and |1/2 log r| = hypot(V, pi/2)
+    ("dS2", [np.cosh(_V), 0, np.sinh(_V)], [0, 0, 1], "hyperbolic", np.hypot(_V, np.pi / 2)),
+    ("dS2", [1, 0, 0], [0, 0, 1], "hyperbolic", np.pi / 2),
+    # a line tangent to the absolute at [0:1:1]
+    ("dS2", [1, 0, 0], [1, 1, 1], "parabolic", 0.0),
+    # y on the absolute, and two distinct points of the absolute (a = c = 0)
+    ("Hyp2", [0, 0, 1], [0, 1, 1], "hyperbolic", np.inf),
+    ("Hyp2", [0, 1, 1], [0, -1, 1], "hyperbolic", np.inf),
+], ids=["elliptic", "elliptic-obtuse", "hyperbolic", "hyperbolic-other-lift", "dS-same-branch",
+        "straddling", "straddling-h0", "parabolic", "on-absolute", "ideal-pair"])
+def test_cross_ratio_case_table(name, x, y, kind, d):
+    # the real-arithmetic cases of |1/2 log r|, r = (h + s) / (h - s)
+    got, kinds = pj.projective_distance_batch(pj.model_space(name), np.array([x], float),
+                                              np.array([y], float))
+    assert kinds.tolist() == [kind]
+    assert got[0] == pytest.approx(d, rel=1e-14, abs=1e-15)
+
+
+def _mp_distance(diag, x, y):
+    """The distance of a pair of lifts on one pseudo-sphere, at 50 digits
+    from the same float inputs: arccos or arccosh of |h| / sqrt(ac)."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, h, c = (mp.fsum(mp.mpf(g) * mp.mpf(u) * mp.mpf(v) for g, u, v in zip(diag, p, q))
+                   for p, q in ((x, x), (x, y), (y, y)))
+        assert a * c > 0
+        ratio = abs(h) / mp.sqrt(a * c)
+        return mp.acos(ratio) if ratio < 1 else mp.acosh(ratio)
+
+
+def _far_lifts(rng, space, count, rho_max=7.25):
+    """Lifts b(x, x) = sign at rapidity up to rho_max from the origin, so
+    |x| up to about 1e3, each times a random sign (either branch)."""
+    g = np.diagonal(space.form.matrix)
+    pos, neg = g > 0, g < 0
+    u = rng.standard_normal((count, int(pos.sum())))
+    w = rng.standard_normal((count, int(neg.sum())))
+    u, w = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in (u, w))
+    rho = rng.uniform(0.0, rho_max, (count, 1))
+    ch, sh = np.cosh(rho), np.sinh(rho)
+    x = np.empty((count, space.dim))
+    x[:, pos], x[:, neg] = (ch * u, sh * w) if space.sign > 0 else (sh * u, ch * w)
+    return x * rng.choice([-1.0, 1.0], (count, 1))
+
+
+@pytest.mark.parametrize("name", ["Hyp2", "dS2", "AdS3"])
+def test_far_pairs_match_a_50_digit_oracle(name):
+    # both routes within 1e-10 max(1, d) of the oracle for |x| up to 1e3
+    space = pj.model_space(name)
+    rng = np.random.default_rng(20)
+    X, Y = _far_lifts(rng, space, 300), _far_lifts(rng, space, 300)
+    assert np.max(np.abs(X)) > 500
+    diag = np.diagonal(space.form.matrix)
+    ref = np.array([float(_mp_distance(diag, x, y)) for x, y in zip(X, Y)])
+    for d in (pj.projective_distance_batch(space, X, Y)[0], pj.closed_form_distance(space, X, Y)):
+        assert np.max(np.abs(d - ref) / np.maximum(1.0, ref)) <= 1e-10
+
+
 @pytest.mark.parametrize("name, x, y", [
     ("Ell2", [1, 0, 0], [np.cos(1e-5), np.sin(1e-5), 0]),
     ("Hyp2", [0, 0, 1], [np.sinh(1e-5), 0, np.cosh(1e-5)]),

@@ -449,7 +449,7 @@ def _per_t_surface_limits(family, src_name, m, ts):
                                               limit_immersion, domain), m=m)
     return {"I": richardson([d.I for d in seq]), "II": richardson(seq_II),
             "B": richardson([d.B / t for d, t in zip(seq, ts)]),
-            "K_ext": richardson([np.linalg.det(d.B) / t**2 for d, t in zip(seq, ts)]),
+            "K_ext": richardson([d.det_B / t**2 for d, t in zip(seq, ts)]),
             "co_B": co.B, "rate_errors": np.array([np.max(np.abs(s - co.II)) for s in seq_II])}
 
 

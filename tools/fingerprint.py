@@ -1,4 +1,4 @@
-"""Print one md5 per surface-layer kernel output, of its float64 bits.
+"""Print one md5 per distance- and surface-layer kernel output, of its float64 bits.
 
     PYTHONPATH=src python3 tools/fingerprint.py > fingerprint.txt
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from modelspace import duality as du
 from modelspace import pogorelov as pg
+from modelspace import projective as pj
 from modelspace import surfaces as sf
 from modelspace.projective import model_space
 
@@ -29,6 +30,13 @@ def show(name, *arrays):
 
 
 def main():
+    rng = np.random.default_rng(0)
+    for name in ("Ell2", "Hyp2", "dS2", "AdS3"):
+        space = model_space(name)
+        X, Y = space.random_points(rng, 10_000), space.random_points(rng, 10_000)
+        show(f"gram[{name}]", *pj._gram(space.form, X, Y)[:3])
+        show(f"closed_form_distance[{name}]", pj.closed_form_distance(space, X, Y))
+        show(f"projective_distance_batch[{name}]", pj.projective_distance_batch(space, X, Y)[0])
     coe, com, euc = (model_space(n) for n in ("coEuc3", "coMin3", "Euc3"))
     f = lambda U, V: 1.0 + 0.05 * np.sin(2 * U) * np.cos(V)
     df = lambda U, V: np.stack([0.1 * np.cos(2 * U) * np.cos(V),
