@@ -20,13 +20,19 @@ stays a real-step difference, to catch an error in the primary route:
 Stacks of small matrices go through ``det_small``, ``inv_small`` and
 ``solve_small``, which act elementwise on the stack instead of calling
 LAPACK once per matrix.  The determinant is closed form for 2x2 (ad - bc)
-and 3x3 (cofactor expansion along the first row).  The inverse and the
-solve are the adjugate over the determinant, Cramer's rule, for 2x2 only:
-Cramer's rule is forward stable for n = 2 but not beyond (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002),
-so 3x3 inverses and solves, and everything larger, stay on ``np.linalg``.
-A zero 2x2 determinant raises ``np.linalg.LinAlgError("Singular matrix")``,
-the error LAPACK raises, which is a ValueError.
+and 3x3 (cofactor expansion along the first row), ``np.linalg.det``
+beyond.  The inverse and the solve are the adjugate over the determinant,
+Cramer's rule, and take 2x2 matrices only (any other shape is a
+ValueError): Cramer's rule is forward stable for n = 2 but not beyond
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002).
+The surfaces layer needs no larger solve: its II is Cramer's rule on the
+transverse covector, whose entries are ``det_small`` minors.  The 3x3 and
+larger solves and inverses left on ``np.linalg``, none of them on a large
+stack, are pogorelov's Christoffel inverse, ``operator_l`` and Killing
+basis; transition's inverses of the form and of the dual family; and
+forms' ``antisymmetric_from_draw`` and ``cayley``.  A zero 2x2
+determinant raises ``np.linalg.LinAlgError("Singular matrix")``, the error
+LAPACK raises, which is a ValueError.
 """
 
 from __future__ import annotations
@@ -109,20 +115,20 @@ def _adjugate2(m):
 
 
 def inv_small(m):
-    """Inverses of a stack (..., n, n): the adjugate over the determinant
-    for n = 2, ``np.linalg.inv`` otherwise."""
+    """Inverses of a stack (..., 2, 2): the adjugate over the determinant."""
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (2, 2):
-        return np.linalg.inv(m)
+        raise ValueError(f"inv_small takes 2x2 matrices, not shape {m.shape}")
     adj, det = _adjugate2(m)
     return adj / det
 
 
 def solve_small(a, b):
-    """``np.linalg.solve(a, b)`` for a stack of matrices ``b`` (..., n, k):
-    Cramer's rule, the adjugate of ``a`` times b over det a, for n = 2."""
+    """``np.linalg.solve(a, b)`` for stacks a (..., 2, 2) and b (..., 2, k):
+    Cramer's rule, the adjugate of ``a`` times b over det a."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape[-2:] != (2, 2) or b.ndim < 2:
-        return np.linalg.solve(a, b)
+        raise ValueError(f"solve_small takes 2x2 matrices and (2, k) right-hand sides, "
+                         f"not shapes {a.shape} and {b.shape}")
     adj, det = _adjugate2(a)
     return adj @ b / det

@@ -7,7 +7,11 @@ The embedding data consist of the first fundamental form I, the second
 fundamental form II (the transverse component of the ambient derivative:
 the normal component in the nondegenerate cases, the vertical component
 in the degenerate ones), the shape operator B = I^{-1} II and the third
-fundamental form III = B^T I B.
+fundamental form III = B^T I B.  All eight spaces take II by one route,
+Cramer's rule on the transverse covector c, the signed maximal minors of
+(sigma_u, sigma_v) in a flat chart and of (sigma_u, sigma_v, sigma) in R^4:
+II_ij = (c . d_ij sigma) / (c . nu), with nu the oriented unit b-normal,
+or the vertical e_last in a co-space.
 
 Gauss-Codazzi residuals are measured with grid finite differences: the
 intrinsic curvature comes from the Brioschi formula, the Codazzi tensor
@@ -217,112 +221,87 @@ def _default_hint(space, sigma):
     name = space.name
     if name == "Euc3":
         hint = -sigma
-        degenerate = np.linalg.norm(hint, axis=-1) < 1e-8
+        degenerate = (hint * hint).sum(-1) < 1e-16
         if np.any(degenerate):
             hint = hint.copy()
             hint[degenerate] = np.array([0.0, 0.0, 1.0])
         return hint
-    e = np.zeros(sigma.shape[-1])
-    e[-1] = 1.0
-    return np.broadcast_to(e, sigma.shape)
+    return np.eye(sigma.shape[-1])[-1]
 
 
-def _pullback(patch, m):
-    """Grid, frames and first fundamental form of a patch on an m x m grid.
+def _transverse_covector(cols):
+    """The covector c vanishing on the d - 1 columns of a stack (..., d, d - 1):
+    its entries are the signed maximal minors (-1)^k det(cols without row k)."""
+    return np.stack([(-1) ** k * det_small(np.delete(cols, k, axis=-2))
+                     for k in range(cols.shape[-2])], axis=-1)
+
+
+def _embedding(patch, m):
+    """EmbeddingData of a space-like patch in any of the eight 3-spaces.
 
     I is the pullback of the ambient form g (the chart metric of a flat
-    space); returns ((U, V, du, dv), sigma, jac, hess, g, g jac, I).
+    space).  II_ij = (c . d_ij sigma) / (c . nu), with c the covector that
+    vanishes on sigma_u, sigma_v and, in the spaces that are level sets in
+    R^4, on sigma; nu is the unit b-normal g^{-1} c / sqrt|c^T g^{-1} c|
+    oriented by the normal hint, or the vertical T = e_last in a co-space.
+    This is Cramer's rule for the nu-coefficient of the Hessian in the
+    basis (sigma_u, sigma_v, nu[, sigma]).  B = I^{-1} II, III = B^T I B.
     """
+    space = patch.space
     U, V, du, dv = patch.grid(m)
     sigma, jac, hess = patch.frames(U, V)
-    g = (patch.space.chart_form or patch.space.form).matrix
-    gj = g @ jac
-    I = np.einsum("...ai,...aj->...ij", jac, gj)
-    return (U, V, du, dv), sigma, jac, hess, g, gj, I
-
-
-def _with_shape_operator(space_name, grid, I, II):
-    """EmbeddingData of (I, II): B = I^{-1} II and III = B^T I B."""
+    g = (space.chart_form or space.form).matrix
+    I = np.einsum("...ai,...aj->...ij", jac, g @ jac)
+    # I positive definite; a NaN passes on, to fail the residual checks
+    bad = (det_small(I) <= 1e-12) | (I[..., 0, 0] <= 0)
+    if np.any(bad):
+        what = "patch is not space-like" if space.degenerate else "induced metric degenerate"
+        raise ValueError(f"{what} at grid node {tuple(np.argwhere(bad)[0].tolist())}")
+    cols = jac if space.chart_form is not None else np.concatenate([jac, sigma[..., None]], -1)
+    c = _transverse_covector(cols)
+    if space.degenerate:
+        c_nu = c[..., -1]
+    else:
+        nu = c / np.diag(g)  # g^{-1} c: the registry's forms are diagonal
+        nu /= np.sqrt(np.abs((nu * c).sum(-1)))[..., None]
+        hint = _default_hint(space, sigma) if patch.normal_hint is None else patch.normal_hint
+        nu[(nu * np.asarray(hint, float)).sum(-1) < 0] *= -1.0
+        c_nu = (c * nu).sum(-1)
+    II = np.einsum("...aij,...a->...ij", hess, c) / c_nu[..., None, None]
     B = solve_small(I, II)
     III = np.swapaxes(B, -1, -2) @ I @ B
-    return EmbeddingData(space_name, *grid, I, II, B, III)
+    return EmbeddingData(space.name, U, V, du, dv, I, II, B, III)
 
 
 def embedding_data(patch, m=64):
-    """Embedding data of a space-like patch in a nondegenerate 3-space.
+    """Embedding data of a space-like patch in a 3-space.
 
     The unit normal is fixed by b-orthogonality; its sign follows the
     patch's ``normal_hint`` (Euclidean dot product), defaulting to the
     inward direction in the Euclidean chart (unit sphere gets B = +Id) and
-    to the future/vertical axis elsewhere.  Degenerate induced metrics
-    raise, reporting the offending grid node.
+    to the future/vertical axis elsewhere.  II is the normal coefficient of
+    the Hessian by Cramer's rule on the transverse covector, one route
+    with ``embedding_data_co``, which serves the co-spaces.  An induced
+    metric that is not positive definite raises, reporting the first
+    offending grid node.
     """
-    space = patch.space
-    if space.degenerate:
+    if patch.space.degenerate:
         return embedding_data_co(patch, m=m)
-    grid, sigma, jac, hess, g, gj, I = _pullback(patch, m)
-    if sigma.shape[-1] == 3:
-        cross = np.cross(jac[..., 0], jac[..., 1])
-        normal = np.einsum("ab,...b->...a", inv_small(g), cross)
-    else:
-        # normal: b-orthogonal to sigma_u, sigma_v and to the position
-        rows = np.concatenate(
-            [np.swapaxes(gj, -1, -2), np.einsum("ab,...b->...a", g, sigma)[..., None, :]],
-            axis=-2,
-        )
-        _, _, vt = np.linalg.svd(rows)
-        normal = vt[..., -1, :]
-    qn = (normal @ g * normal).sum(-1)
-    bad = np.abs(qn) < 1e-12
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        raise ValueError(f"degenerate normal direction at grid node {tuple(idx.tolist())}")
-    normal = normal / np.sqrt(np.abs(qn))[..., None]
-    qn = np.sign(qn)
-    hint = patch.normal_hint
-    hint = _default_hint(space, sigma) if hint is None else np.broadcast_to(np.asarray(hint, float), sigma.shape)
-    flip = np.sum(normal * hint, axis=-1) < 0
-    normal[flip] *= -1.0
-    detI = det_small(I)
-    if np.any(detI <= 1e-12) or np.any(I[..., 0, 0] <= 0):
-        idx = np.argwhere(~(detI > 1e-12))[0]
-        raise ValueError(f"induced metric degenerate at grid node {tuple(idx.tolist())}")
-    II = np.einsum("...aij,...a->...ij", hess, normal @ g) / qn[..., None, None]
-    return _with_shape_operator(space.name, grid, I, II)
+    return _embedding(patch, m)
 
 
 def embedding_data_co(patch, m=64):
     """Embedding data of a space-like graph in a co-space.
 
-    I is the base metric pullback; II is the vertical (T) component of
-    the degenerate-connection derivative in the splitting
-    tangent(surface) + <T>.
+    I is the base metric pullback; II is the vertical (T) coefficient of
+    the Hessian in the basis (sigma_u, sigma_v, T, sigma), by the same
+    Cramer route as ``embedding_data``: the covector that vanishes on
+    sigma drops the position component that the degenerate connection
+    removes.
     """
-    space = patch.space
-    if not space.degenerate:
+    if not patch.space.degenerate:
         raise ValueError("use embedding_data for nondegenerate spaces")
-    grid, sigma, jac, hess, b, _, I = _pullback(patch, m)
-    detI = det_small(I)
-    if np.any(detI <= 1e-12):
-        idx = np.argwhere(~(detI > 1e-12))[0]
-        raise ValueError(f"patch is not space-like at grid node {tuple(idx.tolist())}")
-    # co-connection value: remove the N = x component as measured by b
-    qx = (sigma @ b * sigma).sum(-1)
-    bx_h = np.einsum("...a,...aij->...ij", sigma @ b, hess)
-    nabla = hess - (bx_h / qx[..., None, None])[..., None, :, :] * sigma[..., :, None, None]
-    # vertical coefficient of nabla in the full-rank basis (sigma_u,
-    # sigma_v, T): row 2 of its least-squares inverse (B^T B)^{-1} B^T,
-    # which is (B^T B)^{-1} e_2 (a symmetric Gram) mapped by B
-    t_vec = np.zeros(sigma.shape[-1])
-    t_vec[-1] = 1.0
-    basis = np.concatenate(
-        [jac, np.broadcast_to(t_vec, sigma.shape)[..., None]], axis=-1
-    )
-    gram = np.swapaxes(basis, -1, -2) @ basis
-    e2 = np.broadcast_to([[0.0], [0.0], [1.0]], gram.shape[:-1] + (1,))
-    vertical = (basis @ solve_small(gram, e2))[..., 0]
-    II = np.einsum("...a,...aij->...ij", vertical, nabla)
-    return _with_shape_operator(space.name, grid, I, II)
+    return _embedding(patch, m)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +648,7 @@ def immersion_from_data_co_euclidean(dev, u_fn, domain):
     (u0, u1), (v0, v1) = domain
     Ug, Vg = np.meshgrid(np.linspace(u0, u1, 7), np.linspace(v0, v1, 7), indexing="ij")
     pts = np.asarray(dev(Ug, Vg), dtype=float)
-    norms = np.linalg.norm(pts, axis=-1)
+    norms = np.sqrt((pts * pts).sum(-1))
     if np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValueError("developing map does not land on the unit sphere")
 
@@ -769,13 +748,10 @@ def surface_transition(family, src_name, m=17, ts=None):
     # quadratic remainder is negligible
     errs = np.max(np.abs(seq_II - co_data.II), axis=(1, 2, 3, 4))
     tail = min(5, len(ts))
-    tf, ef = ts[-tail:], errs[-tail:]
-    A = np.vstack([tf, np.ones_like(tf)]).T
-    coef, *_ = np.linalg.lstsq(A, ef, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ef - pred) ** 2))
-    ss_tot = float(np.sum((ef - ef.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    # the R^2 of the least-squares line is the squared correlation of (t, err)
+    dt, de = ts[-tail:] - ts[-tail:].mean(), errs[-tail:] - errs[-tail:].mean()
+    ss_tot = float(de @ de)
+    r2 = float((dt @ de) ** 2 / ((dt @ dt) * ss_tot)) if ss_tot > 0 else 1.0
     limit_data = EmbeddingData(co_name, data.U, data.V, data.du, data.dv, I_lim, II_lim, B_lim,
                                np.swapaxes(B_lim, -1, -2) @ I_lim @ B_lim)
     return {

@@ -16,6 +16,12 @@ def test_small_kernels_match_lapack(n):
     b = rng.standard_normal(m.shape[:-1] + (3,))
     ref_det = np.linalg.det(m)
     assert np.max(np.abs(det_small(m) - ref_det) / np.abs(ref_det)) <= 1e-14
+    if n != 2:
+        # the inverse and the solve are Cramer's rule, forward stable for 2x2 only
+        for op in (lambda: inv_small(m), lambda: solve_small(m, b)):
+            with pytest.raises(ValueError, match="2x2"):
+                op()
+        return
     for got, ref in ((inv_small(m), np.linalg.inv(m)), (solve_small(m, b), np.linalg.solve(m, b))):
         assert got.shape == ref.shape
         scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)

@@ -28,6 +28,36 @@ def test_hyperboloid_canonical_data():
     assert np.max(np.abs(data.I[..., 0, 0] - 1.0)) < 1e-12
 
 
+# geodesic spheres of radius R about e_4 (in AdS3 a totally umbilic
+# hyperbolic plane): space -> (domain, radial factor, last coordinate, s k)
+R = 0.7
+UMBILIC = {"Ell3": (S2_DOM, np.sin(R), np.cos(R), 1 / np.tan(R)),
+           "Hyp3": (S2_DOM, np.sinh(R), np.cosh(R), -1 / np.tanh(R)),
+           "dS3": (S2_DOM, np.cosh(R), np.sinh(R), np.tanh(R)),
+           "AdS3": (H2_DOM, np.cos(R), np.sin(R), -np.tan(R))}
+
+
+def _umbilic_patch(name):
+    """(a p, b) over the base chart of p, with the chart's exact jet."""
+    domain, a, b, _ = UMBILIC[name]
+    base = "S2" if domain is S2_DOM else "H2"
+
+    def jet(order):
+        def f(U, V):
+            x = a * chart_jet(base, U, V, order)[order]
+            return np.insert(x, 3, 0.0 if order else b, axis=x.ndim - 1 - order)
+        return f
+
+    return sf.SurfacePatch(model_space(name), jet(0), domain, jacobian=jet(1), hessian=jet(2),
+                           normal_hint=np.eye(4)[3])
+
+
+@pytest.mark.parametrize("name", list(UMBILIC))
+def test_umbilic_spheres_have_closed_form_shape_operators(name):
+    data = sf.embedding_data(_umbilic_patch(name), m=17)
+    assert np.max(np.abs(data.B - UMBILIC[name][3] * np.eye(2))) < 1e-12
+
+
 def test_paraboloid_graph_at_origin():
     euc = model_space("Euc3")
     patch = sf.graph_patch(euc, lambda U, V: (U**2 + V**2) / 2, ((-0.5, 0.5), (-0.5, 0.5)))
@@ -104,6 +134,15 @@ def test_spacelike_restriction_guard():
     # a timelike graph violates the space-like requirement
     patch = sf.graph_patch(mink, lambda U, V: 2.0 * U, ((-0.5, 0.5), (-0.5, 0.5)))
     with pytest.raises(ValueError):
+        sf.embedding_data(patch, m=9)
+
+
+def test_negative_definite_metric_is_reported_at_its_node():
+    # a time-like plane of AdS3: I = -Id, whose determinant is positive
+    patch = sf.SurfacePatch(model_space("AdS3"),
+                            lambda U, V: np.stack([0.1 + 0 * U, 0.2 + 0 * U, U, V], -1),
+                            ((1, 2), (1, 2)))
+    with pytest.raises(ValueError, match=r"induced metric degenerate at grid node \(0, 0\)"):
         sf.embedding_data(patch, m=9)
 
 

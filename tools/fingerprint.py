@@ -23,6 +23,22 @@ S2_DOM = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3))
 H2_DOM = ((0.1, 1.1), (0.3, 2 * np.pi - 0.3))
 
 
+def umbilic_patch(name, r=0.7):
+    """A geodesic sphere of radius r about e_4 (a hyperbolic plane in AdS3),
+    with the base chart's exact jet; its shape operator is a multiple of Id."""
+    base, a, b = {"Ell3": ("S2", np.sin(r), np.cos(r)), "Hyp3": ("S2", np.sinh(r), np.cosh(r)),
+                  "dS3": ("S2", np.cosh(r), np.sinh(r)), "AdS3": ("H2", np.cos(r), np.sin(r))}[name]
+
+    def jet(order):
+        def f(U, V):
+            x = a * pj.chart_jet(base, U, V, order)[order]
+            return np.insert(x, 3, 0.0 if order else b, axis=x.ndim - 1 - order)
+        return f
+
+    return sf.SurfacePatch(model_space(name), jet(0), S2_DOM if base == "S2" else H2_DOM,
+                           jacobian=jet(1), hessian=jet(2), normal_hint=np.eye(4)[3])
+
+
 def show(name, *arrays):
     for k, a in enumerate(arrays):
         bits = np.ascontiguousarray(np.asarray(a, dtype=float)).view(np.uint64)
@@ -52,6 +68,7 @@ def main():
         "co_exact": sf.graph_patch(coe, f, S2_DOM, df=df, d2f=d2f),
         "co_fd": sf.graph_patch(coe, f, S2_DOM),
         "comin_fd": sf.graph_patch(com, lambda U, V: -1.0 - 0.05 * np.sin(V) * U, H2_DOM),
+        **{f"umbilic_{n}": umbilic_patch(n) for n in ("Ell3", "Hyp3", "dS3", "AdS3")},
     }
     for name, patch in patches.items():
         for m in (33, 257):
