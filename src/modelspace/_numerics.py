@@ -1,9 +1,11 @@
 """Shared numerical helpers: Richardson extrapolation, differencing and the
 bounded-value check record that the acceptance suite and the CLI judge.
 
-Every first derivative is one ``central_difference`` call; its sites, with
+Every first derivative is one ``central_difference`` call, and every jet
+(value, gradient, Hessian) one ``central_jet`` call; their sites, with
 base step and levels, follow.  A cross-check is an independent route and
-stays a real-step difference, to catch an error in the primary route:
+stays a real-step difference outside both, to catch an error in the
+primary route:
 
     connections.ambient_derivative          1e-3 (1 + |x|)  3  primary
     connections.metric_compatibility_res.   1e-3            4  primary
@@ -15,7 +17,9 @@ stays a real-step difference, to catch an error in the primary route:
     pogorelov._log_volume_gradient          1e-5, v = I     1  cross-check
     projective.pseudo_distance_quadrature   1e-6            1  cross-check
     connections.geodesic_residual           1e-4 second difference, 19 samples: cross-check
-    surfaces: frames, Hessian, grid data    grid stencils, not central_difference
+    surfaces.SurfacePatch.frames            3e-4            1  primary, central_jet
+    surfaces._ambient_extension_hessian     2e-4, 1e-4      2  primary, central_jet
+    surfaces: grid data                     grid stencils on sampled fields
 
 Stacks of small matrices go through ``det_small``, ``inv_small`` and
 ``solve_small``, which act elementwise on the stack instead of calling
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["richardson", "central_difference", "DEFAULT_SCHEDULE",
+__all__ = ["richardson", "central_difference", "central_jet", "DEFAULT_SCHEDULE",
            "det_small", "inv_small", "solve_small"]
 
 # t-schedule used by all numeric limits t -> 0.
@@ -87,6 +91,39 @@ def central_difference(f, x0, v=1.0, base_step=1e-3, levels=4):
     # the error expansion is in h^2: one elimination level per halving is
     # ratio 4 in the richardson table
     return richardson((fx[:levels] - fx[levels:]) / (2 * h), ratio=4.0)
+
+
+def central_jet(f, x0, steps):
+    """(value, gradient, Hessian) of f at the points x0 (..., k), shapes
+    F, F + (k,) and F + (k, k) for values f(x0) of shape F.
+
+    Central differences on x0 +- h e_i and x0 + h (+-e_i +-e_j), i < j:
+    one call of ``f`` per offset, 1 + 2k + 2k(k - 1) in all, each with
+    every step h of ``steps`` on a leading axis, then ``richardson`` in
+    h^2 across the steps (a single step passes through unchanged).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    k = x0.shape[-1]
+    f0 = np.asarray(f(x0), dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    shape = steps.shape + f0.shape
+    h_x, h = (steps.reshape(steps.shape + (1,) * n) for n in (x0.ndim, f0.ndim))
+
+    def at(off):
+        # an f that broadcasts the points against leading axes of its own
+        # (a stack of surfaces) merges a one-entry step axis into them
+        return np.asarray(f(x0 + h_x * off), dtype=float).reshape(shape)
+
+    eye = np.eye(k)
+    grad, hess = np.empty(shape + (k,)), np.empty(shape + (k, k))
+    for i in range(k):
+        plus, minus = at(eye[i]), at(-eye[i])
+        grad[..., i] = (plus - minus) / (2 * h)
+        hess[..., i, i] = (plus - 2 * f0 + minus) / h**2
+        for j in range(i + 1, k):
+            pp, pm, mp, mm = (at(si * eye[i] + sj * eye[j]) for si in (1, -1) for sj in (1, -1))
+            hess[..., i, j] = hess[..., j, i] = (pp - pm - mp + mm) / (4 * h**2)
+    return f0, richardson(grad, ratio=4.0), richardson(hess, ratio=4.0)
 
 
 def det_small(m):

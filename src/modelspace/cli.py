@@ -212,6 +212,8 @@ def cmd_dualize(args):
     cls = du.SupportFunctionE if args.flavor == "euclidean" else du.SupportFunctionMin
     if args.grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {args.grid}")
+    if args.grid > 1024:
+        raise ValidationError(f"--grid must be at most 1024, got {args.grid}")
     body = _body_from_record(_load_record(args.body, "body"), cls)
     if not isinstance(body, float) and body.n != 3:
         raise ValidationError(f"body has {body.n} coordinates; the direction grid needs 3")

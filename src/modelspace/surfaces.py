@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numerics import det_small, inv_small, richardson, solve_small
+from ._numerics import central_jet, det_small, inv_small, richardson, solve_small
 from .projective import base_form, chart_jet, chart_space, model_space, related, space_family
 from .transition import transition_family
 
@@ -90,8 +90,9 @@ class SurfacePatch:
     ``immersion(u, v)`` must broadcast over array parameters and return
     points with a trailing coordinate axis.  Optional ``jacobian`` /
     ``hessian`` evaluators (shapes (..., d, 2) and (..., d, 2, 2)) make
-    the data exact; otherwise plain central differences with step 3e-4
-    are used.  ``normal_hint`` orients the unit normal of embedding_data.
+    the data exact; otherwise ``_numerics.central_jet`` differences the
+    immersion with step 3e-4.  ``normal_hint`` orients the unit normal of
+    embedding_data.
     """
 
     def __init__(self, space, immersion, domain, jacobian=None, hessian=None,
@@ -112,32 +113,18 @@ class SurfacePatch:
 
     def frames(self, U, V):
         """(sigma, J, H) on the grid: points, first and second parameter
-        derivatives, shapes (..., d), (..., d, 2), (..., d, 2, 2)."""
+        derivatives, shapes (..., d), (..., d, 2), (..., d, 2, 2).  A missing
+        evaluator is replaced by ``_numerics.central_jet`` at step 3e-4."""
         f = self.immersion
-        h = 3e-4
-        sigma = np.asarray(f(U, V), dtype=float)
         if self.jacobian is None or self.hessian is None:
-            u_p, u_m = np.asarray(f(U + h, V)), np.asarray(f(U - h, V))
-            v_p, v_m = np.asarray(f(U, V + h)), np.asarray(f(U, V - h))
+            sigma, jac, hess = central_jet(lambda p: f(p[..., 0], p[..., 1]),
+                                           np.stack([U, V], axis=-1), [3e-4])
+        else:
+            sigma = np.asarray(f(U, V), dtype=float)
         if self.jacobian is not None:
             jac = np.asarray(self.jacobian(U, V), dtype=float)
-        else:
-            jac = np.stack([(u_p - u_m) / (2 * h), (v_p - v_m) / (2 * h)], axis=-1)
         if self.hessian is not None:
             hess = np.asarray(self.hessian(U, V), dtype=float)
-        else:
-            duu = (u_p - 2 * sigma + u_m) / h**2
-            dvv = (v_p - 2 * sigma + v_m) / h**2
-            duv = (
-                np.asarray(f(U + h, V + h))
-                - np.asarray(f(U + h, V - h))
-                - np.asarray(f(U - h, V + h))
-                + np.asarray(f(U - h, V - h))
-            ) / (4 * h**2)
-            hess = np.stack(
-                [np.stack([duu, duv], axis=-1), np.stack([duv, dvv], axis=-1)],
-                axis=-1,
-            )
         return sigma, jac, hess
 
 
@@ -456,46 +443,21 @@ _D1_RING = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
 _D2_RING = np.array([0.0, 1.0, -2.0, 1.0, 0.0])
 
 
-# offsets of the Hessian stencil: +-e_i for the diagonal, then
-# (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) for each pair i < j
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-_HESS_OFFSETS = np.array(
-    [s * e for e in np.eye(3) for s in (1, -1)]
-    + [si * np.eye(3)[i] + sj * np.eye(3)[j] for i, j in _PAIRS for si in (1, -1) for sj in (1, -1)]
-)
-
-
 def _ambient_extension_hessian(u_fn, points, g):
     """Hessian of the one-homogeneous extension of u at base points.
 
     U(y) = |y|_g u(y/|y|_g), with g the base form: Euclidean for S^2,
-    Lorentzian for H^2.  Central differences of steps 2e-4 and 1e-4 with
-    one Richardson level; points shape (..., 3).  Each stencil offset costs
-    one evaluation of U, on both step levels at once.
+    Lorentzian for H^2; points shape (..., 3).  One ``_numerics.central_jet``
+    call, the stencil of ``SurfacePatch.frames``, at steps 2e-4 and 1e-4
+    with one Richardson level: each offset costs one evaluation of U, on
+    both steps at once, with u_fn seeing the points in their own row layout.
     """
     def U(y):
         q = (y @ g * y).sum(-1)
         s = np.sqrt(np.abs(q))
         return s * np.asarray(u_fn(y / s[..., None]))
 
-    pts = np.asarray(points, dtype=float)
-    steps = np.array([2e-4, 1e-4]).reshape((2,) + (1,) * pts.ndim)
-    u0 = U(pts)[..., None]
-    # one offset at a time keeps U's temporaries at twice the points (all
-    # 36 shifted copies at once would grow with the grid); with the levels
-    # leading, u_fn sees the points in their own row layout
-    vals = np.empty((2,) + pts.shape[:-1] + (len(_HESS_OFFSETS),))
-    for n, off in enumerate(_HESS_OFFSETS):
-        vals[..., n] = U(pts + steps * off)
-    plus, minus = vals[..., 0:6:2], vals[..., 1:6:2]
-    s2 = steps**2
-    hmat = np.empty(vals.shape[:-1] + (3, 3))
-    idx = np.arange(3)
-    hmat[..., idx, idx] = (plus - 2 * u0 + minus) / s2
-    for n, (i, j) in enumerate(_PAIRS):
-        pp, pm, mp, mm = np.moveaxis(vals[..., 6 + 4 * n:10 + 4 * n], -1, 0)
-        hmat[..., i, j] = hmat[..., j, i] = (pp - pm - mp + mm) / (4 * s2[..., 0])
-    return richardson(hmat, ratio=4.0)
+    return central_jet(U, points, [2e-4, 1e-4])[2]
 
 
 def shape_from_support(u_fn, base="S2", domain=None, m=64):
@@ -533,17 +495,60 @@ def _stencil_kernels(d1, d2, du, dv):
     return k
 
 
+def _support_operator(I, du, dv):
+    """The discrete support operator u -> Hess_I(u) + u I and its row weights.
+
+    One row per 1-ring-interior node and component ab in (00, 01, 11),
+    node by node, with Hess(u)_ab = d_a d_b u - Gamma^k_ab d_k u: fourth
+    order and weight 1 in the deep interior, second order and weight 0.05
+    on the 1-ring.  Returns (S, weights): S a CSR matrix of shape
+    (3 (m1 - 2)(m2 - 2), m1 m2) on the unknowns numbered row by row, and
+    the least-squares weight of each of its rows.  The recovery solves
+    with it and its forward map applies it.
+    """
+    import scipy.sparse as sp
+
+    m1, m2 = I.shape[:2]
+    gamma = _christoffel_of_I(I, du, dv, order=4)
+    a, b = np.array([0, 0, 1]), np.array([0, 1, 1])
+    inner = np.s_[1:-1, 1:-1]
+    gam = gamma[inner][..., a, b].reshape(-1, 2, 3)
+    Iab = I[inner][..., a, b].reshape(-1, 3)
+    ii, jj = (g.ravel() for g in np.meshgrid(np.arange(1, m1 - 1), np.arange(1, m2 - 1),
+                                             indexing="ij"))
+    deep = (ii >= 2) & (ii < m1 - 2) & (jj >= 2) & (jj < m2 - 2)
+    eq = np.arange(3 * len(ii)).reshape(-1, 3)
+    # the 1-ring rows only pin the outermost unknowns; a weight of 0.05
+    # keeps their h^2 truncation error from leaking into the interior fit
+    levels = ((deep, _D1, _D2, 1.0), (~deep, _D1_RING, _D2_RING, 0.05))
+    rows, cols, vals, weights = [], [], [], np.empty(eq.size)
+    for mask, d1, d2, weight in levels:
+        kern = _stencil_kernels(d1, d2, du, dv)
+        coef = kern[:3] - np.einsum("nkc,kxy->ncxy", gam[mask], kern[3:5]) \
+            + Iab[mask][..., None, None] * kern[5]
+        used = np.broadcast_to(np.any(kern[3:] != 0, axis=0) | (kern[:3] != 0), coef.shape)
+        col = (ii[mask, None, None, None] + _OFFS[:, None]) * m2 + jj[mask, None, None, None] + _OFFS
+        rows.append(np.broadcast_to(eq[mask][..., None, None], coef.shape)[used])
+        cols.append(np.broadcast_to(col, coef.shape)[used])
+        vals.append(coef[used])
+        weights[eq[mask]] = weight
+    S = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(eq.size, m1 * m2))
+    return S, weights
+
+
 def recover_support_from_shape(B, I, du, dv, points):
     """Least-squares solve of Hess_I(u) + u I = I B for the support u.
 
     ``B`` must be symmetric with respect to I and satisfy the Codazzi
-    equation (checked first; no solution exists otherwise).  The kernel
-    of the operator, spanned by restrictions of ambient linear functions,
-    is fixed by forcing the discrete projections of u onto <x, e_a> to
-    vanish.  Returns the grid of u values.
+    equation (checked first; no solution exists otherwise).  The equations
+    are the weighted rows of ``_support_operator``, the operator that
+    ``apply_shape_operator`` applies.  The kernel of the operator, spanned
+    by restrictions of ambient linear functions, is fixed by forcing the
+    discrete projections of u onto <x, e_a> to vanish.  Returns the grid
+    of u values.
     """
     m1, m2 = B.shape[:2]
-    gamma = _christoffel_of_I(I, du, dv, order=4)
     # Codazzi precondition; the discrete estimator of a true Codazzi
     # tensor is itself O(h^2), so the threshold floors at the grid error
     IB = I @ B
@@ -555,35 +560,9 @@ def recover_support_from_shape(B, I, du, dv, points):
     import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
-    # one equation per interior node and component ab in (00, 01, 11):
-    # Hess(u)_ab + u I_ab = (I B)_ab with Hess(u)_ab = d_a d_b u -
-    # Gamma^k_ab d_k u, fourth order in the deep interior and second order
-    # on the 1-ring
-    a, b = np.array([0, 0, 1]), np.array([0, 1, 1])
-    inner = np.s_[1:-1, 1:-1]
-    gam = gamma[inner][..., a, b].reshape(-1, 2, 3)
-    Iab = I[inner][..., a, b].reshape(-1, 3)
-    target = IB[inner][..., a, b].reshape(-1, 3)
-    ii, jj = (g.ravel() for g in np.meshgrid(np.arange(1, m1 - 1), np.arange(1, m2 - 1),
-                                             indexing="ij"))
-    deep = (ii >= 2) & (ii < m1 - 2) & (jj >= 2) & (jj < m2 - 2)
-    eq = np.arange(3 * len(ii)).reshape(-1, 3)
-    # the 1-ring rows only pin the outermost unknowns; a weight of 0.05
-    # keeps their h^2 truncation error from leaking into the interior fit
-    levels = ((deep, _D1, _D2, 1.0), (~deep, _D1_RING, _D2_RING, 0.05))
-    rows, cols, vals, rhs = [], [], [], np.empty(eq.size)
-    for mask, d1, d2, weight in levels:
-        kern = _stencil_kernels(d1, d2, du, dv)
-        coef = kern[:3] - np.einsum("nkc,kxy->ncxy", gam[mask], kern[3:5]) \
-            + Iab[mask][..., None, None] * kern[5]
-        used = np.broadcast_to(np.any(kern[3:] != 0, axis=0) | (kern[:3] != 0), coef.shape)
-        col = (ii[mask, None, None, None] + _OFFS[:, None]) * m2 + jj[mask, None, None, None] + _OFFS
-        rows.append(np.broadcast_to(eq[mask][..., None, None], coef.shape)[used])
-        cols.append(np.broadcast_to(col, coef.shape)[used])
-        vals.append(weight * coef[used])
-        rhs[eq[mask]] = weight * target[mask]
-    S = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(eq.size, m1 * m2))
+    S, weights = _support_operator(I, du, dv)
+    S.data *= np.repeat(weights, np.diff(S.indptr))
+    rhs = weights * IB[1:-1, 1:-1][..., [0, 0, 1], [0, 1, 1]].ravel()
     # gauge: discrete projections of u onto the linear functions vanish.
     # The least-squares normal equations S^T S u + L^T L u = S^T r keep
     # the three dense gauge rows L in a border, z = L u, so the matrix
@@ -599,36 +578,16 @@ def recover_support_from_shape(B, I, du, dv, points):
 def apply_shape_operator(u_grid, I, du, dv):
     """Discrete Hess_I(u) + u I -> B, the forward map of the recovery.
 
-    Uses the deep-interior stencils of recover_support_from_shape (the
-    fourth-order five-point first and second differences and their
-    product for the cross term); the two-cell margin replicates its
-    nearest interior value.
+    The deep-interior rows of ``_support_operator``, the recovery's own
+    operator, applied to u and solved against I; the two-cell margin
+    replicates its nearest interior value.
     """
-    gamma = _christoffel_of_I(I, du, dv, order=4)
+    m1, m2 = u_grid.shape
+    S, _ = _support_operator(I, du, dv)
+    form = (S @ u_grid.ravel()).reshape(m1 - 2, m2 - 2, 3)[1:-1, 1:-1]
     c = np.s_[2:-2]
-
-    def shift(o_i, o_j):
-        m1, m2 = u_grid.shape
-        return u_grid[2 + o_i:m1 - 2 + o_i, 2 + o_j:m2 - 2 + o_j]
-
-    h_uu = sum(co * shift(o, 0) for o, co in zip(_OFFS, _D2)) / du**2
-    h_vv = sum(co * shift(0, o) for o, co in zip(_OFFS, _D2)) / dv**2
-    h_uv = sum(
-        ci * cj * shift(oi, oj)
-        for oi, ci in zip(_OFFS, _D1)
-        for oj, cj in zip(_OFFS, _D1)
-        if ci != 0.0 and cj != 0.0
-    ) / (du * dv)
-    g_u = sum(co * shift(o, 0) for o, co in zip(_OFFS, _D1)) / du
-    g_v = sum(co * shift(0, o) for o, co in zip(_OFFS, _D1)) / dv
-    grad = np.stack([g_u, g_v], axis=-1)
-    hess = np.empty(h_uu.shape + (2, 2))
-    hess[..., 0, 0], hess[..., 1, 1] = h_uu, h_vv
-    hess[..., 0, 1] = hess[..., 1, 0] = h_uv
-    hess = hess - np.einsum("...kij,...k->...ij", gamma[c, c], grad)
-    form = hess + u_grid[c, c][..., None, None] * I[c, c]
     B = np.empty(u_grid.shape + (2, 2))
-    B[c, c] = solve_small(I[c, c], form)
+    B[c, c] = solve_small(I[c, c], form[..., [[0, 1], [1, 2]]])
     # replicate the two-cell margin from the nearest interior values
     B[:2, :] = B[2, :]
     B[-2:, :] = B[-3, :]

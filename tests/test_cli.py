@@ -425,7 +425,8 @@ def _write(tmp_path, name, record):
                                   "patch-without-kind", "fields-not-a-list",
                                   "random-negative", "random-2", "c0-of-length-3",
                                   "c1-of-2x2", "nan-coefficient", "dualize-grid-0",
-                                  "dualize-grid-negative", "overflowing-transition-height",
+                                  "dualize-grid-negative", "dualize-grid-too-large",
+                                  "overflowing-transition-height",
                                   "dualize-min4-body", "dualize-2d-body", "space-without-digits",
                                   "killing-without-generator", "nan-generator", "graph-height-5",
                                   "transition-height-5", "wave-5", "constant-list",
@@ -470,6 +471,11 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                                               for z in (-1, 1)]})],
         "dualize-grid-negative": ["dualize", "--flavor", "minkowski", "--grid", "-3", "--body",
                                   _write(tmp_path, "h.json", {"kind": "hyperboloid", "radius": 2})],
+        # a polytope, whose grid polar at 1025 would still take under a
+        # second: the bound is tested without a large allocation
+        "dualize-grid-too-large": ["dualize", "--flavor", "euclidean", "--grid", "1025",
+                                   "--body", _write(tmp_path, "o.json", {"vertices": np.vstack(
+                                       [np.eye(3), -np.eye(3)]).tolist()})],
         "overflowing-transition-height": ["transition-surface", "--space", "Ell3", "--patch",
                                           _write(tmp_path, "t.json", {"height": {"amp": 1e308}})],
         "dualize-min4-body": ["dualize", "--flavor", "minkowski", "--body", _write(
@@ -521,6 +527,7 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "nan-coefficient": "field 'c0' must hold finite numbers",
                 "dualize-grid-0": "--grid must be at least 1, got 0",
                 "dualize-grid-negative": "--grid must be at least 1, got -3",
+                "dualize-grid-too-large": "--grid must be at most 1024, got 1025",
                 "overflowing-transition-height": "grid node (0, 0, 0)",
                 "dualize-min4-body": "body has 4 coordinates; the direction grid needs 3",
                 "dualize-2d-body": "body has 2 coordinates; the direction grid needs 3",

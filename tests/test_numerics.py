@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modelspace._numerics import det_small, inv_small, solve_small
+from modelspace._numerics import central_jet, det_small, inv_small, solve_small
 
 
 def _well_conditioned(rng, n, stack=(40, 7)):
@@ -51,3 +51,51 @@ def test_zero_determinant_raises_as_lapack_does(op):
     assert isinstance(ours.value, ValueError)
     assert str(ours.value) == str(lapack.value)
     assert det_small(m)[1] == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [None, 2], ids=["scalar", "vector"])
+def test_central_jet_is_exact_on_quadratics(k, p):
+    rng = np.random.default_rng(k)
+    c, b, a = (rng.standard_normal((p or 1,) + (k,) * n) for n in range(3))
+    a = a + np.swapaxes(a, -1, -2)
+
+    def f(x):
+        out = c + np.einsum("...i,pi->...p", x, b) + 0.5 * np.einsum("...i,pij,...j->...p", x, a, x)
+        return out if p else out[..., 0]
+
+    x0 = rng.standard_normal((5, k))
+    f0, grad, hess = central_jet(f, x0, [0.25, 0.125])
+    assert np.array_equal(f0, f(x0))
+    exact_grad = b + np.einsum("pij,nj->npi", a, x0)
+    exact_hess = np.broadcast_to(a, (5,) + a.shape)
+    if p is None:
+        exact_grad, exact_hess = exact_grad[:, 0], exact_hess[:, 0]
+    assert grad.shape == exact_grad.shape and hess.shape == exact_hess.shape
+    assert np.max(np.abs(grad - exact_grad)) < 1e-12
+    assert np.max(np.abs(hess - exact_hess)) < 1e-12
+
+
+def test_central_jet_richardson_gains_on_a_quartic():
+    f = lambda x: x[..., 0] ** 4 + x[..., 0] ** 2 * x[..., 1] ** 2 + x[..., 1] ** 3 * x[..., 2]
+    x0 = np.array([[0.7, -0.4, 1.3], [-0.2, 0.9, 0.5]])
+    x, y, z = x0.T
+    exact = np.stack([np.stack([12 * x**2 + 2 * y**2, 4 * x * y, 0 * x], -1),
+                      np.stack([4 * x * y, 2 * x**2 + 6 * y * z, 3 * y**2], -1),
+                      np.stack([0 * x, 3 * y**2, 0 * x], -1)], -2)
+    one = np.max(np.abs(central_jet(f, x0, [1e-2])[2] - exact))
+    two = np.max(np.abs(central_jet(f, x0, [2e-2, 1e-2])[2] - exact))
+    assert one > 1e-6 and two < one / 10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_central_jet_calls_f_once_per_offset(k):
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.sin(x).sum(-1)
+
+    central_jet(f, np.zeros((4, k)), [2e-3, 1e-3])
+    assert len(shapes) == 1 + 2 * k + 2 * k * (k - 1)
+    assert shapes[0] == (4, k) and set(shapes[1:]) == {(2, 4, k)}

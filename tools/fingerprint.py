@@ -6,7 +6,9 @@ Each line is ``<name> <md5>``, the hash taken over the output's bytes viewed
 as uint64, so two trees print the same line only if that output is equal
 bit for bit (signed zeros and NaN payloads included).  A refactor that
 should not move a number cites the plain ``diff`` of the two trees'
-outputs.  Takes a few seconds.
+outputs, which ``python3 tools/twotree.py fingerprint`` prints.  The
+frames of the patches without derivative evaluators and the forward map of
+the support recovery are hashed on their own.  Takes a few seconds.
 """
 
 import hashlib
@@ -70,6 +72,9 @@ def main():
         "comin_fd": sf.graph_patch(com, lambda U, V: -1.0 - 0.05 * np.sin(V) * U, H2_DOM),
         **{f"umbilic_{n}": umbilic_patch(n) for n in ("Ell3", "Hyp3", "dS3", "AdS3")},
     }
+    for name in ("co_fd", "comin_fd", "paraboloid"):
+        U, V, _, _ = patches[name].grid(33)
+        show(f"frames[{name}]", *patches[name].frames(U, V))
     for name, patch in patches.items():
         for m in (33, 257):
             d = sf.embedding_data(patch, m=m)
@@ -82,8 +87,10 @@ def main():
         show(f"shape_from_support_default[{base}]", *sf.shape_from_support(ufn, base=base, m=17))
     Ug, Vg = np.meshgrid(np.linspace(*S2_DOM[0], 33), np.linspace(*S2_DOM[1], 33), indexing="ij")
     B, I = sf.shape_from_support(ufn, base="S2", domain=S2_DOM, m=33)
-    show("recover_support_from_shape", sf.recover_support_from_shape(
-        B, I, Ug[1, 0] - Ug[0, 0], Vg[0, 1] - Vg[0, 0], sf.sphere_chart(Ug, Vg)))
+    du_, dv_ = Ug[1, 0] - Ug[0, 0], Vg[0, 1] - Vg[0, 0]
+    u = sf.recover_support_from_shape(B, I, du_, dv_, sf.sphere_chart(Ug, Vg))
+    show("recover_support_from_shape", u)
+    show("apply_shape_operator", sf.apply_shape_operator(u, I, du_, dv_))
     show("sphere_grid", du.sphere_grid(64), du.sphere_grid(7))
     show("hyperboloid_grid", du.hyperboloid_grid(64), du.hyperboloid_grid(7, radius=1.3))
     for src, height in (("Ell3", lambda t, m_, U, V: t * ufn(m_) + 0.3 * t * t),

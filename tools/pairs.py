@@ -23,6 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from twotree import export_head
+
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
@@ -57,9 +59,7 @@ def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory() as base_tree:
-        archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
+        export_head(base_tree)
         for i in range(PAIRS):
             for name in (("base", "change") if i % 2 == 0 else ("change", "base")):
                 report = run(base_tree if name == "base" else ROOT, args, spec["run_seconds"])
