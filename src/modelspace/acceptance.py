@@ -98,14 +98,20 @@ def criterion_2_duality_round_trips(seed=0):
         worst_smooth = np.maximum(worst_smooth, np.max(np.abs(du.dual_support(se).values - 1.0 / r)))
         sm = du.SupportFunctionMin(grid_m, np.full(len(grid_m), -r), grid_shape=(64, 64))
         worst_smooth = np.maximum(worst_smooth, np.max(np.abs(du.dual_support(sm).values + 1.0 / r)))
+    # the apex against the polyhedral dual of the truncation conv(x_i) + cone(r_i),
+    # x_i = -r r_i / b(r_i, vhat) on its plane b(x, vhat) = -r: one vertex, vhat / r
     worst_trunc = 0.0
+    b, light = bpq(2, 1), du.lightlike_rays(3)[::4]
     for _ in range(10):
         v = np.array([0.3, -0.1, 1.0]) * rng.uniform(0.5, 2.0)
         v[2] = np.sqrt(v[0] ** 2 + v[1] ** 2) + rng.uniform(0.2, 1.0)
         r = rng.uniform(0.3, 3.0)
-        vhat = v / np.sqrt(-bpq(2, 1).quad(v))
+        vhat = v / np.sqrt(-b.quad(v))
+        x = -r * light / b(light, vhat)[:, None]
+        dual = du.MinkowskiBody(x, rays=light, check=False).dual().vertices
         apex = du.truncation_dual(v, r)
-        worst_trunc = np.maximum(worst_trunc, np.max(np.abs(apex - vhat / r)))
+        gap = np.max(np.abs(dual - apex)) if len(dual) == 1 else np.inf
+        worst_trunc = np.maximum(worst_trunc, gap)
     return [check("double-dual gap {:.2e}", worst_rt, hi=1e-6),
             check("smooth duals {:.2e}", worst_smooth, hi=1e-9),
             check("truncation {:.2e}", worst_trunc, hi=1e-9)]

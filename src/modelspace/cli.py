@@ -160,10 +160,21 @@ def _emit(args, text_lines, record, csv_rows=None, csv_header=None):
 # subcommands
 
 
+def _point_pair(args, space):
+    """The points --x and --y, each with the ``space.dim`` coordinates of its space."""
+    points = []
+    for flag in ("x", "y"):
+        vec = _parse_vector(getattr(args, flag))
+        if len(vec) != space.dim:
+            raise ValidationError(f"--{flag} has {len(vec)} coordinates; "
+                                  f"{space.name} points have {space.dim}")
+        points.append(pj.ProjPoint(vec))
+    return points
+
+
 def cmd_distance(args):
     space = pj.model_space(args.space)
-    x = pj.ProjPoint(_parse_vector(args.x))
-    y = pj.ProjPoint(_parse_vector(args.y))
+    x, y = _point_pair(args, space)
     d, kind = pj.projective_distance(space, x, y, return_line_type=True)
     _emit(
         args,
@@ -176,9 +187,7 @@ def cmd_distance(args):
 
 def cmd_classify_line(args):
     space = pj.model_space(args.space)
-    x = pj.ProjPoint(_parse_vector(args.x))
-    y = pj.ProjPoint(_parse_vector(args.y))
-    line = pj.line_through(x, y)
+    line = pj.line_through(*_point_pair(args, space))
     kind = pj.classify_line(space, line)
     absolute = pj.absolute_points(space, line)
     _emit(
@@ -188,18 +197,26 @@ def cmd_classify_line(args):
     )
 
 
-def _body_from_record(record, cls):
-    """The polytope a record describes, of support class ``cls``, or a radius."""
+def _body_from_record(record, flavor):
+    """The polytope a record describes, of ``flavor``, or the radius of a
+    ball (Euclidean) or hyperboloid (Minkowski)."""
     from . import duality as du
 
     if "vertices" in record:
         verts = _points(record["vertices"], "body vertices")
-        if cls is du.SupportFunctionE:
+        if flavor == "euclidean":
+            if "rays" in record:
+                raise ValidationError(
+                    "body 'rays' need --flavor minkowski: a Euclidean body is compact")
             return du.EuclideanBody(verts)
         rays = record.get("rays")
         rays = None if rays is None else _points(rays, "body rays")
         return du.MinkowskiBody(verts, rays=rays)
     if record.get("kind") in ("ball", "hyperboloid"):
+        round_flavor = "euclidean" if record["kind"] == "ball" else "minkowski"
+        if flavor != round_flavor:
+            raise ValidationError(f"a {record['kind']} body needs --flavor {round_flavor}, "
+                                  f"not {flavor}")
         if "radius" not in record:
             raise ValidationError(f"{record['kind']} body record needs a 'radius'")
         return float(_finite(record["radius"], f"{record['kind']} radius", ()))
@@ -214,7 +231,7 @@ def cmd_dualize(args):
         raise ValidationError(f"--grid must be at least 1, got {args.grid}")
     if args.grid > 1024:
         raise ValidationError(f"--grid must be at most 1024, got {args.grid}")
-    body = _body_from_record(_load_record(args.body, "body"), cls)
+    body = _body_from_record(_load_record(args.body, "body"), args.flavor)
     if not isinstance(body, float) and body.n != 3:
         raise ValidationError(f"body has {body.n} coordinates; the direction grid needs 3")
     dirs = cls.grid(3, args.grid)

@@ -30,13 +30,9 @@ stack evaluates bit for bit as the lone point does.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from ._numerics import DEFAULT_SCHEDULE, central_difference, richardson
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "tangent_project",
@@ -62,7 +58,6 @@ __all__ = [
     "volume_transition_check",
 ]
 
-TANGENCY_WARN = 1e-8
 # the t-schedule of the connection and volume transition checks
 _SCHEDULE = DEFAULT_SCHEDULE[:7]
 
@@ -87,19 +82,15 @@ def project_to_locus(space, y):
 class VectorField:
     """An ambient field (..., d) -> (..., d), tangent to the space's locus.
 
-    Evaluation projects out the transverse component.  ``max_correction``
-    is the largest correction over every point evaluated so far; a warning
-    is logged once, when a correction at an on-locus point first exceeds
-    1e-8 (the raw field was not really tangent).
+    Evaluation projects out the transverse component, so a raw field need
+    not be tangent; ``project=False`` evaluates the raw field.
     """
 
-    def __init__(self, space, fn, name=None, project=True, warn=True):
+    def __init__(self, space, fn, name=None, project=True):
         self.space = space
         self.fn = fn
         self.name = name or "field"
         self.project = project
-        self.warn = warn
-        self.max_correction = 0.0
 
     def raw(self, x):
         x = np.asarray(x, dtype=float)
@@ -112,26 +103,10 @@ class VectorField:
         return v
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
         v = self.raw(x)
         if not self.project:
             return v
-        w = tangent_project(self.space, x, v)
-        corr = np.linalg.norm(w - v, axis=-1)
-        worst = float(np.max(corr, initial=0.0))
-        if worst > self.max_correction:
-            if self.warn and self.max_correction <= TANGENCY_WARN < worst:
-                flagged = corr[(corr > TANGENCY_WARN) & self._on_locus(x)]
-                if flagged.size:
-                    logger.warning(
-                        "field %s corrected by %.2e towards tangency on %s",
-                        self.name, flagged.max(), self.space.name,
-                    )
-            self.max_correction = worst
-        return w
-
-    def _on_locus(self, x):
-        return np.abs(self.space.form.quad(x) - self.space.sign) < 1e-6
+        return tangent_project(self.space, x, v)
 
 
 def _poly_field(rng, dim, scale=1.0):
@@ -148,7 +123,7 @@ def _poly_field(rng, dim, scale=1.0):
 
 def random_tangent_field(space, rng, scale=1.0):
     """A random polynomial field, tangentialized to the space's locus."""
-    return VectorField(space, _poly_field(rng, space.dim, scale), warn=False)
+    return VectorField(space, _poly_field(rng, space.dim, scale))
 
 
 def plane_tangent_field(space, normal, rng):
@@ -407,8 +382,8 @@ def connection_transition_check(src_space, co_space, fam, X_family, Y_family, xi
         if np.any(np.abs(v0[..., fam.axis]) > 1e-6 * (1.0 + np.linalg.norm(v0, axis=-1))):
             raise ValueError("family is not tangent to the blown-up plane at t=0")
     (x, t), gt = _source_points(src_space, fam, xi), fam.matrix(_SCHEDULE)
-    Xf = VectorField(src_space, lambda p: X_family(t, p), warn=False)
-    Yf = VectorField(src_space, lambda p: Y_family(t, p), warn=False)
+    Xf = VectorField(src_space, lambda p: X_family(t, p))
+    Yf = VectorField(src_space, lambda p: Y_family(t, p))
     v = Xf(x)
     lhs = richardson(np.einsum("tij,t...j->t...i", gt, levi_civita(src_space)(v, Yf, x)))
     # hatX at xi is the limit of the pushed-forward vectors X_t(x_t) themselves

@@ -20,6 +20,10 @@ polyhedral, encoded by the cone over them in one dimension up:
   recession cone is stored explicitly as a finite set of future rays, so
   the double dual is an exact polyhedral involution.
 
+A sampled support function h, a graph over the base of the co-space, cuts
+out the dual of the body spanned by its polar points v / (sign h(v)), so
+``body_from_support`` runs one of the two ``dual`` methods above.
+
 Smooth bodies (balls, hyperboloids) live as sampled support functions on
 direction grids; their duals come from the one-homogeneous polar formula
 evaluated on the grid, which is exact at grid directions for bodies of
@@ -166,16 +170,16 @@ def same_ray_set(a, b):
     return bool(np.all(dist < 1e-8))
 
 
-def _cone_vertices(gens, axis, sign, message, compact=False):
-    """Vertices of a body from the generators of the cone over it.
+def _cone_vertices(gens, axis, message, compact=False):
+    """Vertices of a dual body from the generators of the dual cone over it.
 
     The vertices are the generators whose homogenizing coordinate
-    t = sign * gens[:, axis] exceeds 1e-10, divided by t and with that
+    t = -gens[:, axis] exceeds 1e-10, divided by t and with that
     coordinate dropped; the other generators are recession rays.  Raises
     ``message`` when no generator is a vertex or, for a ``compact`` body,
     when one is not.
     """
-    t = sign * gens[:, axis]
+    t = -gens[:, axis]
     vertex = t > 1e-10
     if not (vertex.all() if compact else vertex.any()):
         raise ValueError(message)
@@ -273,7 +277,7 @@ class EuclideanBody:
             self._hull()
         gens = _dedupe_rays(_unit_rows(self._facets))
         return EuclideanBody(_cone_vertices(
-            gens, -1, -1, "dual body is unbounded (origin not interior?)", compact=True))
+            gens, -1, "dual body is unbounded (origin not interior?)", compact=True))
 
     def minkowski_sum(self, other):
         sums = (self.vertices[:, None, :] + other.vertices[None, :, :]).reshape(-1, self.n)
@@ -337,32 +341,23 @@ class MinkowskiBody:
             raise ValueError("support direction not dual to the recession cone")
         return np.max(self.vertices @ self.form.matrix @ dirs.T, axis=0)
 
-    def cone(self):
+    def dual(self):
+        """The set {y : b(x, y) <= -1 for all x in K}, exactly.
+
+        Extreme points come from the dual of the cone over {-1} x K; the
+        recession rays of the dual (which need not appear among the 4-d
+        extreme rays, e.g. when the extreme points are coplanar) are the
+        3-d cone dual {y : b(x, y) <= 0 for x in the body}.
+        """
         v, r = self.vertices, self.rays
         lifted = np.vstack([
             np.hstack([-np.ones((len(v), 1)), v]),
             np.hstack([np.zeros((len(r), 1)), r]),
         ])
-        return PolyCone(generators=lifted)
-
-    def recession_dual(self):
-        """Generators of {y : b(x, y) <= 0 for x in the body}: the
-        recession cone of the dual set, an exact 3-d cone dual."""
-        rows = np.vstack([self.vertices, self.rays]) @ self.form.matrix
-        return cone_facet_normals(rows)
-
-    def dual(self):
-        """The set {y : b(x, y) <= -1 for all x in K}, exactly.
-
-        Extreme points come from the cone over the body; the recession
-        rays of the dual (which need not appear among the 4-d extreme
-        rays, e.g. when the extreme points are coplanar) come from the
-        3-d dual of the recession data.
-        """
-        ambient = bpq(self.n, 1)
-        gens = self.cone().dual(ambient).generators
-        verts = _cone_vertices(gens, 0, -1, "dual has no vertices; body was not admissible")
-        return MinkowskiBody(verts, rays=self.recession_dual(), check=False)
+        gens = PolyCone(generators=lifted).dual(bpq(self.n, 1)).generators
+        verts = _cone_vertices(gens, 0, "dual has no vertices; body was not admissible")
+        rays = cone_facet_normals(np.vstack([v, r]) @ self.form.matrix)
+        return MinkowskiBody(verts, rays=rays, check=False)
 
     def minkowski_sum(self, other):
         sums = (self.vertices[:, None, :] + other.vertices[None, :, :]).reshape(-1, self.n)
@@ -509,29 +504,21 @@ def support_from_body(body, dirs=None, grid=64):
 
 
 def body_from_support(sf):
-    """The body cut out by the sampled support halfspaces, exactly.
+    """The body cut out by the sampled support halfspaces, exactly: the dual
+    of the body spanned by the polar points v / (sign h(v)).
 
-    Euclidean: {y : <y, v_i> <= h_i}; Minkowski: {y : b(y, v_i) <= h_i}.
-    Vertices (and recession rays in the Minkowski case) are enumerated
-    through the cone over the body.  Raises if the sampled values are not
-    convex-consistent enough to bound a body of the right kind.
+    Euclidean: {y : <y, v_i> <= h_i} is the polar of conv(v_i / h_i).
+    Minkowski: {y : b(y, v_i) <= h_i}, h_i < 0, is the dual of
+    conv(v_i / -h_i) + cone(v_i).  Raises if the sampled values do not
+    bound a body of the right kind.
     """
-    if isinstance(sf, SupportFunctionE):
-        rows = np.hstack([sf.dirs, -sf.values[:, None]])
-        rows = np.vstack([rows, np.append(np.zeros(sf.n), -1.0)])
-        return EuclideanBody(_cone_vertices(
-            cone_facet_normals(rows), -1, 1, "support samples do not bound a compact body",
-            compact=True))
-    if isinstance(sf, SupportFunctionMin):
-        g = sf.form.matrix
-        rows = np.hstack([sf.values[:, None], sf.dirs @ g])
-        rows = np.vstack([rows, np.append(1.0, np.zeros(sf.n))])
-        verts = _cone_vertices(cone_facet_normals(rows), 0, -1,
-                               "support samples do not bound an admissible body")
-        # recession: the b-dual of the sampled directions
-        rays = cone_facet_normals(sf.dirs @ g)
-        return MinkowskiBody(verts, rays=rays, check=False)
-    raise TypeError("expected a sampled support function")
+    points = sf.dirs / (sf.sign * sf.values)[:, None]
+    try:
+        if isinstance(sf, SupportFunctionE):
+            return EuclideanBody(points).dual()
+        return MinkowskiBody(points, rays=sf.dirs, check=False).dual()
+    except ValueError as exc:
+        raise ValueError(f"support samples do not bound an admissible body: {exc}") from exc
 
 
 def dual_support(sf):

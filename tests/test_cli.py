@@ -134,6 +134,19 @@ def test_check_connection_and_tolerance(capsys):
     assert code == 2
 
 
+def test_check_connection_fields_record_runs_quietly(tmp_path, capsys, caplog):
+    # record fields need not be tangent: projecting them is the documented
+    # behaviour, so a valid record logs nothing
+    rng = np.random.default_rng(3)
+    path = _write(tmp_path, "fields.json", {"fields": [
+        {"c0": rng.standard_normal(4).tolist(), "c1": rng.standard_normal((4, 4)).tolist()}
+        for _ in range(3)]})
+    with caplog.at_level("DEBUG"):
+        code, out, err = run_cli(["check-connection", "--space", "coEuc3", "--fields", path], capsys)
+    assert code == 0 and "symmetry" in out
+    assert caplog.records == [] and err == ""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_connection_overflowing_fields_fail(tmp_path, capsys):
     # finite coefficients whose products overflow give NaN residuals
@@ -433,7 +446,9 @@ def _write(tmp_path, name, record):
                                   "sphere-radius-list", "ball-radius-list", "vector-object",
                                   "path-base-object", "vertices-object", "rays-object",
                                   "velocity-of-length-1", "path-base-of-length-3",
-                                  "flat-vertices", "flat-rays"])
+                                  "flat-vertices", "flat-rays", "euclidean-body-with-rays",
+                                  "ball-under-minkowski", "hyperboloid-under-euclidean",
+                                  "classify-line-2-coordinates", "distance-y-4-coordinates"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
@@ -511,6 +526,16 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
             tmp_path, "m6.json", {"vertices": [[0.3, 0.1, 1.2], [0, 0, 1]], "rays": [1, 2, 3]})],
         "rays-object": ["dualize", "--flavor", "minkowski", "--grid", "4", "--body", _write(
             tmp_path, "m5.json", {"vertices": [[0.3, 0.1, 1.2], [0, 0, 1]], "rays": {"a": 1}})],
+        "euclidean-body-with-rays": body + [_write(tmp_path, "b8.json", {
+            "vertices": np.vstack([np.eye(3), -np.eye(3)]).tolist(), "rays": [[0, 0, 1]]})],
+        "ball-under-minkowski": ["dualize", "--flavor", "minkowski", "--grid", "4", "--body",
+                                 _write(tmp_path, "b9.json", {"kind": "ball", "radius": 2})],
+        "hyperboloid-under-euclidean": body + [_write(tmp_path, "h9.json",
+                                                      {"kind": "hyperboloid", "radius": 2})],
+        "classify-line-2-coordinates": ["classify-line", "--space", "Ell2", "--x", "[1,0]",
+                                        "--y", "[0,1]"],
+        "distance-y-4-coordinates": ["distance", "--space", "Hyp2", "--x", "[0,0,1]",
+                                     "--y", "[0.3,0,0,1]"],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -547,7 +572,13 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "rays-object": "body rays must be a numeric array",
                 "path-base-of-length-3": "path base has shape (3,), expected (4,)",
                 "flat-vertices": "body vertices must be a list of points",
-                "flat-rays": "body rays must be a list of points"}
+                "flat-rays": "body rays must be a list of points",
+                "euclidean-body-with-rays": "body 'rays' need --flavor minkowski",
+                "ball-under-minkowski": "a ball body needs --flavor euclidean, not minkowski",
+                "hyperboloid-under-euclidean":
+                    "a hyperboloid body needs --flavor minkowski, not euclidean",
+                "classify-line-2-coordinates": "--x has 2 coordinates; Ell2 points have 3",
+                "distance-y-4-coordinates": "--y has 4 coordinates; Hyp2 points have 3"}
     assert expected.get(case, "") in err
 
 

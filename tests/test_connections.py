@@ -325,8 +325,8 @@ def _per_t_transition_gaps(src, cosp, fam, X, Y, Z, xi, schedule=DEFAULT_SCHEDUL
     conn_seq, vol_seq = [], []
     for t in schedule:
         x = x_t(t, xi)
-        Xf = cn.VectorField(src, lambda p, t=t: X(t, p), warn=False)
-        Yf = cn.VectorField(src, lambda p, t=t: Y(t, p), warn=False)
+        Xf = cn.VectorField(src, lambda p, t=t: X(t, p))
+        Yf = cn.VectorField(src, lambda p, t=t: Y(t, p))
         conn_seq.append(fam.matrix(t) @ cn.levi_civita(src)(Xf, Yf, x))
         vals = [cn.tangent_project(src, x, f(t, x)) for f in (X, Y, Z)]
         vol_seq.append(np.linalg.det(fam.matrix(t)) * cn.volume_form(src)(x, *vals))

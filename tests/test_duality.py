@@ -381,6 +381,29 @@ def test_body_from_support_round_trips():
     assert np.max(np.abs(back.values + 2.0)) < 1e-10
 
 
+def test_body_from_support_gives_back_the_cube():
+    # the face normals' halfspaces alone are the cube; the other grid
+    # directions cut nothing off
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]) * [0.5, 1.0, 2.0]
+    dirs = np.vstack([np.eye(3), -np.eye(3), du.sphere_grid(8)])
+    body = du.body_from_support(du.support_from_body(du.EuclideanBody(cube), dirs=dirs))
+    assert len(body.vertices) == 8
+    dist = np.linalg.norm(body.vertices[:, None] - cube[None], axis=-1)
+    assert np.max(np.min(dist, axis=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("sf", [
+    # all directions in the upper half space: the cut-out set is unbounded
+    du.SupportFunctionE(du.sphere_grid(8)[du.sphere_grid(8)[:, 2] > 0.1], np.ones(32)),
+    du.SupportFunctionE(np.eye(3), np.ones(3)),
+    # two directions in Min^3: no full-dimensional recession cone
+    du.SupportFunctionMin(du.hyperboloid_grid(4)[:2], -np.ones(2)),
+], ids=["half-sphere", "three-directions", "two-directions-min"])
+def test_body_from_support_names_the_samples_when_no_body_is_bounded(sf):
+    with pytest.raises(ValueError, match="support samples do not bound"):
+        du.body_from_support(sf)
+
+
 def test_convexity_violation_detects():
     dirs = du.sphere_grid(12)
     good = du.SupportFunctionE(dirs, np.full(len(dirs), 1.0), grid_shape=(12, 12))

@@ -1,4 +1,4 @@
-"""Print one md5 per distance- and surface-layer kernel output, of its float64 bits.
+"""Print one md5 per distance-, duality- and surface-layer kernel output, of its float64 bits.
 
     PYTHONPATH=src python3 tools/fingerprint.py > fingerprint.txt
 
@@ -8,7 +8,10 @@ bit for bit (signed zeros and NaN payloads included).  A refactor that
 should not move a number cites the plain ``diff`` of the two trees'
 outputs, which ``python3 tools/twotree.py fingerprint`` prints.  The
 frames of the patches without derivative evaluators and the forward map of
-the support recovery are hashed on their own.  Takes a few seconds.
+the support recovery are hashed on their own, and so are the polyhedral
+duals and double duals of bodies drawn as in acceptance criterion 2, the
+grid polars of round and polyhedral support functions, and the bodies cut
+out by support samples.  Takes a few seconds.
 """
 
 import hashlib
@@ -47,7 +50,47 @@ def show(name, *arrays):
         print(f"{name}[{k}] {hashlib.md5(bits.tobytes()).hexdigest()}")
 
 
+def duality_layer():
+    """Polyhedral duals and double duals, grid polars and bodies cut out by support samples."""
+    rng = np.random.default_rng(0)
+    octa = 0.4 * np.vstack([np.eye(3), -np.eye(3)])
+    for k in range(10):
+        verts = rng.standard_normal((rng.integers(8, 24), 3))
+        verts *= rng.uniform(0.5, 2.0, (len(verts), 1)) / np.linalg.norm(verts, axis=1, keepdims=True)
+        dual = du.EuclideanBody(np.vstack([verts, octa])).dual()
+        show(f"EuclideanBody.dual[{k}]", dual.vertices, dual.dual().vertices)
+    for k in range(10):
+        n_v = rng.integers(4, 12)
+        verts = pj.chart_jet("H2", rng.uniform(0, 1.0, n_v), rng.uniform(0, 2 * np.pi, n_v))[0]
+        dual = du.MinkowskiBody(verts * rng.uniform(0.8, 2.0, (n_v, 1))).dual()
+        again = dual.dual()
+        show(f"MinkowskiBody.dual[{k}]", dual.vertices, dual.rays, again.vertices, again.rays)
+    cube = du.EuclideanBody([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-0.5, 0.5)])
+    future = du.MinkowskiBody([[0.3, 0.1, 1.2], [-0.2, 0.4, 1.5], [0.0, 0.0, 1.0]])
+    grid_e, grid_m = du.sphere_grid(32), du.hyperboloid_grid(32)
+    for name, sfn in (("ball", du.SupportFunctionE(grid_e, np.full(len(grid_e), 1.7), (32, 32))),
+                      ("hyperboloid", du.SupportFunctionMin(grid_m, np.full(len(grid_m), -1.7),
+                                                            (32, 32))),
+                      ("cube", du.support_from_body(cube, grid=32)),
+                      ("future", du.support_from_body(future, grid=32))):
+        show(f"dual_support[{name}]", du.dual_support(sfn).values)
+    dirs = du.sphere_grid(12)
+    h = np.sqrt(np.einsum("ni,ij,nj->n", dirs, np.diag([1.0, 2.0, 1.5]), dirs))
+    circle, rapidity = du.circle_grid(16), du.rapidity_grid(16)
+    for name, sfn in (("ellipsoid", du.SupportFunctionE(dirs, h, (12, 12))),
+                      ("cube", du.support_from_body(cube, grid=12)),
+                      ("disc", du.SupportFunctionE(circle, 1.0 + 0.1 * circle[:, 0], (16,))),
+                      ("hyperboloid", du.SupportFunctionMin(grid_m, np.full(len(grid_m), -2.0),
+                                                            (32, 32))),
+                      ("future", du.support_from_body(future, grid=12)),
+                      ("hyperbola", du.SupportFunctionMin(rapidity, -1.0 - 0.1 * rapidity[:, 0],
+                                                          (16,)))):
+        body = du.body_from_support(sfn)
+        show(f"body_from_support[{name}]", body.vertices, *([body.rays] if sfn.sign < 0 else []))
+
+
 def main():
+    duality_layer()
     rng = np.random.default_rng(0)
     for name in ("Ell2", "Hyp2", "dS2", "AdS3"):
         space = model_space(name)
