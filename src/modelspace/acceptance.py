@@ -148,7 +148,7 @@ def criterion_4_three_d_transition(seed=0):
         space = pj.model_space(name)
         fam = tr.transition_family(name, kind)
         # per path, in the stream's order: x0, then v, then w
-        x0, v, w = np.stack([(_fixed_locus_point(space, fam, rng), rng.standard_normal(space.dim),
+        x0, v, w = np.stack([(tr.fixed_locus_point(space, fam, rng), rng.standard_normal(space.dim),
                               rng.standard_normal(space.dim)) for _ in range(25)], axis=1)
 
         def x_path(t):
@@ -160,19 +160,6 @@ def criterion_4_three_d_transition(seed=0):
         worst_gap = np.maximum(worst_gap, np.max(gaps))
     return [check("{:d}/1000 pattern failures", failures, hi=0),
             check("duality diagram gap {:.2e}", worst_gap, hi=1e-7)]
-
-
-def _fixed_locus_point(space, fam, rng):
-    if fam.kind == "blow_up_point":
-        x0 = np.zeros(space.dim)
-        x0[fam.axis] = 1.0
-        return x0
-    while True:
-        y = rng.standard_normal(space.dim)
-        y[fam.axis] = 0.0
-        q = float(space.form.quad(y))
-        if space.sign * q > 0.1:
-            return y / np.sqrt(abs(q))
 
 
 def _columns(*coords):

@@ -116,10 +116,19 @@ def _load_record(path, tag):
 
 def _surface_grid(args):
     # the surface residuals drop two boundary cells on each side
-    grid = min(args.grid, 65)
-    if grid < 5:
-        raise ValidationError(f"surface grid must be at least 5, got {grid}")
-    return grid
+    if args.grid < 5:
+        raise ValidationError(f"surface grid must be at least 5, got {args.grid}")
+    if args.grid > 65:
+        raise ValidationError(f"surface grid must be at most 65, got {args.grid}")
+    return args.grid
+
+
+def _space3(args):
+    """The --space of a surface or connection subcommand, which work in 3-spaces only."""
+    space = pj.model_space(args.space)
+    if space.dim != 4:
+        raise ValidationError(f"--space must be a model 3-space, got {space.name}")
+    return space
 
 
 def _judge(checks, context=""):
@@ -330,7 +339,7 @@ def _fields_from_record(space, record, rng):
 def cmd_check_connection(args):
     from . import connections as cn
 
-    space = pj.model_space(args.space)
+    space = _space3(args)
     if not space.degenerate:
         raise ValidationError("check-connection expects a co-space (coEuc3/coMin3)")
     record = _load_record(args.fields, "field") if args.fields else {"random": 3}
@@ -451,7 +460,7 @@ def _patch_from_record(space, record):
 def cmd_check_surface(args):
     from . import surfaces as sf
 
-    space = pj.model_space(args.space)
+    space = _space3(args)
     record = _load_record(args.patch, "patch") if args.patch else {"kind": "graph"}
     patch = _patch_from_record(space, record)
     grid = _surface_grid(args)
@@ -481,7 +490,7 @@ def cmd_check_surface(args):
 def cmd_dual_surface(args):
     from . import surfaces as sf
 
-    space = pj.model_space(args.space)
+    space = _space3(args)
     record = _load_record(args.patch, "patch") if args.patch else {"kind": "graph"}
     patch = _patch_from_record(space, record)
     grid = _surface_grid(args)
@@ -511,7 +520,7 @@ def cmd_transition_surface(args):
 
     record = _load_record(args.patch, "patch") if args.patch else {}
     amp = float(_finite(_height(record).get("amp", 0.05), "height amp", ()))
-    src = args.space
+    src = _space3(args).name
     spherical = pj.space_family(pj.related(src, "plane_limit")).chart == "S2"
 
     def height(t, m_, U, V):

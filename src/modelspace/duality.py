@@ -334,12 +334,11 @@ class MinkowskiBody:
                 )
 
     def support(self, dirs):
-        """sup over the body of b(x, v); finite for strictly future dirs."""
+        """sup over the body of b(x, v): +inf where a recession ray r has
+        b(r, v) > 1e-9, finite for directions in the dual of the recession cone."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        ray_vals = self.rays @ self.form.matrix @ dirs.T
-        if np.any(ray_vals > 1e-9):
-            raise ValueError("support direction not dual to the recession cone")
-        return np.max(self.vertices @ self.form.matrix @ dirs.T, axis=0)
+        unbounded = np.any(self.rays @ self.form.matrix @ dirs.T > 1e-9, axis=0)
+        return np.where(unbounded, np.inf, np.max(self.vertices @ self.form.matrix @ dirs.T, axis=0))
 
     def dual(self):
         """The set {y : b(x, y) <= -1 for all x in K}, exactly.

@@ -3,13 +3,16 @@
 A rescaling family g_t stretches the directions transverse to a fixed
 point (or fixed hyperplane) by 1/t.  As t -> 0 the images g_t M of a model
 space converge to a degenerate model space, and conjugates g_t h g_t^{-1}
-of isometries converge to isometries of the limit geometry.
+of isometries converge to isometries of the limit geometry (Cooper,
+Danciger and Wienhard, "Limits of geometries", Trans. AMS 370, 2018).
 
-The built-in families, read from the registry of model spaces, land each
-limit in the canonical coordinates of the target space in every dimension.
-Where that needs a slot permutation (the blown-up point of dS^n must be
-space-like, the blown-up plane of Hyp^n sits transverse to a space-like
-axis) the permutation is part of the family's matrix.
+A family is what the registry of model spaces states: a kind, 'point' or
+'plane', and the axis it blows up.  The slot order that moves the axis last
+is derived from it and is part of the family's matrix, so every limit lands
+in the canonical coordinates of its target space in every dimension (the
+blown-up point of dS^n must be space-like, the blown-up plane of Hyp^n sits
+transverse to a space-like axis).  Limit groups are named by their registry
+space, 'Euc3' or 'coMin3'.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ import numpy as np
 
 from . import forms
 from ._numerics import DEFAULT_SCHEDULE, central_difference, richardson
-from .projective import SPACES, ProjPoint, model_space, space_family
+from .projective import ProjPoint, model_space, space_family
 
 __all__ = [
     "RescalingFamily",
-    "blow_up_point",
-    "blow_up_hyperplane",
     "transition_family",
+    "fixed_locus_point",
     "dual_family",
     "PointPath",
     "IsometryPath",
@@ -46,41 +48,41 @@ __all__ = [
 
 
 class RescalingFamily:
-    """t -> P . diag(...) with 1/t entries; g_1 need not include P.
+    """t -> P D(t), D(t) diagonal with 1/t entries, P the slot order moving ``axis`` last.
 
-    ``kind`` is 'blow_up_point' (every slot but ``axis`` stretched) or
-    'blow_up_hyperplane' (only ``axis`` stretched).  ``perm`` is an
-    optional slot permutation, applied after the diagonal so the limit
-    lands in the canonical coordinates of the target space.
+    ``kind`` is 'point' (every slot but ``axis`` stretched: the fixed locus
+    is the axis point) or 'plane' (only ``axis`` stretched: the fixed locus
+    is the hyperplane x_axis = 0).  P lands the limit in the canonical
+    coordinates of the target space; it is the identity when ``axis`` is
+    the last slot, its default.
     """
 
-    def __init__(self, kind, dim, axis=None, perm=None):
-        if kind not in ("blow_up_point", "blow_up_hyperplane"):
-            raise ValueError("unknown rescaling kind")
+    def __init__(self, kind, dim, axis=None):
+        if kind not in ("point", "plane"):
+            raise ValueError("kind must be 'point' or 'plane'")
         self.kind = kind
         self.dim = dim
         self.axis = (dim - 1) if axis is None else int(axis) % dim
-        self.perm = None if perm is None else np.asarray(perm, dtype=float)
+        self.order = np.append(np.delete(np.arange(dim), self.axis), self.axis)
+        self.perm = np.eye(dim)[self.order]
 
     def diag(self, t):
         """The diagonal at t; a t-array of shape (T,) gives (T, d)."""
         t = np.asarray(t, dtype=float)
-        stretched = (np.arange(self.dim) == self.axis) == (self.kind == "blow_up_hyperplane")
+        stretched = (np.arange(self.dim) == self.axis) == (self.kind == "plane")
         return np.where(stretched, 1.0 / t[..., None], 1.0)
 
     def matrix(self, t):
-        m = np.where(np.eye(self.dim, dtype=bool), self.diag(t)[..., None], 0.0)
-        return m if self.perm is None else self.perm @ m
+        return self.perm * self.diag(t)[..., None, :]
 
     def inverse(self, t):
-        m = np.where(np.eye(self.dim, dtype=bool), 1.0 / self.diag(t)[..., None], 0.0)
-        return m if self.perm is None else m @ self.perm.T
+        return (1.0 / self.diag(t))[..., :, None] * self.perm.T
 
     def base_condition(self, x0):
         """Whether g_t x(t) can converge: x(0) on the fixed locus to 1e-9, row by row."""
         x0 = np.asarray(x0, dtype=float)
         scale = np.linalg.norm(x0, axis=-1)
-        if self.kind == "blow_up_point":
+        if self.kind == "point":
             return np.linalg.norm(np.delete(x0, self.axis, axis=-1), axis=-1) <= 1e-9 * scale
         return np.abs(x0[..., self.axis]) <= 1e-9 * scale
 
@@ -89,39 +91,23 @@ class RescalingFamily:
         coordinates stay, stretched slots pick up the first derivative."""
         x0 = np.asarray(x0, dtype=float)
         dx0 = np.asarray(dx0, dtype=float)
-        out, at_axis = (x0.copy(), dx0) if self.kind == "blow_up_hyperplane" else (dx0.copy(), x0)
+        out, at_axis = (x0.copy(), dx0) if self.kind == "plane" else (dx0.copy(), x0)
         out[..., self.axis] = at_axis[..., self.axis]
-        return out if self.perm is None else np.einsum("ij,...j->...i", self.perm, out)
-
-
-def blow_up_point(dim):
-    return RescalingFamily("blow_up_point", dim)
-
-
-def blow_up_hyperplane(dim):
-    return RescalingFamily("blow_up_hyperplane", dim)
+        # C order: the duality check rounds a strided limit differently, by an ulp
+        return np.ascontiguousarray(out[..., self.order])
 
 
 def transition_family(space_name, kind):
     """Canonical family degenerating a model space of any dimension n >= 2.
 
     kind='point' lands a space in its registry point limit (Euc or Min),
-    kind='plane' in its plane limit (coEuc or coMin).  The family blows up
-    the registry's axis for that kind; when it is not the last one, the
-    slot permutation moves it last, so the limit lands in the target's
-    canonical coordinates.
+    kind='plane' in its plane limit (coEuc or coMin), by blowing up the
+    registry's axis for that kind.
     """
-    kinds = {"point": "blow_up_point", "plane": "blow_up_hyperplane"}
-    if kind not in kinds:
-        raise ValueError("kind must be 'point' or 'plane'")
     spec = space_family(space_name)
-    if getattr(spec, f"{kind}_limit") is None:
+    if getattr(spec, f"{kind}_limit", None) is None:
         raise ValueError(f"no canonical {kind} transition from {space_name}")
-    d = model_space(space_name).dim
-    axis = getattr(spec, f"{kind}_axis") % d
-    order = [i for i in range(d) if i != axis] + [axis]
-    perm = None if axis == d - 1 else np.eye(d)[order]
-    return RescalingFamily(kinds[kind], d, axis=axis, perm=perm)
+    return RescalingFamily(kind, model_space(space_name).dim, axis=getattr(spec, f"{kind}_axis"))
 
 
 def dual_family(fam, form):
@@ -204,11 +190,12 @@ def rescaled_point_limit_sequence(path, fam):
 
 def conjugate_isometry(h, fam, t):
     """g_t h g_t^{-1}, exactly: entry (i, j) scaled by diag_i / diag_j, then
-    the slot permutation.  A t-array (T,) conjugates a stack (T, ..., d, d)."""
+    rows and columns in the family's slot order.  A t-array (T,) conjugates
+    a stack (T, ..., d, d)."""
     h = np.asarray(h, dtype=float)
     diag = fam.diag(t).reshape(np.shape(t) + (1,) * (h.ndim - np.ndim(t) - 2) + (fam.dim,))
     m = diag[..., :, None] * h * (1.0 / diag)[..., None, :]
-    return m if fam.perm is None else fam.perm @ m @ fam.perm.T
+    return m[..., fam.order[:, None], fam.order]
 
 
 def _matrix_normalize(m):
@@ -237,19 +224,18 @@ def conjugate_limit(h_path, fam):
 def limit_group_membership(m, target, tol=1e-8):
     """Block-pattern test for the limit isometry groups, on (..., d, d).
 
-    ``target`` names a flat limit space or its group: 'Euc3' or 'IsomEuc',
-    'coMin' or 'IsomCoMin'.  Affine targets look like [[A, t], [0, 1]]
-    with A in O(n) or O(n-1,1); co-space targets look like [[A, 0], [t, 1]].
+    ``target`` is a registry name of a flat limit space, 'Euc3' or 'coMin3'.
+    Affine targets look like [[A, t], [0, 1]] with A in O(n) or O(n-1,1);
+    co-space targets look like [[A, 0], [t, 1]].
     Each representative is normalized by its corner entry first (so
     homotheties fail).  Returns a bool array over the leading axes; a
     matrix with a NaN fails.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[-1] - 1
-    base = target.removeprefix("Isom").rstrip("0123456789").lower()
-    spec = next((s for b, s in SPACES.items() if b.lower() == base), None)
-    if spec is None or (spec.chart_form is None and spec.chart is None):
-        raise ValueError(f"unknown target group {target}")
+    spec = space_family(target)
+    if spec.chart_form is None and spec.chart is None:
+        raise ValueError(f"{target} is not a flat limit space")
     # the block form: the flat chart's metric, or the co-space's base form
     g = spec.chart_form(n).matrix if spec.chart_form else spec.form(n).matrix[:n, :n]
     corner = m[..., n, n]
@@ -281,6 +267,20 @@ def duality_transition_check(path, fam, form):
     side_b = _unit(richardson(_signed_like_first(normals)))
     gap = 1.0 - np.abs(np.vecdot(side_a, side_b))
     return float(gap) if gap.ndim == 0 else gap
+
+
+def fixed_locus_point(space, fam, rng):
+    """A point of ``space`` on the family's fixed locus: the axis point of a
+    point blow-up; for a plane blow-up, a standard normal draw with its axis
+    slot zeroed, redrawn until sign q > 0.1, then scaled to |q| = 1."""
+    if fam.kind == "point":
+        return np.eye(space.dim)[fam.axis]
+    while True:
+        y = rng.standard_normal(space.dim)
+        y[fam.axis] = 0.0
+        q = float(space.form.quad(y))
+        if space.sign * q > 0.1:
+            return y / np.sqrt(abs(q))
 
 
 def stabilizer_isometry(form, fam, draw):
@@ -360,5 +360,5 @@ def one_d_limit(kind, a):
     k = 2^3, ..., 2^12."""
     ks = 2.0 ** np.arange(3, 13)
     x = np.moveaxis((rotation_1d if kind == "rotation" else boost_1d)(a / ks), -1, 0)
-    return richardson(conjugate_isometry(x, blow_up_point(2), 1.0 / ks), ratio=2.0,
+    return richardson(conjugate_isometry(x, RescalingFamily("point", 2), 1.0 / ks), ratio=2.0,
                       return_error=True)

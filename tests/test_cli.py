@@ -88,6 +88,22 @@ def test_dualize_ball(tmp_path, capsys):
     assert np.max(np.abs(support - 0.5)) < 1e-12
 
 
+def test_dualize_minkowski_body_with_timelike_rays(tmp_path, capsys):
+    # the dual's support is +inf on the grid directions outside the body's
+    # recession cone, reported as "inf", not an error
+    body = _write(tmp_path, "m.json", {
+        "vertices": [[0.3, 0.1, 1.2], [-0.2, 0.4, 1.5], [0.0, 0.0, 1.0]],
+        "rays": [[0, 0, 1], [0.6, 0, 1], [-0.6, 0, 1], [0, 0.6, 1], [0, -0.6, 1]]})
+    code, out, err = run_cli(["dualize", "--flavor", "minkowski", "--body", body], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "support range [-0.989406231338, inf]"
+    code, out, _ = run_cli(["dualize", "--flavor", "minkowski", "--body", body,
+                            "--emit", "json"], capsys)
+    support = json.loads(out)["support"]
+    assert code == 0 and len(support) == 4096 and support.count("inf") == 3024
+    assert all(isinstance(h, float) and h < 0 for h in support if h != "inf")
+
+
 def test_dualize_vertices_csv(tmp_path, capsys):
     body = tmp_path / "cube.json"
     cube = [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
@@ -448,7 +464,10 @@ def _write(tmp_path, name, record):
                                   "velocity-of-length-1", "path-base-of-length-3",
                                   "flat-vertices", "flat-rays", "euclidean-body-with-rays",
                                   "ball-under-minkowski", "hyperboloid-under-euclidean",
-                                  "classify-line-2-coordinates", "distance-y-4-coordinates"])
+                                  "classify-line-2-coordinates", "distance-y-4-coordinates",
+                                  "check-surface-Euc2", "check-connection-coEuc4",
+                                  "transition-surface-dS2", "dual-surface-coMin4",
+                                  "surface-grid-too-large"])
 def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
     body = ["dualize", "--flavor", "euclidean", "--grid", "4", "--body"]
     surface = ["check-surface", "--grid", "9", "--space"]
@@ -536,6 +555,11 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                                         "--y", "[0,1]"],
         "distance-y-4-coordinates": ["distance", "--space", "Hyp2", "--x", "[0,0,1]",
                                      "--y", "[0.3,0,0,1]"],
+        "check-surface-Euc2": surface + ["Euc2"],
+        "check-connection-coEuc4": ["check-connection", "--space", "coEuc4"],
+        "transition-surface-dS2": ["transition-surface", "--space", "dS2"],
+        "dual-surface-coMin4": ["dual-surface", "--space", "coMin4", "--grid", "9"],
+        "surface-grid-too-large": ["check-surface", "--space", "coEuc3", "--grid", "200"],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -578,7 +602,12 @@ def test_hostile_inputs_are_validation_errors(case, tmp_path, capsys):
                 "hyperboloid-under-euclidean":
                     "a hyperboloid body needs --flavor minkowski, not euclidean",
                 "classify-line-2-coordinates": "--x has 2 coordinates; Ell2 points have 3",
-                "distance-y-4-coordinates": "--y has 4 coordinates; Hyp2 points have 3"}
+                "distance-y-4-coordinates": "--y has 4 coordinates; Hyp2 points have 3",
+                "check-surface-Euc2": "--space must be a model 3-space, got Euc2",
+                "check-connection-coEuc4": "--space must be a model 3-space, got coEuc4",
+                "transition-surface-dS2": "--space must be a model 3-space, got dS2",
+                "dual-surface-coMin4": "--space must be a model 3-space, got coMin4",
+                "surface-grid-too-large": "surface grid must be at most 65, got 200"}
     assert expected.get(case, "") in err
 
 

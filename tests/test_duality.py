@@ -218,6 +218,23 @@ def test_minkowski_body_and_dual():
         du.MinkowskiBody([[1.0, 0.0, 0.5]])  # spacelike vertex
 
 
+def test_minkowski_support_is_inf_off_the_dual_recession_cone():
+    # the dual of a body with timelike recession rays has spacelike ones:
+    # b(r, v) > 0 for one of them makes b(., v) unbounded on the dual, and
+    # the other directions keep the vertex maximum
+    rays = np.array([[0, 0, 1], [0.6, 0, 1], [-0.6, 0, 1], [0, 0.6, 1], [0, -0.6, 1]])
+    dual = du.MinkowskiBody([[0.3, 0.1, 1.2], [-0.2, 0.4, 1.5], [0.0, 0.0, 1.0]], rays=rays).dual()
+    dirs = du.hyperboloid_grid(16)
+    b = forms.bpq(2, 1)
+    unbounded = np.any(b(dual.rays[:, None, :], dirs[None, :, :]) > 1e-9, axis=0)
+    assert 0 < unbounded.sum() < len(dirs)
+    h = dual.support(dirs)
+    assert np.all(np.isposinf(h[unbounded]))
+    assert np.max(np.abs(h[~unbounded] - np.max(b(dual.vertices[:, None, :], dirs[~unbounded]),
+                                                 axis=0))) < 1e-12
+    assert np.array_equal(dual.support(dirs[unbounded][0]), [np.inf])
+
+
 def test_minkowski_round_trip_in_min4():
     # the default recession rays live in Min^4 too: 64 lightlike directions
     rng = np.random.default_rng(4)

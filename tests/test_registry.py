@@ -26,30 +26,38 @@ def test_transition_lists_keep_their_order():
         ("Ell3", "coEuc3"), ("dS3", "coEuc3"), ("Hyp3", "coMin3"), ("AdS3", "coMin3")]
 
 
-# the n = 3 families as they were written out by hand before the registry
+# the n = 3 families as they were written out by hand before the registry:
+# the blown-up axis and the slot order (None for the identity)
 OLD_FAMILIES = {
-    ("Ell3", "point"): ("blow_up_point", 3, None),
-    ("Hyp3", "point"): ("blow_up_point", 3, None),
-    ("AdS3", "point"): ("blow_up_point", 3, None),
-    ("dS3", "point"): ("blow_up_point", 0, [1, 2, 3, 0]),
-    ("Ell3", "plane"): ("blow_up_hyperplane", 3, None),
-    ("dS3", "plane"): ("blow_up_hyperplane", 3, None),
-    ("AdS3", "plane"): ("blow_up_hyperplane", 3, None),
-    ("Hyp3", "plane"): ("blow_up_hyperplane", 2, [0, 1, 3, 2]),
+    ("Ell3", "point"): (3, None),
+    ("Hyp3", "point"): (3, None),
+    ("AdS3", "point"): (3, None),
+    ("dS3", "point"): (0, [1, 2, 3, 0]),
+    ("Ell3", "plane"): (3, None),
+    ("dS3", "plane"): (3, None),
+    ("AdS3", "plane"): (3, None),
+    ("Hyp3", "plane"): (2, [0, 1, 3, 2]),
 }
 
 
 @pytest.mark.parametrize("name,kind", sorted(OLD_FAMILIES))
 def test_three_dimensional_families_unchanged(name, kind):
-    fam_kind, axis, order = OLD_FAMILIES[(name, kind)]
-    fam = tr.transition_family(name, kind)
-    assert (fam.kind, fam.axis) == (fam_kind, axis)
-    if order is None:
-        assert fam.perm is None
-    else:
-        perm = np.zeros((4, 4))
-        perm[np.arange(4), order] = 1.0
-        assert np.array_equal(fam.perm, perm)
+    axis, order = OLD_FAMILIES[(name, kind)]
+    for n in (2, 3, 4):
+        d = n + 1
+        # the old axis in d slots: slot 0 stays, the others count from the end
+        a = axis if axis == 0 else axis - 4 + d
+        slots = [i for i in range(d) if i != a] + [a]
+        if n == 3:
+            assert slots == (order or [0, 1, 2, 3])
+        fam = tr.transition_family(f"{name[:-1]}{n}", kind)
+        assert (fam.kind, fam.axis) == (kind, a)
+        perm = np.zeros((d, d))
+        perm[np.arange(d), slots] = 1.0
+        for t in (1.0, 0.3, 0.125):
+            stretch = np.where((np.arange(d) == a) == (kind == "plane"), 1.0 / t, 1.0)
+            assert np.array_equal(fam.matrix(t), perm @ np.diag(stretch))
+            assert np.array_equal(fam.inverse(t), np.diag(1.0 / stretch) @ perm.T)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -65,13 +73,14 @@ def test_families_land_in_limit_groups_in_every_dimension(n):
 
 
 def test_limit_groups_by_space_or_group_name():
+    # limit groups are named by their registry space only
     bad = np.eye(4)
     bad[3, 1] = 0.3
-    for space, group in (("Euc3", "IsomEuc"), ("coEuc", "IsomCoEuc"), ("coMin3", "IsomCoMin")):
-        assert tr.limit_group_membership(bad, space) == tr.limit_group_membership(bad, group)
     assert tr.limit_group_membership(bad, "coEuc3") and not tr.limit_group_membership(bad, "Euc3")
-    with pytest.raises(ValueError):
-        tr.limit_group_membership(np.eye(4), "IsomEll")
+    assert tr.limit_group_membership(bad, "coEuc") and tr.limit_group_membership(bad, "coMin3")
+    for target in ("IsomEuc", "IsomCoEuc", "IsomEll", "Ell3", "euc3"):
+        with pytest.raises(ValueError):
+            tr.limit_group_membership(np.eye(4), target)
     with pytest.raises(ValueError):
         tr.transition_family("Euc3", "point")
 

@@ -3,7 +3,6 @@ import zlib
 import numpy as np
 import pytest
 
-from modelspace import acceptance as ac
 from modelspace import forms
 from modelspace import projective as pj
 from modelspace import transition as tr
@@ -11,11 +10,11 @@ from modelspace._numerics import DEFAULT_SCHEDULE, central_difference, richardso
 
 
 def test_family_invariants():
-    fam = tr.blow_up_point(4)
+    fam = tr.RescalingFamily("point", 4)
     assert np.allclose(fam.matrix(1.0), np.eye(4))
     for t in (0.5, 0.1, 0.01):
         assert np.allclose(fam.matrix(t) @ fam.inverse(t), np.eye(4))
-    fam2 = tr.blow_up_hyperplane(3)
+    fam2 = tr.RescalingFamily("plane", 3)
     assert np.allclose(fam2.matrix(0.25), np.diag([1.0, 1.0, 4.0]))
 
 
@@ -31,7 +30,7 @@ def test_one_d_toy_model():
 
 
 def test_rescaled_point_limit_examples():
-    fam = tr.blow_up_point(3)
+    fam = tr.RescalingFamily("point", 3)
     a = 0.7
     path = tr.PointPath(lambda t: np.stack([np.sin(a * t), np.zeros_like(t), np.cos(a * t)], -1))
     limit = tr.rescaled_point_limit(path, fam)
@@ -76,7 +75,7 @@ def test_conjugation_preserves_group_law():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-@pytest.mark.parametrize("name,kind,target", [
+@pytest.mark.parametrize("name,kind,group", [
     ("Ell3", "point", "IsomEuc"),
     ("Hyp3", "point", "IsomEuc"),
     ("dS3", "point", "IsomMin"),
@@ -86,7 +85,10 @@ def test_conjugation_preserves_group_law():
     ("Hyp3", "plane", "IsomCoMin"),
     ("AdS3", "plane", "IsomCoMin"),
 ])
-def test_limit_group_patterns(name, kind, target):
+def test_limit_group_patterns(name, kind, group):
+    # the registry's limit space is the one whose group the case names
+    target = pj.related(name, f"{kind}_limit")
+    assert group == "Isom" + target[0].upper() + target[1:-1]
     rng = np.random.default_rng(zlib.crc32(f"{name}-{kind}".encode()))
     space = pj.model_space(name)
     fam = tr.transition_family(name, kind)
@@ -153,24 +155,24 @@ def test_membership_of_a_stack_matches_each_matrix():
     wrong_zero = limits[2].copy()
     wrong_zero[0, 3] = 0.3
     stack = np.concatenate([limits, [nan_row, homothety, wrong_zero]])
-    member = tr.limit_group_membership(stack, "IsomCoMin", tol=1e-6)
+    member = tr.limit_group_membership(stack, "coMin3", tol=1e-6)
     assert member.dtype == bool and member.tolist() == [True] * 4 + [False] * 3
-    assert member.tolist() == [bool(tr.limit_group_membership(m, "IsomCoMin", tol=1e-6))
+    assert member.tolist() == [bool(tr.limit_group_membership(m, "coMin3", tol=1e-6))
                                for m in stack]
-    assert np.array_equal(tr.limit_group_membership(stack.reshape(7, 1, 4, 4), "IsomCoMin",
+    assert np.array_equal(tr.limit_group_membership(stack.reshape(7, 1, 4, 4), "coMin3",
                                                     tol=1e-6), member[:, None])
 
 
 def test_membership_rejects():
     # a homothety is an isometry of the degenerate form but not of the
     # co-Euclidean geometry
-    assert not tr.limit_group_membership(np.diag([1.0, 1, 1, 2.5]), "IsomCoEuc")
-    for target in ("IsomEuc", "IsomMin", "IsomCoEuc", "IsomCoMin"):
+    assert not tr.limit_group_membership(np.diag([1.0, 1, 1, 2.5]), "coEuc3")
+    for target in ("Euc3", "Min3", "coEuc3", "coMin3"):
         assert tr.limit_group_membership(np.eye(4), target)
     bad = np.eye(4)
     bad[3, 1] = 0.3
-    assert not tr.limit_group_membership(bad, "IsomEuc")
-    assert tr.limit_group_membership(bad, "IsomCoEuc")
+    assert not tr.limit_group_membership(bad, "Euc3")
+    assert tr.limit_group_membership(bad, "coEuc3")
 
 
 def test_anti_isometric_targets_share_limits():
@@ -182,7 +184,7 @@ def test_anti_isometric_targets_share_limits():
     fam = tr.transition_family("dS3", "point")
     h = tr.random_isometry_path(anti, fam, rng)  # O(-b) = O(b)
     limit, _ = tr.conjugate_limit(h, fam)
-    assert tr.limit_group_membership(limit, "IsomMin", tol=1e-6)
+    assert tr.limit_group_membership(limit, "Min3", tol=1e-6)
 
 
 def test_duality_transition_diagrams():
@@ -192,16 +194,7 @@ def test_duality_transition_diagrams():
         space = pj.model_space(name)
         fam = tr.transition_family(name, kind)
         for _ in range(10):
-            if fam.kind == "blow_up_point":
-                x0 = np.zeros(4)
-                x0[fam.axis] = 1.0
-            else:
-                while True:
-                    y = rng.standard_normal(4)
-                    y[fam.axis] = 0.0
-                    if space.sign * float(space.form.quad(y)) > 0.1:
-                        x0 = y / np.sqrt(abs(float(space.form.quad(y))))
-                        break
+            x0 = tr.fixed_locus_point(space, fam, rng)
             v, w = rng.standard_normal((2, 4))
 
             def x(t, x0=x0, v=v, w=w):
@@ -228,7 +221,7 @@ def test_dual_family_structure():
 def _quadratic_paths(space, fam, rng, count):
     """``count`` paths x0 + t v + t^2 w / 2 on the space, x0 on the fixed
     locus, as the (count, d) base points and coefficients."""
-    x0 = np.array([ac._fixed_locus_point(space, fam, rng) for _ in range(count)])
+    x0 = np.array([tr.fixed_locus_point(space, fam, rng) for _ in range(count)])
     v, w = rng.standard_normal((2, count, space.dim))
     return x0, v, w
 

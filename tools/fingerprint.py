@@ -1,4 +1,4 @@
-"""Print one md5 per distance-, duality- and surface-layer kernel output, of its float64 bits.
+"""Print one md5 per kernel output of the distance, duality, transition and surface layers.
 
     PYTHONPATH=src python3 tools/fingerprint.py > fingerprint.txt
 
@@ -11,7 +11,10 @@ frames of the patches without derivative evaluators and the forward map of
 the support recovery are hashed on their own, and so are the polyhedral
 duals and double duals of bodies drawn as in acceptance criterion 2, the
 grid polars of round and polyhedral support functions, and the bodies cut
-out by support samples.  Takes a few seconds.
+out by support samples.  The transition layer is hashed per canonical
+family at n = 2, 3, 4: its matrix, inverse and assembled limit, the
+conjugate limits of stacked isometry paths and the duality-diagram gaps of
+stacked point paths.  Takes a few seconds.
 """
 
 import hashlib
@@ -22,7 +25,14 @@ from modelspace import duality as du
 from modelspace import pogorelov as pg
 from modelspace import projective as pj
 from modelspace import surfaces as sf
+from modelspace import transition as tr
+from modelspace._numerics import DEFAULT_SCHEDULE
 from modelspace.projective import model_space
+
+# trees before the fixed-locus sampler moved into transition keep it in acceptance
+fixed_locus_point = getattr(tr, "fixed_locus_point", None)
+if fixed_locus_point is None:
+    from modelspace.acceptance import _fixed_locus_point as fixed_locus_point
 
 S2_DOM = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3))
 H2_DOM = ((0.1, 1.1), (0.3, 2 * np.pi - 0.3))
@@ -89,8 +99,36 @@ def duality_layer():
         show(f"body_from_support[{name}]", body.vertices, *([body.rays] if sfn.sign < 0 else []))
 
 
+def transition_layer():
+    """Each canonical family's matrix, inverse and assembled limit, and the conjugate
+    limits and duality-diagram gaps of 16 stacked paths, at n = 2, 3, 4."""
+    ts = np.concatenate([DEFAULT_SCHEDULE, [1.0, 0.3]])
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(n)
+        for kind in ("point", "plane"):
+            for name, _ in pj.transitions(kind, n):
+                space, fam = model_space(name), tr.transition_family(name, kind)
+                x0, dx0 = rng.standard_normal((2, 16, space.dim))
+                show(f"family[{name},{kind}]", fam.matrix(ts), fam.inverse(ts), fam.matrix(0.3),
+                     fam.inverse(0.3), fam.assemble_limit(x0, dx0),
+                     fam.assemble_limit(x0[0], dx0[0]))
+                h = tr.random_isometry_path(space, fam, rng, size=16)
+                show(f"conjugate_limit[{name},{kind}]", *tr.conjugate_limit(h, fam))
+                x0 = np.array([fixed_locus_point(space, fam, rng) for _ in range(16)])
+                v, w = rng.standard_normal((2, 16, space.dim))
+
+                def x(t, x0=x0, v=v, w=w, space=space):
+                    t = np.asarray(t)[..., None, None]
+                    y = x0 + t * v + 0.5 * t * t * w
+                    return y / np.sqrt(np.abs(space.form.quad(y)))[..., None]
+
+                show(f"duality_transition_check[{name},{kind}]",
+                     tr.duality_transition_check(tr.PointPath(x), fam, space.form))
+
+
 def main():
     duality_layer()
+    transition_layer()
     rng = np.random.default_rng(0)
     for name in ("Ell2", "Hyp2", "dS2", "AdS3"):
         space = model_space(name)
