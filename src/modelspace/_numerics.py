@@ -30,11 +30,14 @@ Cramer's rule, and take 2x2 matrices only (any other shape is a
 ValueError): Cramer's rule is forward stable for n = 2 but not beyond
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002).
 The surfaces layer needs no larger solve: its II is Cramer's rule on the
-transverse covector, whose entries are ``det_small`` minors.  The 3x3 and
-larger solves and inverses left on ``np.linalg``, none of them on a large
-stack, are pogorelov's Christoffel inverse, ``operator_l`` and Killing
-basis; transition's inverses of the form and of the dual family; and
-forms' ``antisymmetric_from_draw`` and ``cayley``.  A zero 2x2
+transverse covector, whose entries are maximal minors: ``np.cross`` of the
+two tangent columns in a flat chart, ``det3`` (the 3x3 cofactor expansion
+of ``det_small``, on rows given entry by entry) in R^4, ``det_small`` of
+the deleted rows beyond.  The 3x3 and larger solves and inverses left on
+``np.linalg``, none of them on a large stack, are pogorelov's Christoffel
+inverse, ``operator_l`` and Killing basis; transition's inverses of the
+form and of the dual family; and forms' ``antisymmetric_from_draw`` and
+``cayley``.  A zero 2x2
 determinant raises ``np.linalg.LinAlgError("Singular matrix")``, the error
 LAPACK raises, which is a ValueError.
 """
@@ -134,9 +137,15 @@ def det_small(m):
         (a, b), (c, d) = entries
         return a * d - b * c
     if m.shape[-2:] == (3, 3):
-        (a, b, c), (d, e, f), (g, h, i) = entries
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return det3(*entries)
     return np.linalg.det(m)
+
+
+def det3(r0, r1, r2):
+    """The determinant of the 3x3 matrix with rows r0, r1, r2, three
+    entries each (arrays that broadcast), by cofactor expansion along r0."""
+    (a, b, c), (d, e, f), (g, h, i) = r0, r1, r2
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _adjugate2(m):

@@ -1,8 +1,13 @@
 """Symmetric bilinear forms of arbitrary signature on R^d.
 
-A form is stored as a full symmetric matrix even when it is diagonal, so
-that restrictions to subspaces (which are rarely diagonal) go through the
-same code path.  Vectors are plain numpy arrays.
+A form is stored as a full symmetric matrix, and a diagonal form (every
+form of the registry) keeps its diagonal too.  Every value b(x, y) is one
+Gram kernel, ``BilinearForm.gram``: a single einsum over the diagonal when
+there is one, the matrix product otherwise, as for the restriction of a
+form to a subspace, which is rarely diagonal.  The einsum rounds each
+entry of a stack exactly as it rounds the lone vector; the matrix product
+need not (BLAS sums a stack and a lone vector in different orders).
+Vectors are plain numpy arrays.
 
 Signatures are triples (p, q, z): the number of positive, negative and
 zero eigenvalues, with a zero threshold relative to the spectral radius.
@@ -50,6 +55,7 @@ class BilinearForm:
             raise ValueError("form matrix must be symmetric")
         self.matrix = 0.5 * (matrix + matrix.T)
         self.dim = matrix.shape[0]
+        self.diag = _diagonal(self.matrix)
         self.signature = _signature(self.matrix)
 
     @property
@@ -62,7 +68,15 @@ class BilinearForm:
     def quad(self, x):
         """b(x, x), broadcasting over leading axes of ``x``."""
         x = np.asarray(x, dtype=float)
-        return (x @ self.matrix * x).sum(-1)
+        return self.gram(x, x)
+
+    def gram(self, x, y):
+        """b(x, y) of float arrays (..., dim), broadcasting, unchecked: the
+        one Gram product, sum_i x_i d_i y_i over the diagonal d of a
+        diagonal form, the matrix product otherwise."""
+        if self.diag is not None:
+            return np.einsum("...i,i,...i->...", x, self.diag, y)
+        return (x @ self.matrix * y).sum(-1)
 
     def __repr__(self):
         p, q, z = self.signature
@@ -84,10 +98,16 @@ class BilinearForm:
         return cls(mat)
 
 
-def _signature(matrix):
+def _diagonal(matrix):
+    """The diagonal of a diagonal matrix (a read-only view), else None."""
     diag = np.diagonal(matrix)
+    return diag if np.array_equal(matrix, np.diag(diag)) else None
+
+
+def _signature(matrix):
     # a diagonal matrix's eigenvalues are its diagonal entries
-    eigvals = diag if np.array_equal(matrix, np.diag(diag)) else np.linalg.eigvalsh(matrix)
+    diag = _diagonal(matrix)
+    eigvals = np.linalg.eigvalsh(matrix) if diag is None else diag
     radius = np.max(np.abs(eigvals)) if matrix.size else 0.0
     tol = SIGNATURE_ZERO_RTOL * radius if radius > 0 else SIGNATURE_ZERO_RTOL
     p = int(np.sum(eigvals > tol))
@@ -136,7 +156,7 @@ def evaluate(form, x, y):
         raise ValueError(
             f"vector length does not match form dimension {form.dim}"
         )
-    return (x @ form.matrix * y).sum(-1)
+    return form.gram(x, y)
 
 
 def classify_vector(form, x):

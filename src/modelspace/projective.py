@@ -145,7 +145,7 @@ class ModelSpace:
         b(x,x) = sign; the lift keeps its positive last nonzero coordinate."""
         x = point.rep if isinstance(point, ProjPoint) else _normalize_rep(point)
         q = float(self.form(x, x))
-        if self.sign * q <= 0:
+        if not self.sign * q > 0:  # the test of ``contains``; a NaN fails it
             raise ValueError(f"point {x} is not in {self.name}")
         return x / np.sqrt(abs(q))
 
@@ -405,9 +405,7 @@ def _gram(form, X, Y):
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    Xb = X @ form.matrix
-    a, h = (Xb * X).sum(-1), (Xb * Y).sum(-1)
-    c = (Y @ form.matrix * Y).sum(-1)
+    a, h, c = form.gram(X, X), form.gram(X, Y), form.gram(Y, Y)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(h)), np.abs(c))
     disc = h * h - a * c
     tau = DISC_RTOL * scale
@@ -507,13 +505,16 @@ def projective_distance(space, x, y, return_line_type=False):
     I, J are the line's absolute points and ln is the principal branch, so
     elliptic lines give values in [0, pi/2] (the module docstring has the
     case table).  The line type of a point with itself is None.  One-pair
-    call of ``projective_distance_batch`` on the pseudo-sphere lifts.
+    call of ``projective_distance_batch`` on the pseudo-sphere lifts, whose
+    refusal names the point that is not in the space.
     """
-    if not space.contains(x):
-        raise ValueError(f"first point is not in {space.name}")
-    if not space.contains(y):
-        raise ValueError(f"second point is not in {space.name}")
-    d, kinds = projective_distance_batch(space, space.lift(x)[None], space.lift(y)[None])
+    lifts = []
+    for which, point in (("first", x), ("second", y)):
+        try:
+            lifts.append(space.lift(point)[None])
+        except ValueError:
+            raise ValueError(f"{which} point is not in {space.name}") from None
+    d, kinds = projective_distance_batch(space, *lifts)
     kind = str(kinds[0])
     if kind == "parabolic" and x.same_point(y):
         kind = None

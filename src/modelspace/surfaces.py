@@ -11,13 +11,19 @@ fundamental form III = B^T I B.  All eight spaces take II by one route,
 Cramer's rule on the transverse covector c, the signed maximal minors of
 (sigma_u, sigma_v) in a flat chart and of (sigma_u, sigma_v, sigma) in R^4:
 II_ij = (c . d_ij sigma) / (c . nu), with nu the oriented unit b-normal,
-or the vertical e_last in a co-space.
+or the vertical e_last in a co-space.  c is in closed form, the cross
+product of (sigma_u, sigma_v) in a flat chart and four ``det3`` minors in
+R^4, and I is one product per ambient coordinate over the diagonal of the
+form.
 
 Gauss-Codazzi residuals are measured with grid finite differences: the
 intrinsic curvature comes from the Brioschi formula, the Codazzi tensor
-from the I-Levi-Civita covariant derivative of B.  Both residuals take the
-sup over the inner grid, and every grid-step extrapolation is one
-``richardson`` call with ratio 4 (the stencils' error is in h^2).
+from the I-Levi-Civita covariant derivative of B.  The Christoffel symbols
+of I and the two components (nabla_u B)(d_v), (nabla_v B)(d_u) that the
+Codazzi field needs are written component by component, each sum over
+l = 0, 1 in order.  Both residuals take the sup over the inner grid, and
+every grid-step extrapolation is one ``richardson`` call with ratio 4
+(the stencils' error is in h^2).
 embedding_data takes stacks: an immersion that returns (T, m, m, d) over
 the grid gives (T, m, m, 2, 2) fields, so a surface transition is one call.
 
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numerics import central_jet, det_small, inv_small, richardson, solve_small
+from ._numerics import central_jet, det3, det_small, inv_small, richardson, solve_small
 from .projective import base_form, chart_jet, chart_space, model_space, related, space_family
 from .transition import transition_family
 
@@ -218,9 +224,28 @@ def _default_hint(space, sigma):
 
 def _transverse_covector(cols):
     """The covector c vanishing on the d - 1 columns of a stack (..., d, d - 1):
-    its entries are the signed maximal minors (-1)^k det(cols without row k)."""
+    its entries are the signed maximal minors (-1)^k det(cols without row k).
+
+    In closed form for d = 3, the cross product of the two columns, and for
+    d = 4, where each 3x3 minor is ``det3`` of the other three rows.
+    """
+    if cols.shape[-2:] == (3, 2):
+        return np.cross(cols[..., 0], cols[..., 1])
+    if cols.shape[-2:] == (4, 3):
+        rows = list(np.moveaxis(cols, (-2, -1), (0, 1)))
+        return np.stack([(-1) ** k * det3(*rows[:k], *rows[k + 1:]) for k in range(4)], axis=-1)
     return np.stack([(-1) ** k * det_small(np.delete(cols, k, axis=-2))
                      for k in range(cols.shape[-2])], axis=-1)
+
+
+def _pullback(jac, diag):
+    """The pullback jac^T g jac of the diagonal form g = diag(``diag``) by a
+    stack of Jacobians (..., d, 2): one outer product per row, in row order."""
+    gjac = diag[:, None] * jac
+    I = jac[..., 0, :, None] * gjac[..., 0, None, :]
+    for a in range(1, len(diag)):
+        I += jac[..., a, :, None] * gjac[..., a, None, :]
+    return I
 
 
 def _embedding(patch, m):
@@ -237,8 +262,8 @@ def _embedding(patch, m):
     space = patch.space
     U, V, du, dv = patch.grid(m)
     sigma, jac, hess = patch.frames(U, V)
-    g = (space.chart_form or space.form).matrix
-    I = np.einsum("...ai,...aj->...ij", jac, g @ jac)
+    g = (space.chart_form or space.form).diag  # the registry's forms are diagonal
+    I = _pullback(jac, g)
     # I positive definite; a NaN passes on, to fail the residual checks
     bad = (det_small(I) <= 1e-12) | (I[..., 0, 0] <= 0)
     if np.any(bad):
@@ -249,7 +274,7 @@ def _embedding(patch, m):
     if space.degenerate:
         c_nu = c[..., -1]
     else:
-        nu = c / np.diag(g)  # g^{-1} c: the registry's forms are diagonal
+        nu = c / g  # g^{-1} c
         nu /= np.sqrt(np.abs((nu * c).sum(-1)))[..., None]
         hint = _default_hint(space, sigma) if patch.normal_hint is None else patch.normal_hint
         nu[(nu * np.asarray(hint, float)).sum(-1) < 0] *= -1.0
@@ -328,11 +353,13 @@ def _christoffel_of_I(I, du, dv, order=2):
     else:
         dI = np.stack(_grid_gradient(I, du, dv), axis=-3)  # (..., deriv, i, j)
     Iinv = inv_small(I)
-    # d_i I_jl + d_j I_il - d_l I_ij, contracted with I^{kl}
+    # d_i I_jl + d_j I_il - d_l I_ij, contracted with I^{kl} over l = 0, 1
     t1 = dI
     t2 = np.einsum("...jil->...ijl", dI)
     t3 = np.einsum("...lij->...ijl", dI)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", Iinv, t1 + t2 - t3)
+    t = t1 + t2 - t3
+    return 0.5 * (Iinv[..., :, 0, None, None] * t[..., None, :, :, 0]
+                  + Iinv[..., :, 1, None, None] * t[..., None, :, :, 1])
 
 
 def _grad4(F, h, axis):
@@ -352,11 +379,16 @@ def codazzi_residual_field(data):
     """(nabla_u B)(d_v) - (nabla_v B)(d_u) over the grid, as 2-vectors."""
     B, du, dv = data.B, data.du, data.dv
     gamma = _christoffel_of_I(data.I, du, dv)
-    dB = np.stack(_grid_gradient(B, du, dv), axis=-3)  # (..., deriv, k, j)
-    # (nabla_i B)^k_j = d_i B^k_j + Gamma^k_{il} B^l_j - Gamma^l_{ij} B^k_l
-    cov = dB + np.einsum("...kil,...lj->...ikj", gamma, B) \
-        - np.einsum("...lij,...kl->...ikj", gamma, B)
-    return cov[..., 0, :, 1] - cov[..., 1, :, 0]
+
+    def nabla(i, j, d_i):
+        # (nabla_i B)^k_j = d_i B^k_j + Gamma^k_{il} B^l_j - Gamma^l_{ij} B^k_l,
+        # each sum over l = 0, 1 in order
+        dB = np.gradient(B[..., :, j], d_i, axis=i)
+        up = gamma[..., :, i, 0] * B[..., 0, j, None] + gamma[..., :, i, 1] * B[..., 1, j, None]
+        down = gamma[..., 0, i, j, None] * B[..., :, 0] + gamma[..., 1, i, j, None] * B[..., :, 1]
+        return dB + up - down
+
+    return nabla(0, 1, du) - nabla(1, 0, dv)
 
 
 def inner_grid(field):
@@ -446,14 +478,14 @@ _D2_RING = np.array([0.0, 1.0, -2.0, 1.0, 0.0])
 def _ambient_extension_hessian(u_fn, points, g):
     """Hessian of the one-homogeneous extension of u at base points.
 
-    U(y) = |y|_g u(y/|y|_g), with g the base form: Euclidean for S^2,
+    U(y) = |y|_g u(y/|y|_g), with g the base ``BilinearForm``: Euclidean for S^2,
     Lorentzian for H^2; points shape (..., 3).  One ``_numerics.central_jet``
     call, the stencil of ``SurfacePatch.frames``, at steps 2e-4 and 1e-4
     with one Richardson level: each offset costs one evaluation of U, on
     both steps at once, with u_fn seeing the points in their own row layout.
     """
     def U(y):
-        q = (y @ g * y).sum(-1)
+        q = g.quad(y)
         s = np.sqrt(np.abs(q))
         return s * np.asarray(u_fn(y / s[..., None]))
 
@@ -473,11 +505,10 @@ def shape_from_support(u_fn, base="S2", domain=None, m=64):
     (u0, u1), (v0, v1) = _CHART_DOMAINS[base] if domain is None else domain
     Ug, Vg = np.meshgrid(np.linspace(u0, u1, m), np.linspace(v0, v1, m), indexing="ij")
     points, jac = chart_jet(base, Ug, Vg, 1)
-    g = base_form(chart_space(base)).matrix
+    g = base_form(chart_space(base))
     H = _ambient_extension_hessian(u_fn, points, g)
     hform = np.einsum("...ai,...ab,...bj->...ij", jac, H, jac)
-    gj = np.einsum("ab,...bi->...ai", g, jac)
-    I = np.einsum("...ai,...aj->...ij", jac, gj)
+    I = _pullback(jac, g.diag)
     B = solve_small(I, hform)
     return B, I
 

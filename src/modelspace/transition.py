@@ -224,7 +224,8 @@ def conjugate_limit(h_path, fam):
 def limit_group_membership(m, target, tol=1e-8):
     """Block-pattern test for the limit isometry groups, on (..., d, d).
 
-    ``target`` is a registry name of a flat limit space, 'Euc3' or 'coMin3'.
+    ``target`` is a registry name of a flat limit space with its dimension
+    n = d - 1, 'Euc3' or 'coMin3' for 4x4 matrices; any other name raises.
     Affine targets look like [[A, t], [0, 1]] with A in O(n) or O(n-1,1);
     co-space targets look like [[A, 0], [t, 1]].
     Each representative is normalized by its corner entry first (so
@@ -233,18 +234,21 @@ def limit_group_membership(m, target, tol=1e-8):
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[-1] - 1
-    spec = space_family(target)
-    if spec.chart_form is None and spec.chart is None:
+    space = model_space(target)
+    if space.chart_form is None and not space.degenerate:
         raise ValueError(f"{target} is not a flat limit space")
+    if space.n != n:
+        raise ValueError(f"{target} acts by {space.dim}x{space.dim} matrices, not {n + 1}x{n + 1}")
     # the block form: the flat chart's metric, or the co-space's base form
-    g = spec.chart_form(n).matrix if spec.chart_form else spec.form(n).matrix[:n, :n]
+    flat = space.chart_form is not None
+    g = space.chart_form.matrix if flat else space.form.matrix[:n, :n]
     corner = m[..., n, n]
     ok = np.abs(corner) >= tol * np.max(np.abs(m), axis=(-2, -1))
     with np.errstate(divide="ignore", invalid="ignore"):
         m = m / corner[..., None, None]
         a = m[..., :n, :n]
         ok &= np.max(np.abs(np.swapaxes(a, -1, -2) @ g @ a - g), axis=(-2, -1)) <= tol
-    zero_block = m[..., n, :n] if spec.chart_form else m[..., :n, n]
+    zero_block = m[..., n, :n] if flat else m[..., :n, n]
     return ok & (np.max(np.abs(zero_block), axis=-1) <= tol)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from modelspace import forms
-from modelspace.projective import model_space
+from modelspace.projective import SPACES, model_space
 
 
 def test_eval_examples():
@@ -179,3 +179,33 @@ def test_json_round_trip():
     again = forms.BilinearForm.from_dict(b.to_dict())
     assert again == b
     assert b.to_dict()["dim"] == 3
+
+
+def _registry_forms():
+    for n in (2, 3, 4):
+        for base, spec in SPACES.items():
+            yield f"{base}{n}", spec.form(n)
+            if spec.chart_form is not None:
+                yield f"{base}{n} chart", spec.chart_form(n)
+
+
+@pytest.mark.parametrize("name, form", list(_registry_forms()), ids=lambda v: str(v))
+def test_gram_kernel_is_the_matrix_product_bit_for_bit(name, form):
+    # every registry form is diagonal and takes the einsum over its diagonal
+    assert form.diag is not None
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    x = rng.standard_normal((200, form.dim)) * 10.0 ** rng.uniform(-8, 8, (200, 1))
+    y = rng.standard_normal((200, form.dim))
+    for a, b in ((x, y), (x, x), (x, y[0]), (x[:, None], y[:7]), (x[0], y[0])):
+        want = (a @ form.matrix * b).sum(-1)
+        assert np.array_equal(form.gram(a, b), want)
+        assert np.array_equal(forms.evaluate(form, a, b), want)
+    assert np.array_equal(form.quad(x), (x @ form.matrix * x).sum(-1))
+
+
+def test_restricted_form_keeps_the_matrix_path():
+    rest = forms.restrict(forms.bpq(2, 1), [[1.0, 0.5, 0.2], [0.3, 1.0, 0.9]])
+    assert rest.diag is None and rest.matrix[0, 1] != 0
+    x = np.random.default_rng(5).standard_normal((30, 2))
+    assert np.array_equal(rest(x, x[::-1]), (x @ rest.matrix * x[::-1]).sum(-1))
+    assert np.array_equal(rest.quad(x), (x @ rest.matrix * x).sum(-1))

@@ -199,6 +199,27 @@ def test_scalar_distance_is_the_batch_kernel_on_lifts(name):
     assert [s[1] for s in scalar] == kinds.tolist()
 
 
+def test_scalar_distance_names_the_point_outside_the_space():
+    hyp2 = pj.model_space("Hyp2")
+    inside, outside = pj.ProjPoint([0, 0, 1]), pj.ProjPoint([1, 0, 0])
+    with pytest.raises(ValueError, match="^first point is not in Hyp2$"):
+        pj.projective_distance(hyp2, outside, inside)
+    with pytest.raises(ValueError, match="^second point is not in Hyp2$"):
+        pj.projective_distance(hyp2, inside, outside)
+
+
+@pytest.mark.parametrize("name", ["Ell3", "Hyp3", "dS3", "AdS3", "Euc3", "Min3", "coEuc3",
+                                  "coMin3"])
+def test_gram_entries_of_a_stack_are_those_of_each_row(name):
+    space = pj.model_space(name)
+    rng = np.random.default_rng(11)
+    X, Y = rng.standard_normal((2, 50, space.dim)) * 10.0 ** rng.uniform(-4, 4, (2, 50, 1))
+    stack = pj._gram(space.form, X, Y)
+    rows = [pj._gram(space.form, x, y) for x, y in zip(X, Y)]
+    for k, entry in enumerate(stack):
+        assert np.array_equal(entry, [row[k] for row in rows])
+
+
 def test_distance_symmetric_vanishing_and_invariant():
     rng = np.random.default_rng(3)
     for name in ("Ell2", "Hyp2", "dS2", "AdS3"):

@@ -77,8 +77,9 @@ def test_limit_groups_by_space_or_group_name():
     bad = np.eye(4)
     bad[3, 1] = 0.3
     assert tr.limit_group_membership(bad, "coEuc3") and not tr.limit_group_membership(bad, "Euc3")
-    assert tr.limit_group_membership(bad, "coEuc") and tr.limit_group_membership(bad, "coMin3")
-    for target in ("IsomEuc", "IsomCoEuc", "IsomEll", "Ell3", "euc3"):
+    assert tr.limit_group_membership(bad, "coMin3")
+    # a target names its dimension, and it must be the matrices' n = d - 1
+    for target in ("IsomEuc", "IsomCoEuc", "IsomEll", "Ell3", "euc3", "coEuc", "Euc7", "Euc2"):
         with pytest.raises(ValueError):
             tr.limit_group_membership(np.eye(4), target)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from modelspace import surfaces as sf
 from modelspace import transition as tr
 from modelspace import duality as du
 from modelspace import pogorelov as pg
-from modelspace._numerics import central_difference, richardson
+from modelspace._numerics import central_difference, det_small, inv_small, richardson
 from modelspace.projective import chart_jet, model_space, related
 
 S2_DOM = ((0.5, np.pi - 0.5), (0.3, 2 * np.pi - 0.3))
@@ -541,3 +541,51 @@ def test_embedding_data_invariants_random_patch():
     assert cons["II_symmetry"] < 1e-9
     assert cons["II_equals_IB"] < 1e-9
     assert cons["III_consistency"] < 1e-9
+
+
+# the einsum contractions that the component-wise kernels replace, kept
+# as the bit-for-bit reference
+def _einsum_christoffel(I, du, dv, order):
+    grad = sf._grad4 if order == 4 else np.gradient
+    dI = np.stack([grad(I, du, axis=0), grad(I, dv, axis=1)], axis=-3)
+    t = dI + np.einsum("...jil->...ijl", dI) - np.einsum("...lij->...ijl", dI)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", inv_small(I), t)
+
+
+def _einsum_codazzi(data):
+    B = data.B
+    gamma = _einsum_christoffel(data.I, data.du, data.dv, 2)
+    dB = np.stack([np.gradient(B, data.du, axis=0), np.gradient(B, data.dv, axis=1)], axis=-3)
+    cov = dB + np.einsum("...kil,...lj->...ikj", gamma, B) \
+        - np.einsum("...lij,...kl->...ikj", gamma, B)
+    return cov[..., 0, :, 1] - cov[..., 1, :, 0]
+
+
+@pytest.mark.parametrize("which", ["sphere", "co-graph"])
+def test_componentwise_kernels_match_the_einsum_formulas(which):
+    if which == "sphere":
+        patch = sf.sphere_patch(radius=1.3)
+    else:
+        f = lambda U, V: 1.0 + 0.1 * np.sin(2 * U) * np.cos(V) + 0.05 * U * V
+        patch = sf.graph_patch(model_space("coEuc3"), f, S2_DOM)
+    data = sf.embedding_data(patch, m=33)
+    _, jac, _ = patch.frames(data.U, data.V)
+    g = (patch.space.chart_form or patch.space.form).matrix
+    assert np.array_equal(data.I, np.einsum("...ai,...aj->...ij", jac, g @ jac))
+    for order in (2, 4):
+        assert np.array_equal(sf._christoffel_of_I(data.I, data.du, data.dv, order=order),
+                              _einsum_christoffel(data.I, data.du, data.dv, order))
+    assert np.array_equal(sf.codazzi_residual_field(data), _einsum_codazzi(data))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_transverse_covector_is_the_stack_of_signed_minors(d):
+    rng = np.random.default_rng(d)
+    cols = rng.standard_normal((40, 7, d, d - 1))
+    minors = np.stack([(-1) ** k * det_small(np.delete(cols, k, axis=-2)) for k in range(d)],
+                      axis=-1)
+    assert np.array_equal(sf._transverse_covector(cols), minors)
+    diag = model_space(f"Hyp{d - 1}").form.diag
+    jac = cols[..., :2]
+    assert np.array_equal(sf._pullback(jac, diag),
+                          np.einsum("...ai,...aj->...ij", jac, np.diag(diag) @ jac))
